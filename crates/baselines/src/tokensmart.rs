@@ -85,6 +85,11 @@ enum Mode {
 pub struct TokenSmart {
     tiles: Vec<TileState>,
     pool: i64,
+    /// Active ring stops (`max > 0`), kept current by [`TokenSmart::set_max`].
+    active: i64,
+    /// Pool plus holdings. Visits only move tokens between the pool and a
+    /// stop, so only the places that set holdings change it.
+    total: i64,
     config: TsConfig,
     mode: Mode,
     starved_for: Vec<u64>,
@@ -102,9 +107,12 @@ impl TokenSmart {
     pub fn new(max: Vec<u64>, pool: u64, config: TsConfig) -> Self {
         let n = max.len();
         assert!(n > 0, "need at least one tile");
+        let active = max.iter().filter(|&&m| m > 0).count() as i64;
         TokenSmart {
             tiles: max.into_iter().map(|m| TileState::new(0, m)).collect(),
             pool: pool as i64,
+            active,
+            total: pool as i64,
             config,
             mode: Mode::Greedy,
             starved_for: vec![0; n],
@@ -127,13 +135,16 @@ impl TokenSmart {
         for (t, h) in ts.tiles.iter_mut().zip(has) {
             t.has = h;
         }
+        ts.total = ts.total_tokens();
         ts
     }
 
     /// Updates a ring stop's target (an activity change: the tile became
     /// active with `max > 0`, or went idle with `max = 0`).
     pub fn set_max(&mut self, idx: usize, max: u64) {
+        let was_active = self.tiles[idx].is_active();
         self.tiles[idx].max = max;
+        self.active += i64::from(self.tiles[idx].is_active()) - i64::from(was_active);
     }
 
     /// The ring stop the pool will visit next.
@@ -218,12 +229,10 @@ impl TokenSmart {
                 t.max as i64
             }
             Mode::Fair => {
-                let active = self.tiles.iter().filter(|t| t.is_active()).count() as i64;
-                let total = self.total_tokens();
-                if active == 0 {
+                if self.active == 0 {
                     0
                 } else {
-                    total / active
+                    self.total / self.active
                 }
             }
         }
@@ -400,10 +409,13 @@ mod tests {
 
     #[test]
     fn inactive_tiles_release_tokens() {
-        let mut ts = TokenSmart::new(vec![0, 32, 0, 32], 0, TsConfig::default());
         // stranded tokens on inactive tiles
-        ts.tiles[0].has = 20;
-        ts.tiles[2].has = 12;
+        let mut ts = TokenSmart::with_holdings(
+            vec![0, 32, 0, 32],
+            vec![20, 0, 12, 0],
+            0,
+            TsConfig::default(),
+        );
         let r = ts.run(&mut SimRng::seed(4));
         assert!(r.converged, "{r:?}");
         assert_eq!(ts.tiles()[0].has, 0);
@@ -450,6 +462,36 @@ mod tests {
         ts.apply_fault_plan(&plan);
         let r = ts.run(&mut SimRng::seed(7));
         assert!(r.ring_broken && !r.converged, "{r:?}");
+    }
+
+    #[test]
+    fn cached_active_count_and_total_track_the_ring() {
+        use blitzcoin_sim::check::forall_seeded;
+        use blitzcoin_sim::ensure;
+        forall_seeded("ts_cached_counts", 0x75, 0..100, |rng| {
+            let n = rng.range_usize(1..12);
+            let max: Vec<u64> = (0..n).map(|_| rng.range_u64(0..3) * 16).collect();
+            let has: Vec<i64> = (0..n).map(|_| rng.range_i64(0..40)).collect();
+            let cfg = TsConfig {
+                starvation_visits: 4,
+                fair_hold_visits: 8,
+                ..TsConfig::default()
+            };
+            let mut ts = TokenSmart::with_holdings(max, has, rng.range_i64(0..50), cfg);
+            if rng.chance(0.5) {
+                ts.init_uniform_random(rng);
+            }
+            for _ in 0..200 {
+                if rng.chance(0.2) {
+                    ts.set_max(rng.range_usize(0..n), rng.range_u64(0..3) * 16);
+                }
+                ts.visit_once();
+                let active = ts.tiles.iter().filter(|t| t.is_active()).count() as i64;
+                ensure!(ts.active == active, "active {} != {active}", ts.active);
+                ensure!(ts.total == ts.total_tokens(), "total {}", ts.total);
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -345,8 +345,13 @@ impl Topology {
     }
 
     /// Whether two tiles are neighbors (under this topology's pairing).
+    /// Probes the four directions in place rather than building the
+    /// [`Topology::neighbors`] list.
     pub fn are_neighbors(&self, a: TileId, b: TileId) -> bool {
-        self.neighbors(a).contains(&b)
+        a != b
+            && Direction::ALL
+                .iter()
+                .any(|&dir| self.neighbor(a, dir) == Some(b))
     }
 
     /// XY (Manhattan) hop distance on the physical mesh, ignoring wrap
@@ -494,6 +499,27 @@ mod tests {
             for a in topo.tiles() {
                 for b in topo.neighbors(a) {
                     assert!(topo.are_neighbors(b, a), "{a} <-> {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn are_neighbors_matches_the_neighbor_list_exhaustively() {
+        for w in 1..=5 {
+            for h in 1..=5 {
+                for topo in [Topology::mesh(w, h), Topology::torus(w, h)] {
+                    for a in topo.tiles() {
+                        let list = topo.neighbors(a);
+                        for b in topo.tiles() {
+                            assert_eq!(
+                                topo.are_neighbors(a, b),
+                                list.contains(&b),
+                                "{w}x{h} wrap={} {a} {b}",
+                                topo.is_wraparound()
+                            );
+                        }
+                    }
                 }
             }
         }

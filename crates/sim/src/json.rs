@@ -112,6 +112,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            items: Vec::new(),
         };
         p.skip_ws();
         let v = p.value()?;
@@ -261,6 +262,11 @@ fn write_str(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements of the arrays still open, innermost last. A closing
+    /// array moves its own elements out in one exact-size allocation, so
+    /// no array grows by reallocation (stored reports hold tens of
+    /// thousands of `[time, value]` pairs).
+    items: Vec<Json>,
 }
 
 impl Parser<'_> {
@@ -320,21 +326,22 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let base = self.items.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.split_off(base)));
                 }
                 _ => return Err(JsonError::new(format!("bad array at byte {}", self.pos))),
             }
@@ -441,10 +448,45 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
+    /// Consumes a run of decimal digits, appending them to `mantissa`
+    /// (wrapping: only runs short enough to be exact are used), and
+    /// returns how many there were.
+    fn digits(&mut self, mantissa: &mut u64) -> usize {
+        let from = self.pos;
+        while let Some(&b) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
             self.pos += 1;
+        }
+        self.pos - from
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        const POW10: [f64; 16] = [
+            1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+        ];
+        let start = self.pos;
+        let neg = self.peek() == Some(b'-');
+        if neg {
+            self.pos += 1;
+        }
+        // A plain `-?digits(.digits)?` of at most 15 digits has an exact
+        // integer mantissa and an exact power-of-ten divisor, so one
+        // correctly rounded division gives exactly the value `parse`
+        // would (Clinger's fast path). Everything else goes to `parse`.
+        let mut mantissa = 0u64;
+        let int_digits = self.digits(&mut mantissa);
+        let mut frac_digits = 0;
+        if int_digits > 0
+            && self.peek() == Some(b'.')
+            && self.bytes.get(self.pos + 1).is_some_and(u8::is_ascii_digit)
+        {
+            self.pos += 1;
+            frac_digits = self.digits(&mut mantissa);
+        }
+        let plain = !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if plain && int_digits > 0 && int_digits + frac_digits < POW10.len() {
+            let v = mantissa as f64 / POW10[frac_digits];
+            return Ok(Json::Num(if neg { -v } else { v }));
         }
         while let Some(&b) = self.bytes.get(self.pos) {
             if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
@@ -827,5 +869,89 @@ mod tests {
             Mode::Slow
         );
         assert!(Mode::from_json(&Json::Str("Medium".into())).is_err());
+    }
+
+    #[test]
+    fn numbers_parse_exactly_like_str_parse() {
+        let digits = |rng: &mut crate::SimRng, n: usize| -> String {
+            (0..n)
+                .map(|_| char::from(b'0' + rng.range_u64(0..10) as u8))
+                .collect()
+        };
+        crate::check::forall_seeded("json_number_parse", 0x150A, 0..3000, |rng| {
+            let token = if rng.chance(0.3) {
+                // a stored report's numbers: `write_num` output
+                let mut out = String::new();
+                let v = match rng.range_u64(0..3) {
+                    0 => rng.range_u64(0..1 << 50) as f64,
+                    1 => {
+                        let scale = 10f64.powi(rng.range_i64(-6..8) as i32);
+                        rng.unit_f64() * scale
+                    }
+                    _ => -rng.unit_f64() * 1e3,
+                };
+                write_num(&mut out, v);
+                out
+            } else {
+                // any token the number scanner can consume
+                let mut t = String::new();
+                if rng.chance(0.3) {
+                    t.push('-');
+                }
+                let n = rng.range_usize(0..20);
+                t += &digits(rng, n);
+                if rng.chance(0.5) {
+                    t.push('.');
+                    let n = rng.range_usize(0..20);
+                    t += &digits(rng, n);
+                }
+                if rng.chance(0.2) {
+                    t.push(if rng.chance(0.5) { 'e' } else { 'E' });
+                    if rng.chance(0.5) {
+                        t.push(if rng.chance(0.5) { '+' } else { '-' });
+                    }
+                    let n = rng.range_usize(0..4);
+                    t += &digits(rng, n);
+                }
+                if !t.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+                    t.insert(0, '0');
+                }
+                t
+            };
+            let same = match (Json::parse(&token), token.parse::<f64>()) {
+                (Ok(Json::Num(a)), Ok(b)) => a.to_bits() == b.to_bits(),
+                (Err(_), Err(_)) => true,
+                _ => false,
+            };
+            crate::ensure!(same, "`{token}` parses differently from str::parse");
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn nested_arrays_round_trip() {
+        fn gen(rng: &mut crate::SimRng, depth: u32) -> Json {
+            match rng.range_u64(0..if depth == 0 { 3 } else { 5 }) {
+                0 => Json::Num(rng.range_i64(-1000..1000) as f64 / 8.0),
+                1 => Json::Str(format!("s{}", rng.range_u64(0..100))),
+                2 => Json::Null,
+                3 => Json::Arr(
+                    (0..rng.range_usize(0..5))
+                        .map(|_| gen(rng, depth - 1))
+                        .collect(),
+                ),
+                _ => Json::Obj(
+                    (0..rng.range_usize(0..4))
+                        .map(|k| (format!("k{k}"), gen(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+        crate::check::forall_seeded("json_nested_round_trip", 0xA77, 0..500, |rng| {
+            let v = gen(rng, 5);
+            crate::ensure!(Json::parse(&v.to_string()).as_ref() == Ok(&v), "{v}");
+            crate::ensure!(Json::parse(&v.to_string_pretty()).as_ref() == Ok(&v), "{v}");
+            Ok(())
+        });
     }
 }

@@ -228,6 +228,11 @@ impl StepTrace {
     /// Sums a set of traces pointwise into a new trace (e.g. per-tile power
     /// into SoC power). The result has a change point at every time any
     /// input changes.
+    ///
+    /// The change times are visited in order, so each input keeps a
+    /// cursor (the count of its points at or before the current time)
+    /// that only moves forward and no input is searched. Each per-time
+    /// sum adds the inputs' values in input order.
     pub fn sum(name: impl Into<String>, traces: &[&StepTrace]) -> StepTrace {
         let mut times: Vec<SimTime> = traces
             .iter()
@@ -235,9 +240,19 @@ impl StepTrace {
             .collect();
         times.sort_unstable();
         times.dedup();
+        let mut cursors = vec![0usize; traces.len()];
         let mut out = StepTrace::new(name);
         for t in times {
-            let v: f64 = traces.iter().map(|tr| tr.value_at(t)).sum();
+            let v: f64 = traces
+                .iter()
+                .zip(&mut cursors)
+                .map(|(tr, c)| {
+                    while tr.points.get(*c).is_some_and(|p| p.time <= t) {
+                        *c += 1;
+                    }
+                    c.checked_sub(1).map_or(0.0, |i| tr.points[i].value)
+                })
+                .sum();
             out.record(t, v);
         }
         out
@@ -351,5 +366,62 @@ mod tests {
         assert_eq!(s.value_at(SimTime::ZERO), 1.0);
         assert_eq!(s.value_at(us(1)), 11.0);
         assert_eq!(s.value_at(us(2)), 13.0);
+    }
+
+    /// The binary-search `sum` the cursor walk replaced, kept as the
+    /// reference it must match bit for bit.
+    fn sum_by_lookup(name: &str, traces: &[&StepTrace]) -> StepTrace {
+        let mut times: Vec<SimTime> = traces
+            .iter()
+            .flat_map(|t| t.points.iter().map(|p| p.time))
+            .collect();
+        times.sort_unstable();
+        times.dedup();
+        let mut out = StepTrace::new(name);
+        for t in times {
+            let v: f64 = traces.iter().map(|tr| tr.value_at(t)).sum();
+            out.record(t, v);
+        }
+        out
+    }
+
+    #[test]
+    fn sum_matches_the_lookup_reference_bit_for_bit() {
+        crate::check::forall_seeded("trace_sum_reference", 0x5_7ACE, 0..300, |rng| {
+            let n = rng.range_usize(0..9);
+            let traces: Vec<StepTrace> = (0..n)
+                .map(|k| {
+                    let mut tr = StepTrace::new(format!("t{k}"));
+                    // some traces stay empty; others start late; a coarse
+                    // time grid makes equal timestamps across traces common
+                    let points = rng.range_usize(0..12);
+                    let mut t = rng.range_u64(0..40);
+                    let flat = rng.chance(0.2);
+                    for _ in 0..points {
+                        let v = if flat {
+                            7.25
+                        } else if rng.chance(0.3) {
+                            0.0
+                        } else {
+                            rng.unit_f64() * 1e3 - 100.0
+                        };
+                        tr.record(SimTime::from_ns(t), v);
+                        t += rng.range_u64(0..6);
+                    }
+                    tr
+                })
+                .collect();
+            let refs: Vec<&StepTrace> = traces.iter().collect();
+            let fast = StepTrace::sum("s", &refs);
+            let slow = sum_by_lookup("s", &refs);
+            crate::ensure!(fast.points().len() == slow.points().len());
+            for (a, b) in fast.points().iter().zip(slow.points()) {
+                crate::ensure!(
+                    a.time == b.time && a.value.to_bits() == b.value.to_bits(),
+                    "{a:?} != {b:?}"
+                );
+            }
+            Ok(())
+        });
     }
 }

@@ -33,8 +33,8 @@
 use std::collections::VecDeque;
 
 use blitzcoin_core::{AllocationPolicy, DynamicTiming, ExchangeMode};
-use blitzcoin_noc::{Network, NetworkConfig, TileId};
-use blitzcoin_power::{CoinLut, PowerModel};
+use blitzcoin_noc::{Network, NetworkConfig, TileId, Topology};
+use blitzcoin_power::{AcceleratorClass, CoinLut, PowerModel};
 use blitzcoin_sim::oracle::Oracle;
 use blitzcoin_sim::{
     ClockDomain, CoinAudit, ConfigError, EventQueue, FaultPlan, SimRng, SimTime, StepTrace,
@@ -293,6 +293,32 @@ impl EngineClocks {
     }
 }
 
+/// The BlitzCoin exchange partners of tile `me`: its 4 nearest peers in
+/// `members` (its PM cluster) by `(hop distance, tile id)`, nearest
+/// first. Only those 4 are sorted, not the whole cluster; `peers` is
+/// scratch space reused across tiles.
+fn nearest_partners(
+    topology: &Topology,
+    me: usize,
+    members: &[usize],
+    peers: &mut Vec<(usize, usize)>,
+) -> Vec<usize> {
+    const PARTNERS: usize = 4;
+    peers.clear();
+    peers.extend(
+        members
+            .iter()
+            .filter(|&&t| t != me)
+            .map(|&t| (topology.hop_distance(TileId(me), TileId(t)), t)),
+    );
+    if peers.len() > PARTNERS {
+        peers.select_nth_unstable(PARTNERS - 1);
+        peers.truncate(PARTNERS);
+    }
+    peers.sort_unstable();
+    peers.iter().map(|&(_, t)| t).collect()
+}
+
 /// A configured full-SoC simulation, ready to run.
 #[derive(Debug, Clone)]
 pub struct Simulation {
@@ -466,6 +492,10 @@ impl Simulation {
                 core.tiles.iter().map(|t| t.partners.len()).sum(),
             ),
             ("deps_left", core.deps_left.len()),
+            (
+                "dependents_total",
+                core.dependents.iter().map(Vec::len).sum(),
+            ),
             ("done_tasks", core.done_tasks.len()),
             ("coin_traces", core.coin_traces.len()),
             ("freq_traces", core.freq_traces.len()),
@@ -519,6 +549,8 @@ pub(crate) struct Core<'a> {
     pub(crate) now: SimTime,
     // workload progress
     pub(crate) deps_left: Vec<usize>,
+    /// The tasks that list each task among their `deps`.
+    pub(crate) dependents: Vec<Vec<TaskId>>,
     pub(crate) completed: usize,
     pub(crate) exec_end: SimTime,
     pub(crate) done_tasks: Vec<bool>,
@@ -553,17 +585,27 @@ impl<'a> Core<'a> {
     fn new(sim: &'a Simulation, rng: SimRng) -> Self {
         let soc = &sim.soc;
         let managed: Vec<usize> = soc.managed_tiles().iter().map(|t| t.index()).collect();
+        // a coin LUT depends only on the tile's class (its power model)
+        // and the coin value, so each class's table is built once
+        let mut luts: Vec<(AcceleratorClass, CoinLut)> = Vec::new();
         let mut tiles: Vec<TileRt> = soc
             .topology
             .tiles()
             .map(|id| {
                 let kind = soc.tiles[id.index()];
                 let model = kind.accel_class().map(PowerModel::of);
-                let lut = model
-                    .as_ref()
+                let lut = kind
+                    .accel_class()
+                    .zip(model.as_ref())
                     .filter(|_| kind.is_managed())
-                    .map(|m| CoinLut::build(m, sim.coin_value_mw, 64));
-                let _ = id;
+                    .map(|(c, m)| {
+                        if let Some((_, lut)) = luts.iter().find(|(lc, _)| *lc == c) {
+                            return lut.clone();
+                        }
+                        let lut = CoinLut::build(m, sim.coin_value_mw, 64);
+                        luts.push((c, lut.clone()));
+                        lut
+                    });
                 TileRt {
                     model,
                     lut,
@@ -601,17 +643,12 @@ impl<'a> Core<'a> {
         }
         // BlitzCoin exchange partners: the 4 nearest managed peers within
         // the same cluster
-        for (mi, &ti) in managed.iter().enumerate() {
-            let me = TileId(ti);
-            let mut peers: Vec<(usize, usize)> = managed
-                .iter()
-                .enumerate()
-                .filter(|&(mj, &tj)| mj != mi && cluster_of[tj] == cluster_of[ti])
-                .map(|(_, &tj)| (soc.topology.hop_distance(me, TileId(tj)), tj))
-                .collect();
-            peers.sort();
-            tiles[ti].partners = peers.into_iter().take(4).map(|(_, tj)| tj).collect();
-            tiles[ti].suspect = vec![0; tiles[ti].partners.len()];
+        let mut peers = Vec::new();
+        for &ti in &managed {
+            let partners =
+                nearest_partners(&soc.topology, ti, &cluster_list[cluster_of[ti]], &mut peers);
+            tiles[ti].suspect = vec![0; partners.len()];
+            tiles[ti].partners = partners;
         }
         // initial coins: each cluster owns a pool slice proportional to
         // its accelerators' combined P_max, split equally inside
@@ -649,15 +686,21 @@ impl<'a> Core<'a> {
             .map(|&ti| StepTrace::new(format!("power_t{ti}")))
             .collect();
         let deps_left = sim.wl.tasks().iter().map(|t| t.deps.len()).collect();
+        // each task's dependents in task order; a task naming the same
+        // dependency twice is listed once, so one completion decrements
+        // its `deps_left` once
+        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); sim.wl.len()];
+        for t in sim.wl.tasks() {
+            for d in &t.deps {
+                if dependents[d.0].last() != Some(&t.id) {
+                    dependents[d.0].push(t.id);
+                }
+            }
+        }
         let initial_coins: i64 = tiles.iter().map(|t| t.has).sum();
-        let cluster_expected: Vec<i128> = (0..cluster_list.len())
-            .map(|ci| {
-                managed
-                    .iter()
-                    .filter(|&&t| cluster_of[t] == ci)
-                    .map(|&t| i128::from(tiles[t].has))
-                    .sum()
-            })
+        let cluster_expected: Vec<i128> = cluster_list
+            .iter()
+            .map(|members| members.iter().map(|&t| i128::from(tiles[t].has)).sum())
             .collect();
         let oracle = Oracle::new("blitzcoin-soc Simulation::run", rng.root_seed())
             .with_tie_break(sim.cfg.tie_break);
@@ -708,6 +751,7 @@ impl<'a> Core<'a> {
             cluster_members: cluster_list,
             now: SimTime::ZERO,
             deps_left,
+            dependents,
             completed: 0,
             exec_end: SimTime::ZERO,
             done_tasks: vec![false; n_tasks],
@@ -747,5 +791,47 @@ impl<'a> Core<'a> {
 
     pub(crate) fn plan(&self) -> &FaultPlan {
         &self.sim.fault
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_partners;
+    use blitzcoin_noc::{TileId, Topology};
+    use blitzcoin_sim::check::forall_seeded;
+    use blitzcoin_sim::ensure;
+
+    #[test]
+    fn partners_match_the_full_sort_reference() {
+        forall_seeded("nearest_partners_reference", 0x9A27, 0..200, |rng| {
+            let topo = Topology::mesh(rng.range_usize(1..9), rng.range_usize(1..9));
+            let managed: Vec<usize> = (0..topo.len()).filter(|_| rng.chance(0.6)).collect();
+            let n_clusters = rng.range_usize(1..4);
+            let mut cluster_of = vec![usize::MAX; topo.len()];
+            let mut clusters = vec![Vec::new(); n_clusters];
+            for &t in &managed {
+                cluster_of[t] = rng.range_usize(0..n_clusters);
+                clusters[cluster_of[t]].push(t);
+            }
+            // a caller's cluster lists need not be in tile order
+            for members in &mut clusters {
+                rng.shuffle(members);
+            }
+            let mut scratch = Vec::new();
+            for (mi, &ti) in managed.iter().enumerate() {
+                let fast = nearest_partners(&topo, ti, &clusters[cluster_of[ti]], &mut scratch);
+                // the pre-change choice: sort every same-cluster peer
+                let mut peers: Vec<(usize, usize)> = managed
+                    .iter()
+                    .enumerate()
+                    .filter(|&(mj, &tj)| mj != mi && cluster_of[tj] == cluster_of[ti])
+                    .map(|(_, &tj)| (topo.hop_distance(TileId(ti), TileId(tj)), tj))
+                    .collect();
+                peers.sort();
+                let reference: Vec<usize> = peers.into_iter().take(4).map(|(_, t)| t).collect();
+                ensure!(fast == reference, "tile {ti}: {fast:?} != {reference:?}");
+            }
+            Ok(())
+        });
     }
 }

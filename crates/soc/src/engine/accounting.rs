@@ -38,10 +38,8 @@ impl Core<'_> {
             return;
         }
         let ci = self.cluster_of[ti];
-        let actual: i128 = self
-            .managed
+        let actual: i128 = self.cluster_members[ci]
             .iter()
-            .filter(|&&t| self.cluster_of[t] == ci)
             .map(|&t| i128::from(self.tiles[t].has))
             .sum::<i128>()
             + in_flight;

@@ -220,16 +220,13 @@ fn on_task_done(core: &mut Core, policy: &mut dyn ManagerPolicy, ti: usize, gen:
     // release dependents
     let done_id = run.task;
     core.done_tasks[done_id.0] = true;
-    let ready: Vec<TaskId> = core
-        .sim
-        .wl
-        .tasks()
+    let deps_left = &mut core.deps_left;
+    let ready: Vec<TaskId> = core.dependents[done_id.0]
         .iter()
-        .filter(|t| t.deps.contains(&done_id))
-        .map(|t| t.id)
+        .copied()
         .filter(|t| {
-            core.deps_left[t.0] -= 1;
-            core.deps_left[t.0] == 0
+            deps_left[t.0] -= 1;
+            deps_left[t.0] == 0
         })
         .collect();
     pump(core, policy, ti);

@@ -471,13 +471,13 @@ fn check_bc_response(core: &mut Core) {
 /// quarantined coins shrink the live slice and the survivors
 /// equalize over what remains.
 fn bc_converged(core: &Core) -> bool {
-    // called on every coin fire — walk the managed list twice per cluster
-    // rather than collecting the live members
-    (0..core.cluster_members.len()).all(|ci| {
+    // called on every coin fire — walk each cluster's members twice rather
+    // than collecting the live ones
+    core.cluster_members.iter().all(|members| {
         let mut total_max = 0u64;
         let mut total_has = 0i64;
-        for &t in &core.managed {
-            if core.cluster_of[t] == ci && core.tiles[t].faulted.is_none() {
+        for &t in members {
+            if core.tiles[t].faulted.is_none() {
                 total_max += core.tiles[t].max;
                 total_has += core.tiles[t].has;
             }
@@ -486,9 +486,9 @@ fn bc_converged(core: &Core) -> bool {
             return true;
         }
         let alpha = total_has as f64 / total_max as f64;
-        core.managed
+        members
             .iter()
-            .filter(|&&t| core.cluster_of[t] == ci && core.tiles[t].faulted.is_none())
+            .filter(|&&t| core.tiles[t].faulted.is_none())
             .all(|&t| {
                 let target = alpha * core.tiles[t].max as f64;
                 (core.tiles[t].has as f64 - target).abs() <= core.cfg().response_tolerance

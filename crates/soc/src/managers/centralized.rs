@@ -72,20 +72,11 @@ impl<S: SweepScheme> Centralized<S> {
         }
         self.last_sweep_start = core.now;
         self.sweep_gen += 1;
-        // Plan once per sweep (a per-step recompute could change mid-sweep)
-        // and write downgrades before upgrades so the cap is never
-        // transiently exceeded by a newly-granted tile actuating before a
-        // revoked one. The plan buffer is reused sweep to sweep.
-        self.sweep_plan.clear();
-        self.sweep_plan.extend(
-            core.managed
-                .iter()
-                .zip(self.scheme.compute_plan(core, self.rotation_step))
-                .map(|(&t, (f, c))| (t, f, c)),
-        );
-        self.sweep_plan.sort_by_key(|&(t, f, _)| {
-            let current = (core.tiles[t].target * 100.0).round() as u64;
-            (f > current, t)
+        // Plan once per sweep (a per-step recompute could change mid-sweep).
+        // The plan buffer is reused sweep to sweep.
+        let plan = self.scheme.compute_plan(core, self.rotation_step);
+        order_writes(&mut self.sweep_plan, &core.managed, &plan, |t| {
+            (core.tiles[t].target * 100.0).round() as u64
         });
         let service = core.cfg().timing.service_cycles(S::KIND);
         let at = core.now + core.clocks.noc.span(service);
@@ -196,6 +187,31 @@ impl<S: SweepScheme> Centralized<S> {
     }
 }
 
+/// Fills `out` with one sweep's register writes `(tile, centi-MHz,
+/// coins)`: every downgrade or hold first, then every upgrade over the
+/// tile's current target (`current_centi`), so the cap is never
+/// transiently exceeded by a newly-granted tile actuating before a
+/// revoked one. `managed` is in ascending tile order, so two in-order
+/// passes give the `(upgrade, tile)` order without sorting.
+fn order_writes(
+    out: &mut Vec<(usize, u64, i64)>,
+    managed: &[usize],
+    plan: &[(u64, i64)],
+    current_centi: impl Fn(usize) -> u64,
+) {
+    debug_assert!(managed.windows(2).all(|w| w[0] < w[1]));
+    out.clear();
+    for upgrades in [false, true] {
+        out.extend(
+            managed
+                .iter()
+                .zip(plan)
+                .filter(|&(&t, &(f, _))| (f > current_centi(t)) == upgrades)
+                .map(|(&t, &(f, c))| (t, f, c)),
+        );
+    }
+}
+
 /// A sweep's last write arrived: every pending activity change is
 /// answered once the actuation delay elapses.
 fn drain_sweep_responses(core: &mut Core) {
@@ -251,5 +267,37 @@ impl<S: SweepScheme> ManagerPolicy for Centralized<S> {
     fn halts_when_settled(&self, core: &Core) -> bool {
         // a dead controller will never drain the pending responses
         controller_down(core)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::order_writes;
+    use blitzcoin_sim::check::forall_seeded;
+    use blitzcoin_sim::ensure;
+
+    #[test]
+    fn write_order_matches_the_sorted_reference() {
+        forall_seeded("sweep_write_order", 0x5EE9, 0..300, |rng| {
+            let managed: Vec<usize> = (0..rng.range_usize(0..40))
+                .filter(|_| rng.chance(0.7))
+                .collect();
+            let plan: Vec<(u64, i64)> = managed
+                .iter()
+                .map(|_| (rng.range_u64(0..8) * 2500, rng.range_i64(-3..64)))
+                .collect();
+            let current: Vec<u64> = (0..40).map(|_| rng.range_u64(0..8) * 2500).collect();
+            let mut fast = Vec::new();
+            order_writes(&mut fast, &managed, &plan, |t| current[t]);
+            // the pre-change planner: sort by (upgrade, tile)
+            let mut reference: Vec<(usize, u64, i64)> = managed
+                .iter()
+                .zip(&plan)
+                .map(|(&t, &(f, c))| (t, f, c))
+                .collect();
+            reference.sort_by_key(|&(t, f, _)| (f > current[t], t));
+            ensure!(fast == reference, "{fast:?} != {reference:?}");
+            Ok(())
+        });
     }
 }

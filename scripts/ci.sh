@@ -32,6 +32,12 @@ fi
 cargo bench -q --offline -p blitzcoin-bench --bench policies -- --test
 cargo bench -q --offline -p blitzcoin-bench --bench kernels -- --test
 
+# Benchmark self-tests: perfbench is a Cargo workspace of its own (it
+# links the crates by path, as a library user would), so the workspace
+# `cargo test` above never reaches its argument, catalogue and
+# committed-results checks.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Oracle gate: the whole test suite again with the runtime invariant
 # auditing compiled into release code paths (debug/test builds audit by
 # default; this leg proves the --features oracle release configuration
