@@ -46,6 +46,6 @@ pub mod tokensmart;
 
 pub use bcc::BccController;
 pub use crr::{CrrController, CrrLevel};
-pub use pt::{PriceTheory, PtMarket, PtOutcome, PtStep};
+pub use pt::{PtMarket, PtStep};
 pub use static_alloc::static_allocation;
 pub use tokensmart::{TokenSmart, TsConfig, TsResult};

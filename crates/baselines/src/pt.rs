@@ -10,38 +10,21 @@
 //! both the original software numbers and a hypothetical hardware
 //! implementation scaled by 2.5 orders of magnitude (Section VI-D).
 //!
-//! Two entry points share one numeric core:
-//!
-//! - [`PriceTheory::clear`] runs the whole market to completion in one
-//!   call — the behavioural model the analytic figures use.
-//! - [`PriceTheory::market`] returns a [`PtMarket`], an explicit state
-//!   machine that *yields* the protocol messages (price broadcasts out,
-//!   demand bids back, a final grant) instead of looping internally.
-//!   The cycle-level engine drives one of these per PM cluster, turning
-//!   every yielded message into real NoC traffic with per-hop timing —
-//!   the same pattern the TokenSmart port established.
+//! [`PtMarket`] is that market as an explicit state machine: it *yields*
+//! the protocol messages (price broadcasts out, demand bids back, a final
+//! grant) instead of looping internally. The cycle-level engine drives
+//! one per PM cluster, turning every yielded message into real NoC
+//! traffic with per-hop timing — the same pattern the TokenSmart port
+//! established.
 //!
 //! Degenerate budgets are detected up front: a supply at or above the
 //! total maximum demand (or at or below the total minimum) cannot be
 //! priced, so the market immediately grants the clamp vector instead of
 //! burning the iteration cap. For feasible budgets the multiplicative
 //! tâtonnement is followed, if it fails to converge within
-//! [`PriceTheory::MAX_ITERATIONS`], by a deterministic price bisection —
+//! [`PtMarket::MAX_ITERATIONS`], by a deterministic price bisection —
 //! total demand is continuous and monotone in the price, so a feasible
 //! market always clears.
-
-/// Outcome of one market-clearing run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PtOutcome {
-    /// The cleared price (budget-normalized).
-    pub price: f64,
-    /// Per-cluster power grants (mW).
-    pub grants: Vec<f64>,
-    /// Tâtonnement iterations to clear the market.
-    pub iterations: u32,
-    /// Whether the market cleared within the iteration cap.
-    pub cleared: bool,
-}
 
 /// One message step yielded by a [`PtMarket`].
 ///
@@ -68,6 +51,13 @@ pub enum PtStep {
 
 /// The market-clearing state machine: one tâtonnement session, stepped
 /// from outside.
+///
+/// Each bidder has a *utility weight* (how much performance it gains per
+/// mW, i.e. its willingness to pay) and a power range `[p_min, p_max]`.
+/// At price `p`, bidder `i` demands `clamp(weight_i / p, p_min_i,
+/// p_max_i)` — the classic iso-elastic demand curve. The supervisor
+/// adjusts the price multiplicatively until total demand matches the
+/// budget within a tolerance.
 ///
 /// Protocol shape (the driver owns all messaging):
 ///
@@ -110,19 +100,27 @@ impl PtMarket {
     ///
     /// # Panics
     /// Panics on misaligned vectors, non-positive weights, invalid
-    /// ranges, or a negative budget (same contract as
-    /// [`PriceTheory::new`]).
+    /// ranges, or a negative budget.
     pub fn new(weights: Vec<f64>, p_min: Vec<f64>, p_max: Vec<f64>, budget: f64) -> Self {
         assert!(budget >= 0.0, "budget must be non-negative");
-        let pt = PriceTheory::new(weights, p_min, p_max);
-        let price = pt.weights.iter().sum::<f64>() / budget.max(1e-12);
-        let n = pt.weights.len();
+        assert_eq!(weights.len(), p_min.len(), "market vectors must align");
+        assert_eq!(weights.len(), p_max.len(), "market vectors must align");
+        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
+        assert!(
+            p_min
+                .iter()
+                .zip(&p_max)
+                .all(|(lo, hi)| *lo >= 0.0 && hi >= lo),
+            "power ranges must be valid"
+        );
+        let price = weights.iter().sum::<f64>() / budget.max(1e-12);
+        let n = weights.len();
         PtMarket {
-            weights: pt.weights,
-            p_min: pt.p_min,
-            p_max: pt.p_max,
+            weights,
+            p_min,
+            p_max,
             budget,
-            tol: PriceTheory::default_tolerance(budget),
+            tol: Self::default_tolerance(budget),
             price,
             iterations: 0,
             bids: vec![None; n],
@@ -249,7 +247,7 @@ impl PtMarket {
     /// Consumes a complete round of bids: converges to a
     /// [`PtStep::Grant`], or yields the next [`PtStep::Quote`]. The
     /// price follows the multiplicative tâtonnement for the first
-    /// [`PriceTheory::MAX_ITERATIONS`] rounds and a deterministic
+    /// [`PtMarket::MAX_ITERATIONS`] rounds and a deterministic
     /// bisection of the bracketing prices after that.
     ///
     /// # Panics
@@ -273,7 +271,7 @@ impl PtMarket {
         } else {
             self.hi = Some(self.price);
         }
-        if self.iterations >= PriceTheory::MAX_ITERATIONS + Self::BISECT_ITERATIONS {
+        if self.iterations >= Self::MAX_ITERATIONS + Self::BISECT_ITERATIONS {
             self.done = true;
             self.in_round = false;
             let grants: Vec<f64> = self.bids.iter().map(|b| b.expect("complete")).collect();
@@ -283,7 +281,7 @@ impl PtMarket {
                 cleared: false,
             };
         }
-        if self.iterations < PriceTheory::MAX_ITERATIONS {
+        if self.iterations < Self::MAX_ITERATIONS {
             // multiplicative tâtonnement: raise price on excess demand
             self.price *= (demand / self.budget).powf(0.8);
         } else {
@@ -301,149 +299,15 @@ impl PtMarket {
         PtStep::Quote { price: self.price }
     }
 
-    /// Extra bisection rounds granted after the tâtonnement cap.
-    const BISECT_ITERATIONS: u32 = 100;
-}
-
-/// A price-theory power market over clusters.
-///
-/// Each cluster has a *utility weight* (how much performance it gains per
-/// mW, i.e. its willingness to pay) and a power range `[p_min, p_max]`.
-/// At price `p`, cluster `i` demands
-/// `clamp(weight_i / p, p_min_i, p_max_i)` — the classic iso-elastic
-/// demand curve. The supervisor adjusts the price multiplicatively until
-/// total demand matches the budget within a tolerance.
-///
-/// # Example
-///
-/// ```
-/// use blitzcoin_baselines::PriceTheory;
-///
-/// let pt = PriceTheory::new(vec![1.0, 2.0], vec![10.0, 10.0], vec![200.0, 200.0]);
-/// let out = pt.clear(300.0);
-/// assert!(out.cleared);
-/// // the higher-utility cluster receives more power
-/// assert!(out.grants[1] > out.grants[0]);
-/// let total: f64 = out.grants.iter().sum();
-/// assert!((total - 300.0).abs() < 1.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PriceTheory {
-    weights: Vec<f64>,
-    p_min: Vec<f64>,
-    p_max: Vec<f64>,
-}
-
-impl PriceTheory {
     /// Iteration cap for the tâtonnement loop.
     pub const MAX_ITERATIONS: u32 = 200;
 
-    /// Creates a market over clusters.
-    ///
-    /// # Panics
-    /// Panics if vector lengths disagree, any weight is non-positive, or
-    /// any range is invalid.
-    pub fn new(weights: Vec<f64>, p_min: Vec<f64>, p_max: Vec<f64>) -> Self {
-        assert_eq!(weights.len(), p_min.len(), "market vectors must align");
-        assert_eq!(weights.len(), p_max.len(), "market vectors must align");
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        assert!(
-            p_min
-                .iter()
-                .zip(&p_max)
-                .all(|(lo, hi)| *lo >= 0.0 && hi >= lo),
-            "power ranges must be valid"
-        );
-        PriceTheory {
-            weights,
-            p_min,
-            p_max,
-        }
-    }
-
-    /// Number of clusters.
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Whether the market has no clusters.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    /// Demand of cluster `i` at `price`.
-    pub fn demand(&self, i: usize, price: f64) -> f64 {
-        (self.weights[i] / price.max(1e-12)).clamp(self.p_min[i], self.p_max[i])
-    }
+    /// Extra bisection rounds granted after the tâtonnement cap.
+    const BISECT_ITERATIONS: u32 = 100;
 
     /// The default convergence tolerance for a `budget_mw` market.
     pub fn default_tolerance(budget_mw: f64) -> f64 {
         (budget_mw * 1e-3).max(1e-6)
-    }
-
-    /// Starts a stepping session (see [`PtMarket`]) over this market for
-    /// a `budget_mw` supply.
-    ///
-    /// # Panics
-    /// Panics if `budget_mw` is negative.
-    pub fn market(&self, budget_mw: f64) -> PtMarket {
-        PtMarket::new(
-            self.weights.clone(),
-            self.p_min.clone(),
-            self.p_max.clone(),
-            budget_mw,
-        )
-    }
-
-    /// Clears the market for a `budget_mw` supply at the default
-    /// tolerance. Degenerate budgets (at/above total maximum demand, or
-    /// at/below total minimum) return the clamp vector immediately.
-    ///
-    /// # Panics
-    /// Panics if `budget_mw` is negative.
-    pub fn clear(&self, budget_mw: f64) -> PtOutcome {
-        self.clear_with_tolerance(budget_mw, Self::default_tolerance(budget_mw))
-    }
-
-    /// [`PriceTheory::clear`] at an explicit tolerance. The price
-    /// sequence is tolerance-independent, so the iteration count is
-    /// monotone non-increasing in `tol`.
-    ///
-    /// # Panics
-    /// Panics if `budget_mw` is negative or `tol` non-positive.
-    pub fn clear_with_tolerance(&self, budget_mw: f64, tol: f64) -> PtOutcome {
-        let mut market = self.market(budget_mw).with_tolerance(tol);
-        let mut step = market.begin();
-        loop {
-            match step {
-                PtStep::Quote { price } => {
-                    for i in 0..self.len() {
-                        let bid = self.demand(i, price);
-                        market.submit_bid(i, bid);
-                    }
-                    step = market.step();
-                }
-                PtStep::Grant {
-                    price,
-                    grants,
-                    cleared,
-                } => {
-                    return PtOutcome {
-                        price,
-                        grants,
-                        iterations: market.iterations(),
-                        cleared,
-                    };
-                }
-            }
-        }
-    }
-
-    /// Response-time model, in nanoseconds: `iterations` supervisor rounds
-    /// at `round_ns` each (the per-round latency bundles the hierarchical
-    /// bid/publish messaging and the demand recomputation).
-    pub fn response_ns(iterations: u32, round_ns: f64) -> f64 {
-        iterations as f64 * round_ns
     }
 }
 
@@ -453,16 +317,55 @@ mod tests {
     use blitzcoin_sim::check::forall;
     use blitzcoin_sim::{ensure, SimRng};
 
-    fn market() -> PriceTheory {
-        PriceTheory::new(
+    /// How a driven session ended.
+    #[derive(Debug)]
+    struct Outcome {
+        price: f64,
+        grants: Vec<f64>,
+        iterations: u32,
+        cleared: bool,
+    }
+
+    /// Drives `session` to its grant with every bidder bidding its own
+    /// demand at each quote: the engine's protocol with the NoC taken out.
+    fn clear(mut session: PtMarket) -> Outcome {
+        let mut step = session.begin();
+        loop {
+            match step {
+                PtStep::Quote { price } => {
+                    for i in 0..session.len() {
+                        session.submit_bid(i, session.demand(i, price));
+                    }
+                    step = session.step();
+                }
+                PtStep::Grant {
+                    price,
+                    grants,
+                    cleared,
+                } => {
+                    return Outcome {
+                        price,
+                        grants,
+                        iterations: session.iterations(),
+                        cleared,
+                    }
+                }
+            }
+        }
+    }
+
+    fn market(budget: f64) -> PtMarket {
+        PtMarket::new(
             vec![1.0, 2.0, 4.0],
             vec![5.0, 5.0, 5.0],
             vec![100.0, 100.0, 100.0],
+            budget,
         )
     }
 
-    /// A random, always-valid market with up to 12 bidders.
-    fn any_market(rng: &mut SimRng) -> PriceTheory {
+    /// A random, always-valid market with up to 12 bidders, as
+    /// `(weights, p_min, p_max)`.
+    fn any_market(rng: &mut SimRng) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         let n = rng.range_usize(1..13);
         let weights: Vec<f64> = (0..n).map(|_| 0.1 + rng.unit_f64() * 10.0).collect();
         let p_min: Vec<f64> = (0..n).map(|_| rng.unit_f64() * 5.0).collect();
@@ -470,12 +373,12 @@ mod tests {
             .iter()
             .map(|&lo| lo + 0.1 + rng.unit_f64() * 100.0)
             .collect();
-        PriceTheory::new(weights, p_min, p_max)
+        (weights, p_min, p_max)
     }
 
     #[test]
     fn clears_to_budget() {
-        let out = market().clear(150.0);
+        let out = clear(market(150.0));
         assert!(out.cleared);
         let total: f64 = out.grants.iter().sum();
         assert!((total - 150.0).abs() <= 0.2, "total={total}");
@@ -483,14 +386,14 @@ mod tests {
 
     #[test]
     fn grants_follow_utility() {
-        let out = market().clear(150.0);
+        let out = clear(market(150.0));
         assert!(out.grants[0] < out.grants[1]);
         assert!(out.grants[1] < out.grants[2]);
     }
 
     #[test]
     fn abundant_budget_grants_maximum() {
-        let out = market().clear(1000.0);
+        let out = clear(market(1000.0));
         assert!(out.cleared);
         assert_eq!(out.iterations, 0);
         assert_eq!(out.grants, vec![100.0, 100.0, 100.0]);
@@ -498,7 +401,7 @@ mod tests {
 
     #[test]
     fn scarce_budget_grants_minimum() {
-        let out = market().clear(10.0);
+        let out = clear(market(10.0));
         assert!(out.cleared);
         assert_eq!(out.grants, vec![5.0, 5.0, 5.0]);
     }
@@ -506,7 +409,7 @@ mod tests {
     #[test]
     fn grants_respect_ranges() {
         for budget in [20.0, 50.0, 120.0, 250.0] {
-            let out = market().clear(budget);
+            let out = clear(market(budget));
             for (i, g) in out.grants.iter().enumerate() {
                 assert!(*g >= 5.0 - 1e-9 && *g <= 100.0 + 1e-9, "cluster {i}: {g}");
             }
@@ -514,22 +417,14 @@ mod tests {
     }
 
     #[test]
-    fn iterations_drive_response_time() {
-        let out = market().clear(150.0);
-        assert!(out.iterations >= 1);
-        let ns = PriceTheory::response_ns(out.iterations, 1000.0);
-        assert!(ns >= 1000.0);
-    }
-
-    #[test]
     fn many_cluster_market_scales() {
         let n = 256;
-        let pt = PriceTheory::new(
+        let out = clear(PtMarket::new(
             (1..=n).map(|i| i as f64).collect(),
             vec![1.0; n],
             vec![50.0; n],
-        );
-        let out = pt.clear(2000.0);
+            2000.0,
+        ));
         assert!(out.cleared, "{out:?}");
         let total: f64 = out.grants.iter().sum();
         assert!((total - 2000.0).abs() <= 2.0);
@@ -537,23 +432,23 @@ mod tests {
 
     #[test]
     fn stepping_machine_reproduces_clear_exactly() {
-        // `clear` is implemented over the machine, but pin the message
-        // protocol too: driving a separate session by hand, one quote
-        // and one bid at a time, must land on the identical outcome.
+        // Pin the message protocol: a session driven by hand, with bids
+        // arriving in reverse order, completes a round only on its last
+        // bid and lands on the identical outcome.
         for budget in [10.0, 20.0, 150.0, 250.0, 1000.0] {
-            let pt = market();
-            let out = pt.clear(budget);
-            let mut session = pt.market(budget);
+            let out = clear(market(budget));
+            let mut session = market(budget);
             let mut step = session.begin();
             let mut rounds = 0u32;
             let hand = loop {
                 match step {
                     PtStep::Quote { price } => {
                         rounds += 1;
-                        assert!(!session.bids_complete());
-                        for i in 0..pt.len() {
+                        for i in (0..session.len()).rev() {
+                            assert!(!session.bids_complete());
                             session.submit_bid(i, session.demand(i, price));
                         }
+                        assert!(session.bids_complete());
                         step = session.step();
                     }
                     PtStep::Grant {
@@ -572,28 +467,11 @@ mod tests {
 
     #[test]
     fn warm_started_market_still_clears() {
-        let pt = market();
-        let cold = pt.clear(150.0);
-        let mut session = pt.market(150.0).with_initial_price(1.0);
-        let mut step = session.begin();
-        let grants = loop {
-            match step {
-                PtStep::Quote { price } => {
-                    for i in 0..pt.len() {
-                        session.submit_bid(i, session.demand(i, price));
-                    }
-                    step = session.step();
-                }
-                PtStep::Grant {
-                    grants, cleared, ..
-                } => {
-                    assert!(cleared);
-                    break grants;
-                }
-            }
-        };
+        let cold = clear(market(150.0));
+        let warm = clear(market(150.0).with_initial_price(1.0));
+        assert!(warm.cleared);
         // a different starting price converges to the same equilibrium
-        for (a, b) in grants.iter().zip(&cold.grants) {
+        for (a, b) in warm.grants.iter().zip(&cold.grants) {
             assert!((a - b).abs() < 1.0, "{a} vs {b}");
         }
     }
@@ -601,16 +479,16 @@ mod tests {
     #[test]
     fn forall_grants_stay_within_ranges() {
         forall("pt grants within [p_min, p_max]", 64, |rng| {
-            let pt = any_market(rng);
-            let total_max: f64 = (0..pt.len()).map(|i| pt.p_max[i]).sum();
+            let (weights, p_min, p_max) = any_market(rng);
+            let total_max: f64 = p_max.iter().sum();
             let budget = rng.unit_f64() * total_max * 1.2;
-            let out = pt.clear(budget);
+            let out = clear(PtMarket::new(weights, p_min.clone(), p_max.clone(), budget));
             for (i, g) in out.grants.iter().enumerate() {
                 ensure!(
-                    *g >= pt.p_min[i] - 1e-9 && *g <= pt.p_max[i] + 1e-9,
+                    *g >= p_min[i] - 1e-9 && *g <= p_max[i] + 1e-9,
                     "bidder {i}: grant {g} outside [{}, {}] at budget {budget}",
-                    pt.p_min[i],
-                    pt.p_max[i]
+                    p_min[i],
+                    p_max[i]
                 );
             }
             Ok(())
@@ -620,18 +498,18 @@ mod tests {
     #[test]
     fn forall_feasible_budgets_clear_within_tolerance() {
         forall("pt cleared implies sum within tol", 64, |rng| {
-            let pt = any_market(rng);
-            let total_min: f64 = (0..pt.len()).map(|i| pt.p_min[i]).sum();
-            let total_max: f64 = (0..pt.len()).map(|i| pt.p_max[i]).sum();
+            let (weights, p_min, p_max) = any_market(rng);
+            let total_min: f64 = p_min.iter().sum();
+            let total_max: f64 = p_max.iter().sum();
             // strictly feasible: supply between the clamp totals
             let budget = total_min + (0.01 + rng.unit_f64() * 0.98) * (total_max - total_min);
-            let out = pt.clear(budget);
+            let out = clear(PtMarket::new(weights, p_min, p_max, budget));
             ensure!(
                 out.cleared,
                 "feasible budget {budget} failed to clear: {out:?}"
             );
             let total: f64 = out.grants.iter().sum();
-            let tol = PriceTheory::default_tolerance(budget);
+            let tol = PtMarket::default_tolerance(budget);
             ensure!(
                 (total - budget).abs() <= tol + 1e-12,
                 "cleared but Σgrants {total} misses budget {budget} beyond tol {tol}"
@@ -643,24 +521,23 @@ mod tests {
     #[test]
     fn forall_degenerate_budgets_grant_clamps_immediately() {
         forall("pt degenerate budgets clamp up front", 48, |rng| {
-            let pt = any_market(rng);
-            let total_min: f64 = (0..pt.len()).map(|i| pt.p_min[i]).sum();
-            let total_max: f64 = (0..pt.len()).map(|i| pt.p_max[i]).sum();
-            let scarce = pt.clear(total_min * rng.unit_f64());
+            let (weights, p_min, p_max) = any_market(rng);
+            let total_min: f64 = p_min.iter().sum();
+            let total_max: f64 = p_max.iter().sum();
+            let session =
+                |budget| PtMarket::new(weights.clone(), p_min.clone(), p_max.clone(), budget);
+            let scarce = clear(session(total_min * rng.unit_f64()));
             ensure!(
                 scarce.iterations == 0 && scarce.cleared,
                 "scarce budget must short-circuit: {scarce:?}"
             );
-            ensure!(scarce.grants == pt.p_min, "scarce grants must clamp low");
-            let abundant = pt.clear(total_max * (1.0 + rng.unit_f64()));
+            ensure!(scarce.grants == p_min, "scarce grants must clamp low");
+            let abundant = clear(session(total_max * (1.0 + rng.unit_f64())));
             ensure!(
                 abundant.iterations == 0 && abundant.cleared,
                 "abundant budget must short-circuit: {abundant:?}"
             );
-            ensure!(
-                abundant.grants == pt.p_max,
-                "abundant grants must clamp high"
-            );
+            ensure!(abundant.grants == p_max, "abundant grants must clamp high");
             Ok(())
         });
     }
@@ -668,15 +545,17 @@ mod tests {
     #[test]
     fn forall_iterations_monotone_in_tolerance() {
         forall("pt iterations monotone in tol", 48, |rng| {
-            let pt = any_market(rng);
-            let total_min: f64 = (0..pt.len()).map(|i| pt.p_min[i]).sum();
-            let total_max: f64 = (0..pt.len()).map(|i| pt.p_max[i]).sum();
+            let (weights, p_min, p_max) = any_market(rng);
+            let total_min: f64 = p_min.iter().sum();
+            let total_max: f64 = p_max.iter().sum();
             let budget = total_min + (0.01 + rng.unit_f64() * 0.98) * (total_max - total_min);
             // loosening the tolerance can only stop the (fixed) price
             // sequence earlier, never later
             let mut last = 0u32;
             for tol in [budget * 0.1, budget * 1e-2, budget * 1e-3, budget * 1e-5] {
-                let out = pt.clear_with_tolerance(budget, tol.max(1e-9));
+                let session = PtMarket::new(weights.clone(), p_min.clone(), p_max.clone(), budget)
+                    .with_tolerance(tol.max(1e-9));
+                let out = clear(session);
                 ensure!(
                     out.iterations >= last,
                     "iterations dropped from {last} to {} as tol tightened to {tol}",

@@ -56,14 +56,6 @@ pub struct EmulatorConfig {
     pub quiescence_exchanges: u64,
     /// Optional local thermal cap (1-way only).
     pub hotspot_cap: Option<HotspotCap>,
-    /// Deprecated failure-injection knob: each coin message suffers up to
-    /// `2 * latency_jitter_cycles` extra cycles of random delay. 0
-    /// disables. This is now a special case of [`FaultPlan`] message
-    /// jitter — [`Emulator::new`] folds it into the plan via
-    /// [`FaultPlan::from_jitter`], and [`Emulator::set_fault_plan`] is the
-    /// one fault-injection surface going forward. The field keeps working
-    /// so existing configs (and their JSON) stay valid.
-    pub latency_jitter_cycles: u64,
 }
 
 blitzcoin_sim::json_fields!(EmulatorConfig {
@@ -75,8 +67,7 @@ blitzcoin_sim::json_fields!(EmulatorConfig {
     max_cycles,
     stop_at_convergence,
     quiescence_exchanges,
-    hotspot_cap,
-    latency_jitter_cycles
+    hotspot_cap
 });
 
 impl Default for EmulatorConfig {
@@ -93,7 +84,6 @@ impl Default for EmulatorConfig {
             stop_at_convergence: true,
             quiescence_exchanges: 0,
             hotspot_cap: None,
-            latency_jitter_cycles: 0,
         }
     }
 }
@@ -230,21 +220,13 @@ impl Emulator {
                 next_fire: 0,
             })
             .collect();
-        // The deprecated jitter knob becomes a degenerate fault plan: the
-        // old draw was uniform over [0, 2*jitter], which from_jitter's
-        // half-open [0, n) reproduces with n = 2*jitter + 1.
-        let fault = if config.latency_jitter_cycles > 0 {
-            FaultPlan::from_jitter(2 * config.latency_jitter_cycles + 1)
-        } else {
-            FaultPlan::none()
-        };
         let faulted = vec![None; tiles.len()];
         Emulator {
             topo,
             tiles,
             config,
             runtime,
-            fault,
+            fault: FaultPlan::none(),
             faulted,
             oracle: Oracle::new("core::emulator::Emulator::run", 0),
         }
@@ -255,10 +237,8 @@ impl Emulator {
         self.topo
     }
 
-    /// Installs a fault plan for subsequent runs. Replaces the plan the
-    /// constructor derived from the deprecated `latency_jitter_cycles`
-    /// knob — to combine both, fold the jitter into `plan` with
-    /// [`FaultPlan::from_jitter`] semantics (`msg_jitter_cycles`).
+    /// Installs a fault plan for subsequent runs (the constructor starts
+    /// from [`FaultPlan::none`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = plan;
     }
@@ -921,13 +901,16 @@ mod tests {
         // failure injection: congestion-like random message delays must
         // degrade timing only, never correctness
         let cfg = EmulatorConfig {
-            latency_jitter_cycles: 256,
             max_cycles: 5_000_000,
             ..EmulatorConfig::default()
         };
         let (clean, _) = run_one(8, EmulatorConfig::default(), 17);
         let topo = Topology::torus(8, 8);
-        let mut emu = Emulator::new(topo, vec![32; 64], cfg);
+        // up to 512 extra cycles per coin message
+        let mut emu = Emulator::new(topo, vec![32; 64], cfg).with_fault_plan(FaultPlan {
+            msg_jitter_cycles: 513,
+            ..FaultPlan::none()
+        });
         let mut rng = SimRng::seed(17);
         emu.init_uniform_random(&mut rng);
         let jittered = emu.run(&mut rng);
@@ -940,20 +923,6 @@ mod tests {
             jittered.cycles >= clean.cycles,
             "jitter cannot speed things up"
         );
-    }
-
-    #[test]
-    fn jitter_knob_is_a_fault_plan_shim() {
-        // Satellite of the fault subsystem: the deprecated config knob
-        // must map onto FaultPlan::from_jitter with the old [0, 2k] range.
-        let cfg = EmulatorConfig {
-            latency_jitter_cycles: 64,
-            ..EmulatorConfig::default()
-        };
-        let emu = Emulator::new(Topology::mesh(2, 2), vec![8; 4], cfg);
-        assert_eq!(emu.fault_plan().msg_jitter_cycles, 129);
-        let plain = Emulator::new(Topology::mesh(2, 2), vec![8; 4], EmulatorConfig::default());
-        assert!(plain.fault_plan().is_empty());
     }
 
     #[test]

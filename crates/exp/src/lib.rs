@@ -77,8 +77,8 @@ pub struct Ctx {
     /// (`--manager`, parsed through [`blitzcoin_soc::ManagerKind`]'s
     /// `FromStr`). `None` runs all six.
     pub manager: Option<blitzcoin_soc::ManagerKind>,
-    /// Result-cache mode for SoC-engine runs (`--cache on|off|refresh`;
-    /// the CLI resolves flag > `BLITZCOIN_CACHE` env > `On`).
+    /// Result-cache mode for SoC-engine runs (`--cache on|off`; the CLI
+    /// resolves flag > `BLITZCOIN_CACHE` env > `On`).
     pub cache_mode: CacheMode,
     /// The run's shared result cache (see [`CacheHandle`]). Kept on the
     /// context so `ctx.clone()` inside figures reaches the same store.
@@ -97,7 +97,7 @@ impl Default for Ctx {
             thermal_limit_c: None,
             mega_d: None,
             manager: None,
-            cache_mode: CacheMode::from_env().unwrap_or(CacheMode::On),
+            cache_mode: CacheMode::On,
             cache: CacheHandle::default(),
         }
     }
@@ -153,7 +153,7 @@ impl Ctx {
             .get_or_init(|| {
                 let dir = match self.cache_mode {
                     CacheMode::Off => None,
-                    _ => Some(self.out_dir.join(".cache")),
+                    CacheMode::On => Some(self.out_dir.join(".cache")),
                 };
                 Arc::new(Cache::new(dir, self.cache_mode))
             })
@@ -162,18 +162,15 @@ impl Ctx {
 
     /// Runs `sim` under `seed` through the shared result cache: a warm
     /// key replays the memoized [`SimReport`] (bit-identical to a
-    /// re-run, see [`blitzcoin_soc::cached`]); concurrent requests for
-    /// the same key compute once and share. Every SoC-engine figure
+    /// re-run, see [`blitzcoin_soc::cached`]). Every SoC-engine figure
     /// routes its runs through here (or [`Ctx::run_sims`]) so identical
-    /// (config, seed) points coalesce within *and across* figures.
+    /// (config, seed) points compute once within *and across* figures.
     pub fn run_sim(&self, sim: &Simulation, seed: u64) -> SimReport {
         blitzcoin_soc::cached::run_cached(&self.cache(), sim, seed).0
     }
 
     /// Fans a batch of `(sim, seed)` units across [`Ctx::exec`]'s
     /// workers through the cache, returning reports in unit order.
-    /// Duplicate units coalesce to one computation (the cache's
-    /// in-flight claim), so callers may submit redundant grids freely.
     pub fn run_sims(&self, units: &[(Simulation, u64)]) -> Vec<SimReport> {
         let cache = self.cache();
         self.exec().run(units.len(), |i| {

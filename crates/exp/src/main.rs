@@ -23,23 +23,32 @@
 //! `ManagerKind::from_str`) narrows the `shootout` experiment's matrix
 //! to one scheme.
 //!
-//! `--cache on|off|refresh` controls the content-addressed result cache
-//! under `<out>/.cache` (`on` by default; the `BLITZCOIN_CACHE` env var
-//! sets the default when the flag is absent). `off` recomputes every
-//! run and stores nothing; `refresh` recomputes and overwrites prior
-//! entries. CSVs are byte-identical in every mode — the cache only
-//! changes how fast they regenerate.
+//! `--cache on|off` controls the content-addressed result cache under
+//! `<out>/.cache` (`on` by default; the `BLITZCOIN_CACHE` env var sets
+//! the default when the flag is absent, and an unknown value in either
+//! is an error). `off` recomputes every run and stores nothing; delete
+//! `<out>/.cache` to recompute and overwrite a store. CSVs are
+//! byte-identical in both modes — the cache only changes how fast they
+//! regenerate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use blitzcoin_exp::{render_experiments_md, run_experiment, Ctx, ALL_EXPERIMENTS};
+use blitzcoin_sim::CacheMode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ids: Vec<String> = Vec::new();
     let mut ctx = Ctx::default();
+    match CacheMode::from_env() {
+        Ok(mode) => ctx.cache_mode = mode.unwrap_or_default(),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    }
     let mut write_experiments = false;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
@@ -145,13 +154,13 @@ fn main() -> ExitCode {
             }
             "--cache" => {
                 let Some(mode) = iter.next() else {
-                    eprintln!("--cache needs a mode (on|off|refresh)");
+                    eprintln!("--cache needs a mode (on|off)");
                     return ExitCode::FAILURE;
                 };
-                match blitzcoin_sim::CacheMode::parse(mode) {
-                    Some(m) => ctx.cache_mode = m,
-                    None => {
-                        eprintln!("bad cache mode '{mode}' (want on|off|refresh)");
+                match CacheMode::parse(mode) {
+                    Ok(m) => ctx.cache_mode = m,
+                    Err(e) => {
+                        eprintln!("{e}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -200,7 +209,7 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: blitzcoin-exp <all|{}|list> [--quick] [--out DIR] [--seed N] [--jobs N] \
              [--tie-break fifo|lifo|permuted:SEED] [--orderings N] [--thermal-limit C] \
-             [--mega-d D] [--manager KIND] [--cache on|off|refresh] [--write-experiments]",
+             [--mega-d D] [--manager KIND] [--cache on|off] [--write-experiments]",
             ALL_EXPERIMENTS.join("|")
         );
         return ExitCode::FAILURE;

@@ -13,14 +13,16 @@
 //! every format bump an automatic whole-cache miss (stale entries are
 //! simply never addressed again, no migration or flush needed).
 //!
-//! A [`Cache`] layers three stores:
+//! A [`Cache`] layers two stores:
 //!
-//! 1. an in-memory map (LRU-bounded) for hits within one process, which
-//!    is also what coalesces *cross-figure* duplicates in a full regen;
+//! 1. an in-memory map for hits within one process, which is also what
+//!    coalesces *cross-figure* duplicates in a full regen;
 //! 2. an on-disk store (`<dir>/<2-hex shard>/<64-hex key>.json`, atomic
-//!    tmp-file + rename writes, mtime-pruned) for warm re-runs;
-//! 3. an in-flight set with condvar hand-off, so concurrent requests for
-//!    the same key run the computation once and share the result.
+//!    tmp-file + rename writes, mtime-pruned) for warm re-runs.
+//!
+//! Concurrent misses on one key are not coalesced: each caller computes
+//! and stores, and the last write wins. A deterministic unit makes every
+//! copy identical, so a race costs time, never a wrong result.
 //!
 //! Any corrupted, truncated, or mismatched disk entry is a logged miss —
 //! never an error, never a wrong result: the entry is unlinked and the
@@ -30,17 +32,19 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 
-/// In-memory entries kept before least-recently-used eviction.
-const MEM_CAPACITY: usize = 4096;
 /// On-disk entries kept before oldest-mtime pruning.
 const DISK_CAPACITY: usize = 16384;
 /// Disk pruning runs every this many inserts (prune cost is a directory
 /// walk, so it is amortized rather than paid per write).
 const PRUNE_EVERY: u64 = 64;
+
+/// Sequence number of this process's disk writes, so every write gets a
+/// temp file of its own even when two threads store the same key.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A 256-bit content address: the SHA-256 of a unit's canonical JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,29 +101,26 @@ pub enum CacheMode {
     On,
     /// Bypass entirely: every fetch computes, nothing is stored or read.
     Off,
-    /// Recompute every key once this process (ignoring prior disk
-    /// entries) and overwrite the store; repeats within the process hit
-    /// the freshly recomputed value.
-    Refresh,
 }
 
 impl CacheMode {
-    /// Parses `on`/`off`/`refresh` (ASCII case-insensitive).
-    pub fn parse(s: &str) -> Option<CacheMode> {
+    /// Parses `on`/`off` (ASCII case-insensitive). The error is the
+    /// message a CLI prints for the bad value.
+    pub fn parse(s: &str) -> Result<CacheMode, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "on" => Some(CacheMode::On),
-            "off" => Some(CacheMode::Off),
-            "refresh" => Some(CacheMode::Refresh),
-            _ => None,
+            "on" => Ok(CacheMode::On),
+            "off" => Ok(CacheMode::Off),
+            _ => Err(format!("bad cache mode '{s}' (want on|off)")),
         }
     }
 
-    /// The mode named by the `BLITZCOIN_CACHE` environment variable, if
-    /// set and valid.
-    pub fn from_env() -> Option<CacheMode> {
-        std::env::var("BLITZCOIN_CACHE")
-            .ok()
-            .and_then(|v| CacheMode::parse(&v))
+    /// The mode named by the `BLITZCOIN_CACHE` environment variable:
+    /// `Ok(None)` when it is unset, [`CacheMode::parse`]'s error when it
+    /// names no mode.
+    pub fn from_env() -> Result<Option<CacheMode>, String> {
+        std::env::var_os("BLITZCOIN_CACHE")
+            .map(|v| CacheMode::parse(&v.to_string_lossy()))
+            .transpose()
     }
 }
 
@@ -128,7 +129,6 @@ impl fmt::Display for CacheMode {
         f.write_str(match self {
             CacheMode::On => "on",
             CacheMode::Off => "off",
-            CacheMode::Refresh => "refresh",
         })
     }
 }
@@ -155,27 +155,6 @@ impl CacheStats {
     }
 }
 
-/// One memoized value with its bookkeeping.
-#[derive(Debug, Clone)]
-struct Slot {
-    value: Arc<Json>,
-    /// Wall time the original computation took (ms); what a hit "saves".
-    compute_ms: f64,
-    /// LRU clock at last touch.
-    tick: u64,
-}
-
-#[derive(Debug, Default)]
-struct State {
-    map: HashMap<CacheKey, Slot>,
-    /// Keys currently being computed by some thread.
-    inflight: std::collections::HashSet<CacheKey>,
-    /// Monotonic LRU clock.
-    tick: u64,
-    /// Inserts since the last disk prune.
-    inserts_since_prune: u64,
-}
-
 /// The answer to [`Cache::fetch`].
 #[derive(Debug)]
 pub enum Fetch<'a> {
@@ -183,59 +162,44 @@ pub enum Fetch<'a> {
     /// The value is shared, not cloned — a hit on a megabyte-scale
     /// report costs an `Arc` bump, not a deep tree copy.
     Hit(Arc<Json>, f64),
-    /// The caller owns the computation: run it, then call
-    /// [`ComputeGuard::complete`]. Dropping the guard without completing
-    /// releases the key so another thread can claim it.
+    /// Nothing is stored: run the computation, then call
+    /// [`ComputeGuard::complete`] to store it.
     Miss(ComputeGuard<'a>),
     /// Mode is [`CacheMode::Off`]: compute, nothing is stored.
     Bypass,
 }
 
-/// Ownership of an in-flight computation for one key (see [`Fetch::Miss`]).
+/// Where to store the value computed for one missed key (see
+/// [`Fetch::Miss`]). Dropping it without completing stores nothing.
 #[derive(Debug)]
 pub struct ComputeGuard<'a> {
     cache: &'a Cache,
     key: CacheKey,
-    done: bool,
 }
 
 impl ComputeGuard<'_> {
-    /// Publishes the computed value (memory + disk) and wakes every
-    /// thread waiting on this key.
+    /// Stores the computed value in memory and on disk.
     pub fn complete(self, value: Json, compute_ms: f64) {
         self.complete_shared(Arc::new(value), compute_ms);
     }
 
     /// [`ComputeGuard::complete`] for a value the caller also keeps a
     /// reference to (avoids re-encoding or cloning it).
-    pub fn complete_shared(mut self, value: Arc<Json>, compute_ms: f64) {
-        self.done = true;
+    pub fn complete_shared(self, value: Arc<Json>, compute_ms: f64) {
         self.cache.insert(self.key, value, compute_ms);
     }
 }
 
-impl Drop for ComputeGuard<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            // Owner bailed (panic unwound into the guard, or the caller
-            // gave up): release the claim and wake the waiters so one of
-            // them can take over instead of deadlocking.
-            let mut st = self.cache.state.lock().expect("cache poisoned");
-            st.inflight.remove(&self.key);
-            drop(st);
-            self.cache.resolved.notify_all();
-        }
-    }
-}
-
-/// A content-addressed result store: in-memory LRU over an optional
-/// on-disk directory, with in-flight coalescing. See the module docs.
+/// A content-addressed result store: an in-memory map over an optional
+/// on-disk directory. See the module docs.
 #[derive(Debug)]
 pub struct Cache {
     mode: CacheMode,
     dir: Option<PathBuf>,
-    state: Mutex<State>,
-    resolved: Condvar,
+    /// Memoized values with the wall time (ms) their computation took.
+    map: Mutex<HashMap<CacheKey, (Arc<Json>, f64)>>,
+    /// Values stored, for amortizing disk pruning.
+    inserts: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Saved compute time accumulated in microseconds (atomics hold
@@ -245,13 +209,13 @@ pub struct Cache {
 
 impl Cache {
     /// A cache in `mode`, persisting under `dir` when given (`None` is
-    /// memory-only — still coalesces and serves in-process hits).
+    /// memory-only — still serves in-process hits).
     pub fn new(dir: Option<PathBuf>, mode: CacheMode) -> Self {
         Cache {
             mode,
             dir,
-            state: Mutex::new(State::default()),
-            resolved: Condvar::new(),
+            map: Mutex::new(HashMap::new()),
+            inserts: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             saved_us: AtomicU64::new(0),
@@ -277,55 +241,48 @@ impl Cache {
         }
     }
 
-    /// Looks up `key`, claiming the computation on a miss.
-    ///
-    /// Exactly one caller receives [`Fetch::Miss`] per unresolved key;
-    /// concurrent callers for the same key block until the owner
-    /// completes (then get a [`Fetch::Hit`]) or gives up (then one of
-    /// them inherits the miss). Mode `Off` always returns
-    /// [`Fetch::Bypass`]; mode `Refresh` ignores prior disk entries.
+    /// Looks up `key` in memory, then on disk. Mode `Off` always
+    /// returns [`Fetch::Bypass`].
     pub fn fetch(&self, key: CacheKey) -> Fetch<'_> {
         if self.mode == CacheMode::Off {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Fetch::Bypass;
         }
-        let mut st = self.state.lock().expect("cache poisoned");
-        loop {
-            if st.map.contains_key(&key) {
-                st.tick += 1;
-                let tick = st.tick;
-                let slot = st.map.get_mut(&key).expect("slot vanished");
-                slot.tick = tick;
-                let (value, ms) = (slot.value.clone(), slot.compute_ms);
-                drop(st);
-                self.record_hit(ms);
-                return Fetch::Hit(value, ms);
+        let memo = self.map.lock().expect("cache poisoned").get(&key).cloned();
+        // Disk is read outside the lock: a megabyte-scale parse must not
+        // stall every other thread's lookups.
+        let found = memo.or_else(|| {
+            let (value, ms) = self.load_disk(&key)?;
+            let value = Arc::new(value);
+            self.map
+                .lock()
+                .expect("cache poisoned")
+                .insert(key, (value.clone(), ms));
+            Some((value, ms))
+        });
+        match found {
+            Some((value, ms)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.saved_us.fetch_add(micros(ms), Ordering::Relaxed);
+                Fetch::Hit(value, ms)
             }
-            if !st.inflight.contains(&key) {
-                // No memoized value and nobody computing: claim the key,
-                // then try disk (On only) outside the lock — a
-                // megabyte-scale parse must not stall every other
-                // thread's lookups. Waiters block on the in-flight claim
-                // exactly as they would for a computation.
-                st.inflight.insert(key);
-                drop(st);
-                if self.mode == CacheMode::On {
-                    if let Some((value, ms)) = self.load_disk(&key) {
-                        let value = Arc::new(value);
-                        self.admit(key, value.clone(), ms);
-                        self.record_hit(ms);
-                        return Fetch::Hit(value, ms);
-                    }
-                }
+            None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                return Fetch::Miss(ComputeGuard {
-                    cache: self,
-                    key,
-                    done: false,
-                });
+                Fetch::Miss(ComputeGuard { cache: self, key })
             }
-            st = self.resolved.wait(st).expect("cache poisoned");
         }
+    }
+
+    /// Turns a [`Fetch::Hit`] the caller cannot use (a stored value that
+    /// no longer decodes) into a miss: the lookup is recounted as a miss,
+    /// and completing the returned guard overwrites the entry in memory
+    /// and on disk. `compute_ms` is the time the hit reported.
+    pub fn reject_hit(&self, key: CacheKey, compute_ms: f64) -> ComputeGuard<'_> {
+        self.hits.fetch_sub(1, Ordering::Relaxed);
+        self.saved_us
+            .fetch_sub(micros(compute_ms), Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        ComputeGuard { cache: self, key }
     }
 
     /// Convenience wrapper: fetch, computing with `f` (timed) on a miss.
@@ -343,70 +300,14 @@ impl Cache {
         }
     }
 
-    fn record_hit(&self, saved_ms: f64) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        let us = (saved_ms * 1e3).max(0.0) as u64;
-        self.saved_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Publishes a disk-loaded value into the memory map and releases
-    /// the in-flight claim (no write-back, no prune accounting — the
-    /// entry is already on disk).
-    fn admit(&self, key: CacheKey, value: Arc<Json>, compute_ms: f64) {
-        let mut st = self.state.lock().expect("cache poisoned");
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key,
-            Slot {
-                value,
-                compute_ms,
-                tick,
-            },
-        );
-        Self::evict_mem(&mut st);
-        st.inflight.remove(&key);
-        drop(st);
-        self.resolved.notify_all();
-    }
-
     fn insert(&self, key: CacheKey, value: Arc<Json>, compute_ms: f64) {
-        if self.mode != CacheMode::Off {
-            self.store_disk(&key, &value, compute_ms);
-        }
-        let mut st = self.state.lock().expect("cache poisoned");
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key,
-            Slot {
-                value,
-                compute_ms,
-                tick,
-            },
-        );
-        Self::evict_mem(&mut st);
-        st.inflight.remove(&key);
-        st.inserts_since_prune += 1;
-        let prune = st.inserts_since_prune >= PRUNE_EVERY;
-        if prune {
-            st.inserts_since_prune = 0;
-        }
-        drop(st);
-        self.resolved.notify_all();
-        if prune {
+        self.store_disk(&key, &value, compute_ms);
+        self.map
+            .lock()
+            .expect("cache poisoned")
+            .insert(key, (value, compute_ms));
+        if (self.inserts.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(PRUNE_EVERY) {
             self.prune_disk();
-        }
-    }
-
-    /// Evicts least-recently-used slots beyond [`MEM_CAPACITY`].
-    fn evict_mem(st: &mut State) {
-        while st.map.len() > MEM_CAPACITY {
-            if let Some((&victim, _)) = st.map.iter().min_by_key(|(_, s)| s.tick) {
-                st.map.remove(&victim);
-            } else {
-                break;
-            }
         }
     }
 
@@ -462,9 +363,10 @@ impl Cache {
         Ok((value, compute_ms))
     }
 
-    /// Writes the entry atomically: unique tmp file in the shard
-    /// directory, then rename. A concurrent reader sees either the old
-    /// complete entry or the new complete entry, never a torn write.
+    /// Writes the entry atomically: a tmp file of this write's own in
+    /// the shard directory, then rename. A concurrent reader sees either
+    /// the old complete entry or the new complete entry, never a torn
+    /// write.
     fn store_disk(&self, key: &CacheKey, value: &Json, compute_ms: f64) {
         let Some(dir) = self.dir.as_ref() else {
             return;
@@ -485,10 +387,17 @@ impl Cache {
         doc.push_str(", \"value\": ");
         doc.push_str(&body);
         doc.push('}');
-        let tmp = shard.join(format!(".tmp-{}-{}", key.hex(), std::process::id()));
+        let tmp = Self::tmp_path(shard, key);
         if std::fs::write(&tmp, doc).is_ok() && std::fs::rename(&tmp, &path).is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
+    }
+
+    /// A temp file name no other write uses: key, process id and this
+    /// process's write sequence number.
+    fn tmp_path(shard: &Path, key: &CacheKey) -> PathBuf {
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        shard.join(format!(".tmp-{}-{}-{seq}", key.hex(), std::process::id()))
     }
 
     /// Removes oldest-mtime entries beyond [`DISK_CAPACITY`]; best-effort.
@@ -521,6 +430,11 @@ impl Cache {
             let _ = std::fs::remove_file(path);
         }
     }
+}
+
+/// `ms` as whole microseconds, the unit the saved-time counter sums.
+fn micros(ms: f64) -> u64 {
+    (ms * 1e3).max(0.0) as u64
 }
 
 /// SHA-256 (FIPS 180-4), hand-rolled so the workspace stays
@@ -714,10 +628,13 @@ mod tests {
 
     #[test]
     fn mode_parsing() {
-        assert_eq!(CacheMode::parse("on"), Some(CacheMode::On));
-        assert_eq!(CacheMode::parse(" OFF "), Some(CacheMode::Off));
-        assert_eq!(CacheMode::parse("Refresh"), Some(CacheMode::Refresh));
-        assert_eq!(CacheMode::parse("auto"), None);
+        assert_eq!(CacheMode::parse("on"), Ok(CacheMode::On));
+        assert_eq!(CacheMode::parse(" OFF "), Ok(CacheMode::Off));
+        assert_eq!(
+            CacheMode::parse("refresh"),
+            Err("bad cache mode 'refresh' (want on|off)".to_string())
+        );
+        assert!(CacheMode::parse("auto").is_err());
     }
 
     #[test]
@@ -778,83 +695,61 @@ mod tests {
     }
 
     #[test]
-    fn refresh_recomputes_once_then_hits_in_process() {
-        let dir = std::env::temp_dir().join(format!("bc-cache-refresh-{}", std::process::id()));
+    fn concurrent_misses_on_one_key_store_one_whole_entry() {
+        let dir = std::env::temp_dir().join(format!("bc-cache-race-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let key = key_of(&Json::Str("stale".into()), 1);
-        Cache::new(Some(dir.clone()), CacheMode::On).get_or_compute(key, || Json::Num(1.0));
-
-        let refresh = Cache::new(Some(dir.clone()), CacheMode::Refresh);
-        let (v, hit) = refresh.get_or_compute(key, || Json::Num(2.0));
-        assert!(!hit, "refresh must ignore the stale disk entry");
-        assert_eq!(*v, Json::Num(2.0));
-        let (v2, hit2) = refresh.get_or_compute(key, || panic!("second fetch hits"));
-        assert!(hit2);
-        assert_eq!(*v2, Json::Num(2.0));
-
-        // The overwrite is durable: a fresh On cache sees the new value.
-        let on = Cache::new(Some(dir.clone()), CacheMode::On);
-        let (v3, hit3) = on.get_or_compute(key, || panic!("overwritten entry hits"));
-        assert!(hit3);
-        assert_eq!(*v3, Json::Num(2.0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn inflight_coalescing_computes_once() {
-        let cache = Cache::in_memory();
         let key = key_of(&Json::Str("shared".into()), 1);
-        let computed = AtomicU64::new(0);
+        // Big enough that the eight disk writes can overlap.
+        let value = Json::Arr((0..50_000).map(|i| Json::Num(i as f64)).collect());
+        let cache = Cache::new(Some(dir.clone()), CacheMode::On);
+        // No thread can store before all eight have missed.
+        let all_missed = std::sync::Barrier::new(8);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    let (v, _) = cache.get_or_compute(key, || {
-                        computed.fetch_add(1, Ordering::SeqCst);
-                        // Widen the race window so waiters really block.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        Json::Num(7.0)
+                    let (v, hit) = cache.get_or_compute(key, || {
+                        all_missed.wait();
+                        value.clone()
                     });
-                    assert_eq!(*v, Json::Num(7.0));
+                    assert!(!hit);
+                    assert_eq!(*v, value);
                 });
             }
         });
-        assert_eq!(
-            computed.load(Ordering::SeqCst),
-            1,
-            "exactly one computation"
+        assert_eq!(cache.stats().misses, 8, "misses are not coalesced");
+
+        // Whichever write landed last, the entry is whole...
+        let fresh = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = fresh.get_or_compute(key, || panic!("stored entry must hit"));
+        assert!(hit);
+        assert_eq!(*v, value);
+        // ... every write had a temp file of its own ...
+        let path = Cache::entry_path(&dir, &key);
+        let shard = path.parent().unwrap();
+        assert_ne!(Cache::tmp_path(shard, &key), Cache::tmp_path(shard, &key));
+        // ... and renamed it away.
+        let leftovers: Vec<_> = std::fs::read_dir(shard)
+            .unwrap()
+            .flatten()
+            .filter(|f| f.file_name().to_string_lossy().starts_with(".tmp-"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
         );
-        let s = cache.stats();
-        assert_eq!(s.hits + s.misses, 8);
-        assert_eq!(s.misses, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn dropped_guard_hands_off_to_waiter() {
         let cache = Cache::in_memory();
         let key = key_of(&Json::Str("abandoned".into()), 1);
-        let Fetch::Miss(guard) = cache.fetch(key) else {
+        // The caller gives up without completing: the guard is discarded.
+        let Fetch::Miss(_) = cache.fetch(key) else {
             panic!("first fetch must miss");
         };
-        drop(guard); // owner gives up without completing
         let (v, hit) = cache.get_or_compute(key, || Json::Num(9.0));
-        assert!(!hit, "abandoned claim must be reclaimable");
+        assert!(!hit, "an abandoned miss must store nothing");
         assert_eq!(*v, Json::Num(9.0));
-    }
-
-    #[test]
-    fn lru_evicts_oldest() {
-        let cache = Cache::in_memory();
-        let keys: Vec<CacheKey> = (0..MEM_CAPACITY as u64 + 8)
-            .map(|i| key_of(&Json::Num(i as f64), 1))
-            .collect();
-        for (i, &k) in keys.iter().enumerate() {
-            cache.get_or_compute(k, || Json::Num(i as f64));
-        }
-        // The first keys inserted are the least recently used: gone.
-        let (_, hit) = cache.get_or_compute(keys[0], || Json::Null);
-        assert!(!hit);
-        // The last key is still resident.
-        let (_, hit) = cache.get_or_compute(keys[keys.len() - 1], || panic!("resident"));
-        assert!(hit);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] describes every fault a simulation run should
 //! experience: per-plane packet-drop probabilities, link-outage windows,
-//! bounded extra per-hop delay, legacy per-message latency jitter, and
+//! bounded extra per-hop delay, per-message latency jitter, and
 //! scheduled tile faults (fail-stop and stuck). The plan is plain data —
 //! JSON-serializable and embeddable in experiment configs — and every
 //! decision it makes is a *stateless hash* of the plan seed and the
@@ -111,10 +111,8 @@ pub struct FaultPlan {
     /// Upper bound, in cycles, on the uniformly-drawn extra delay added
     /// per hop of a packet's route (0 = off).
     pub extra_hop_delay_max_cycles: u64,
-    /// Legacy per-message jitter: uniform extra latency in
-    /// `[0, msg_jitter_cycles)` per message (0 = off). This is the
-    /// [`FaultPlan::from_jitter`] deprecation surface for the emulator's
-    /// old `latency_jitter_cycles` knob.
+    /// Per-message jitter: uniform extra latency in
+    /// `[0, msg_jitter_cycles)` per message (0 = off).
     pub msg_jitter_cycles: u64,
     /// Scheduled link outages.
     pub outages: Vec<LinkOutage>,
@@ -142,16 +140,6 @@ impl FaultPlan {
     /// A plan injecting no faults.
     pub fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// The deprecation shim for the emulator's old `latency_jitter_cycles`
-    /// knob: a plan whose only effect is uniform per-message extra latency
-    /// in `[0, jitter_cycles)`.
-    pub fn from_jitter(jitter_cycles: u64) -> Self {
-        FaultPlan {
-            msg_jitter_cycles: jitter_cycles,
-            ..FaultPlan::default()
-        }
     }
 
     /// True when the plan can never alter anything.
@@ -220,7 +208,7 @@ impl FaultPlan {
             .sum()
     }
 
-    /// Legacy per-message jitter for a message injected at `cycle`:
+    /// Per-message jitter for a message injected at `cycle`:
     /// uniform in `[0, msg_jitter_cycles)`, or 0 when the knob is off.
     pub fn msg_jitter(&self, src: usize, dst: usize, cycle: u64) -> u64 {
         if self.msg_jitter_cycles == 0 {
@@ -446,8 +434,12 @@ mod tests {
 
     #[test]
     fn jitter_shim_matches_old_contract() {
-        let plan = FaultPlan::from_jitter(64);
-        assert_eq!(plan.msg_jitter_cycles, 64);
+        // The per-message jitter contract: uniform in
+        // `[0, msg_jitter_cycles)`, and none when the bound is 0.
+        let plan = FaultPlan {
+            msg_jitter_cycles: 64,
+            ..FaultPlan::none()
+        };
         let mut seen_high = false;
         for t in 0..2_000 {
             let j = plan.msg_jitter(2, 3, t);
@@ -455,7 +447,7 @@ mod tests {
             seen_high |= j > 32;
         }
         assert!(seen_high, "jitter never reached upper half of range");
-        assert_eq!(FaultPlan::from_jitter(0).msg_jitter(2, 3, 9), 0);
+        assert_eq!(FaultPlan::none().msg_jitter(2, 3, 9), 0);
     }
 
     #[test]

@@ -65,7 +65,6 @@
 
 pub mod cache;
 pub mod check;
-pub mod component;
 pub mod csv;
 pub mod error;
 pub mod event;
@@ -80,7 +79,6 @@ pub mod time;
 pub mod trace;
 
 pub use cache::{Cache, CacheKey, CacheMode, CacheStats};
-pub use component::{Component, ComponentId, Scheduler};
 pub use error::ConfigError;
 pub use event::{EventQueue, ScheduledEvent, TieBreak};
 pub use exec::{Executor, Sweep};

@@ -57,42 +57,33 @@ impl Simulation {
 }
 
 /// Runs `sim` under `seed` through `cache`: a hit replays the memoized
-/// report, a miss computes [`Simulation::run`] (coalescing concurrent
-/// requests for the same key) and stores it. Returns the report and
-/// whether it was served from cache.
+/// report, a miss computes [`Simulation::run`] and stores it. Returns
+/// the report and whether it was served from cache.
 ///
 /// A stored report that fails to decode (disk corruption that still
 /// parses as JSON, or a schema drift that slipped past the version
-/// bump) is treated as a miss and recomputed — never an error.
+/// bump) is never an error: the lookup counts as a miss, and the
+/// recomputed report replaces the entry in memory and on disk.
 pub fn run_cached(cache: &Cache, sim: &Simulation, seed: u64) -> (SimReport, bool) {
     let key = sim.cache_key(seed);
-    match cache.fetch(key) {
-        Fetch::Hit(value, _) => match SimReport::from_json(&value) {
-            Ok(report) => (report, true),
+    let guard = match cache.fetch(key) {
+        Fetch::Hit(value, ms) => match SimReport::from_json(&value) {
+            Ok(report) => return (report, true),
             Err(e) => {
                 eprintln!(
                     "blitzcoin-cache: stored report for {key} does not decode ({e}); \
                      recomputing"
                 );
-                let t0 = std::time::Instant::now();
-                let report = sim.run(seed);
-                // Re-fetch to obtain a guard if possible; otherwise just
-                // return the fresh report (another thread may have fixed
-                // the entry meanwhile).
-                if let Fetch::Miss(guard) = cache.fetch(key) {
-                    guard.complete(report.to_json(), t0.elapsed().as_secs_f64() * 1e3);
-                }
-                (report, false)
+                cache.reject_hit(key, ms)
             }
         },
-        Fetch::Miss(guard) => {
-            let t0 = std::time::Instant::now();
-            let report = sim.run(seed);
-            guard.complete(report.to_json(), t0.elapsed().as_secs_f64() * 1e3);
-            (report, false)
-        }
-        Fetch::Bypass => (sim.run(seed), false),
-    }
+        Fetch::Miss(guard) => guard,
+        Fetch::Bypass => return (sim.run(seed), false),
+    };
+    let t0 = std::time::Instant::now();
+    let report = sim.run(seed);
+    guard.complete(report.to_json(), t0.elapsed().as_secs_f64() * 1e3);
+    (report, false)
 }
 
 #[cfg(test)]
@@ -239,5 +230,39 @@ mod tests {
         assert!(hit1);
         assert_eq!(warm.to_json().to_string(), cold.to_json().to_string());
         assert_eq!(warm.exec_time, cold.exec_time);
+    }
+
+    #[test]
+    fn undecodable_entry_is_recomputed_once_and_replaced() {
+        let dir = std::env::temp_dir().join(format!("bc-repair-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sim = small_sim(ManagerKind::Static, 120.0, TieBreak::Fifo);
+        let good = sim.run(9).to_json().to_string();
+
+        // Valid JSON under the unit's key that is not a `SimReport`.
+        let seeding = Cache::new(Some(dir.clone()), Default::default());
+        let Fetch::Miss(guard) = seeding.fetch(sim.cache_key(9)) else {
+            panic!("an empty store must miss");
+        };
+        guard.complete(Json::Str("not a report".into()), 1.0);
+
+        let cache = Cache::new(Some(dir.clone()), Default::default());
+        let (report, hit) = run_cached(&cache, &sim, 9);
+        assert!(!hit);
+        assert_eq!(report.to_json().to_string(), good);
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.saved_ms),
+            (0, 1, 0.0),
+            "one repair is one miss"
+        );
+        // The repair replaced the entry in memory ...
+        assert!(run_cached(&cache, &sim, 9).1);
+        // ... and on disk.
+        let fresh = Cache::new(Some(dir.clone()), Default::default());
+        let (replayed, hit) = run_cached(&fresh, &sim, 9);
+        assert!(hit, "a fresh cache must hit the repaired entry");
+        assert_eq!(replayed.to_json().to_string(), good);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,26 +1,26 @@
-//! The RC network as a scheduled simulation component.
+//! The RC network as a clocked simulation component.
 //!
-//! [`ThermalComponent`] wraps a [`ThermalModel`] in the
-//! `blitzcoin-sim` component model: it owns the temperature state and a
-//! [`ClockDomain`] whose divider is the integration step, and advances
-//! one explicit-Euler step per edge of that slow clock. Driven in-loop
-//! (the SoC engine ticks it from its event queue, sampling *live* tile
-//! powers), temperature feeds back into the run while it happens —
-//! leakage inflates hot tiles' dissipation and a throttle policy can
-//! react — instead of being integrated post-hoc from recorded traces.
+//! [`ThermalComponent`] wraps a [`ThermalModel`] with the temperature
+//! state and a [`ClockDomain`] whose divider is the integration step,
+//! and advances one explicit-Euler step per edge of that slow clock.
+//! Driven in-loop (the SoC engine ticks it from its event queue,
+//! sampling *live* tile powers), temperature feeds back into the run
+//! while it happens — leakage inflates hot tiles' dissipation and a
+//! throttle policy can react — instead of being integrated post-hoc
+//! from recorded traces.
 //!
 //! The component produces bit-identical temperatures to the offline
 //! [`ThermalModel::simulate`] when fed the same power sequence: both are
 //! built on [`ThermalModel::step_once`].
 
-use blitzcoin_sim::{ClockDomain, Component, SimTime};
+use blitzcoin_sim::ClockDomain;
 
 use crate::model::ThermalModel;
 
 /// The thermal RC network as a live, clocked component.
 ///
-/// The shared context it ticks against is the per-tile instantaneous
-/// power table (mW) — whoever owns the scheduler keeps it current.
+/// Each [`ThermalComponent::step`] reads the per-tile instantaneous
+/// power table (mW); whoever drives the clock keeps it current.
 #[derive(Debug, Clone)]
 pub struct ThermalComponent {
     model: ThermalModel,
@@ -110,23 +110,12 @@ impl ThermalComponent {
     }
 }
 
-impl Component<Vec<f64>> for ThermalComponent {
-    fn clock(&self) -> ClockDomain {
-        self.clock
-    }
-
-    fn tick(&mut self, now: SimTime, powers_mw: &mut Vec<f64>) -> Option<SimTime> {
-        self.step(powers_mw);
-        Some(self.clock.next_edge(now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ThermalConfig;
     use blitzcoin_noc::Topology;
-    use blitzcoin_sim::{Scheduler, StepTrace};
+    use blitzcoin_sim::{SimTime, StepTrace};
 
     #[test]
     fn clocked_component_matches_offline_integrator_exactly() {
@@ -148,19 +137,14 @@ mod tests {
         let refs: Vec<&StepTrace> = traces.iter().collect();
         let offline = model.simulate_coupled(&refs, until, 0.01);
 
-        // in-loop: tick the component along its clock edges through the
-        // Component trait, reading the live power table
+        // in-loop: step the component on each edge of its clock, reading
+        // the live power table, the way the engine's thermal tick does
         let mut comp = ThermalComponent::new(model, 0.01);
-        let mut powers: Vec<f64> = (0..9).map(|i| if i == hot { p } else { 0.0 }).collect();
-        let mut now = SimTime::ZERO;
-        loop {
-            let edge = Component::clock(&comp).next_edge(now);
-            if edge > until {
-                break;
-            }
-            let next = Component::tick(&mut comp, edge, &mut powers).expect("reschedules");
-            assert_eq!(next, comp.clock().next_edge(edge));
-            now = edge;
+        let powers: Vec<f64> = (0..9).map(|i| if i == hot { p } else { 0.0 }).collect();
+        let mut edge = comp.clock().next_edge(SimTime::ZERO);
+        while edge <= until {
+            comp.step(&powers);
+            edge = comp.clock().next_edge(edge);
         }
 
         // same primitive, same step sequence: bit-identical temperatures
@@ -172,19 +156,6 @@ mod tests {
             assert_eq!(comp.peak()[i], offline.peak_celsius(i), "tile {i}");
         }
         assert!(comp.max_celsius() > cfg.ambient_c + 10.0);
-    }
-
-    #[test]
-    fn runs_under_the_generic_scheduler() {
-        let model = ThermalModel::new(Topology::mesh(2, 2), ThermalConfig::default());
-        let comp = ThermalComponent::new(model, 0.0);
-        let first = comp.clock().span(1);
-        let mut sched = Scheduler::new();
-        sched.add(Box::new(comp), first);
-        let mut powers = vec![50.0; 4];
-        // 1 ms horizon at a 5 us step: exactly 200 ticks
-        assert_eq!(sched.run_until(SimTime::from_ms(1), &mut powers), 200);
-        assert_eq!(sched.now(), SimTime::from_ms(1));
     }
 
     #[test]

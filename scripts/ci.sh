@@ -97,17 +97,30 @@ cargo run --release --offline -q -p blitzcoin-exp --features oracle -- \
 cargo run --release --offline -q -p blitzcoin-exp --features oracle -- \
     mega-mesh --quick --jobs 2 --out "$smoke_dir/megamesh" > /dev/null
 
-# Cache gate: the content-addressed sweep cache. One workspace, four
-# passes with the plain release binary (rebuilt here because the oracle
-# legs above replaced it): cold populates <out>/.cache, two warm passes
-# replay from it (min damps 1-CPU scheduler noise), and a --cache off
-# pass recomputes everything. Every CSV must be byte-identical across
-# all passes — the cache must be invisible to results — and the warm
-# pass must regenerate the quick suite at least 3x faster than cold.
+# Cache gate: the content-addressed sweep cache, timed over only the
+# experiments that use it (cache_hits + cache_misses > 0 in the jobs-1
+# smoke manifest above), so uncached work such as the emulator figures
+# cannot dilute the ratio. One workspace, four passes with the plain
+# release binary (rebuilt here because the oracle legs above replaced
+# it): cold populates <out>/.cache, two warm passes replay from it (min
+# damps 1-CPU scheduler noise), and a --cache off pass recomputes
+# everything. Every CSV must be byte-identical across all passes — the
+# cache must be invisible to results — and the warm pass must run at
+# least 3x faster than cold.
+cached=$(awk '
+    /^    "id": / { id = $2; gsub(/[",]/, "", id) }
+    /^    "cache_hits": / { hits = $2 + 0 }
+    /^    "cache_misses": / { if (hits + $2 > 0) printf "%s ", id }
+' "$smoke_dir/jobs1/manifest.json")
+if [ -z "$cached" ]; then
+    echo "ci: no experiment in the smoke manifest used the cache" >&2
+    exit 1
+fi
 cargo build --release --offline -q
 cache_ws="$smoke_dir/cache-ws"
+# $cached stays unquoted below: one argument per experiment id.
 t0=$(date +%s%N)
-target/release/blitzcoin-exp all --quick --jobs 1 --out "$cache_ws" > /dev/null
+target/release/blitzcoin-exp $cached --quick --jobs 1 --out "$cache_ws" > /dev/null
 t1=$(date +%s%N)
 cold_ms=$(( (t1 - t0) / 1000000 ))
 mkdir -p "$smoke_dir/cold-csv"
@@ -115,12 +128,12 @@ cp "$cache_ws"/*.csv "$smoke_dir/cold-csv/"
 warm_ms=
 for _pass in 1 2; do
     t0=$(date +%s%N)
-    target/release/blitzcoin-exp all --quick --jobs 1 --out "$cache_ws" > /dev/null
+    target/release/blitzcoin-exp $cached --quick --jobs 1 --out "$cache_ws" > /dev/null
     t1=$(date +%s%N)
     ms=$(( (t1 - t0) / 1000000 ))
     if [ -z "$warm_ms" ] || [ "$ms" -lt "$warm_ms" ]; then warm_ms=$ms; fi
 done
-target/release/blitzcoin-exp all --quick --jobs 1 --cache off \
+target/release/blitzcoin-exp $cached --quick --jobs 1 --cache off \
     --out "$smoke_dir/nocache" > /dev/null
 for f in "$smoke_dir"/cold-csv/*.csv; do
     base=$(basename "$f")
@@ -137,7 +150,7 @@ if [ "$cold_ms" -lt $(( warm_ms * 3 )) ]; then
     echo "ci: warm cache pass not >=3x faster (cold ${cold_ms} ms, warm ${warm_ms} ms)" >&2
     exit 1
 fi
-echo "ci: cache gate ok (cold ${cold_ms} ms, warm ${warm_ms} ms)"
+echo "ci: cache gate ok over $(echo $cached | wc -w) experiments (cold ${cold_ms} ms, warm ${warm_ms} ms)"
 
 # Bench-gate selftest: the host-drift-normalized regression gate's
 # arithmetic on synthetic snapshot pairs (pass under pure host drift,

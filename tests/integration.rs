@@ -153,3 +153,32 @@ fn deterministic_experiment_outputs() {
     assert_eq!(read(&dir_a), read(&dir_b));
     assert_eq!(a.claims.len(), b.claims.len());
 }
+
+#[test]
+fn unknown_cache_mode_fails_alike_from_flag_and_env() {
+    let out = std::env::temp_dir().join(format!("blitzcoin_cli_cache_{}", std::process::id()));
+    let run = |args: &[&str], env: Option<&str>| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"));
+        cmd.args(args).env_remove("BLITZCOIN_CACHE");
+        if let Some(mode) = env {
+            cmd.env("BLITZCOIN_CACHE", mode);
+        }
+        cmd.output().expect("spawn blitzcoin-exp")
+    };
+    let out_arg = out.to_str().expect("utf-8 temp dir");
+    let flag = run(
+        &["fig2", "--quick", "--out", out_arg, "--cache", "refresh"],
+        None,
+    );
+    let env = run(&["fig2", "--quick", "--out", out_arg], Some("refresh"));
+    for rejected in [&flag, &env] {
+        assert!(!rejected.status.success());
+        assert_eq!(
+            String::from_utf8_lossy(&rejected.stderr).trim(),
+            "bad cache mode 'refresh' (want on|off)"
+        );
+    }
+    assert!(!out.exists(), "a rejected run must not start");
+    // A valid value is accepted in any case.
+    assert!(run(&["list"], Some("OFF")).status.success());
+}

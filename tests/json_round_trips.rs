@@ -68,7 +68,6 @@ fn emulator_config_round_trips() {
             }),
             pairing: PairingMode::Uniform { period: 8 },
             hotspot_cap: Some(HotspotCap::new(200)),
-            latency_jitter_cycles: 32,
             ..EmulatorConfig::default()
         },
     ];
@@ -175,10 +174,6 @@ fn fault_plan_round_trips() {
     };
     assert_eq!(round_trip(&plan), plan);
     assert_eq!(round_trip(&FaultPlan::none()), FaultPlan::none());
-    assert_eq!(
-        round_trip(&FaultPlan::from_jitter(8)),
-        FaultPlan::from_jitter(8)
-    );
 }
 
 #[test]
