@@ -11,7 +11,7 @@
 //! time scales O(N), and the greedy/fair oscillation produces the
 //! long-tail outliers visible in Fig 4.
 
-use blitzcoin_core::metrics::{global_error, worst_case_error};
+use blitzcoin_core::metrics::{mean_error, worst_case_error, ConvergenceRatio};
 use blitzcoin_core::TileState;
 use blitzcoin_sim::{FaultPlan, SimRng};
 
@@ -90,6 +90,9 @@ pub struct TokenSmart {
     /// Pool plus holdings. Visits only move tokens between the pool and a
     /// stop, so only the places that set holdings change it.
     total: i64,
+    /// Σmax over the ring, kept current by [`TokenSmart::set_max`]. With
+    /// `total` it gives the convergence ratio without a pass.
+    total_max: u64,
     config: TsConfig,
     mode: Mode,
     starved_for: Vec<u64>,
@@ -108,11 +111,13 @@ impl TokenSmart {
         let n = max.len();
         assert!(n > 0, "need at least one tile");
         let active = max.iter().filter(|&&m| m > 0).count() as i64;
+        let total_max = max.iter().sum();
         TokenSmart {
             tiles: max.into_iter().map(|m| TileState::new(0, m)).collect(),
             pool: pool as i64,
             active,
             total: pool as i64,
+            total_max,
             config,
             mode: Mode::Greedy,
             starved_for: vec![0; n],
@@ -143,6 +148,7 @@ impl TokenSmart {
     /// active with `max > 0`, or went idle with `max = 0`).
     pub fn set_max(&mut self, idx: usize, max: u64) {
         let was_active = self.tiles[idx].is_active();
+        self.total_max = self.total_max - self.tiles[idx].max + max;
         self.tiles[idx].max = max;
         self.active += i64::from(self.tiles[idx].is_active()) - i64::from(was_active);
     }
@@ -333,10 +339,13 @@ impl TokenSmart {
     }
 
     /// The BlitzCoin-comparable global error: mean |has − α·max| with the
-    /// circulating pool counted as held-by-nobody (pure error mass).
+    /// circulating pool counted as held-by-nobody (pure error mass). The
+    /// holdings total is `total − pool` and Σmax is tracked, so this is
+    /// one pass over the ring, not three.
     pub fn error(&self) -> f64 {
         let n = self.tiles.len() as f64;
-        global_error(&self.tiles) + self.pool.unsigned_abs() as f64 / n
+        let ratio = ConvergenceRatio::from_totals(self.total - self.pool, self.total_max);
+        mean_error(&self.tiles, &ratio) + self.pool.unsigned_abs() as f64 / n
     }
 
     /// Worst per-tile error.
@@ -489,6 +498,19 @@ mod tests {
                 let active = ts.tiles.iter().filter(|t| t.is_active()).count() as i64;
                 ensure!(ts.active == active, "active {} != {active}", ts.active);
                 ensure!(ts.total == ts.total_tokens(), "total {}", ts.total);
+                let total_max: u64 = ts.tiles.iter().map(|t| t.max).sum();
+                ensure!(
+                    ts.total_max == total_max,
+                    "total_max {} != {total_max}",
+                    ts.total_max
+                );
+                // the one-pass error is bit-identical to the three-pass one
+                let three_pass = blitzcoin_core::global_error(&ts.tiles)
+                    + ts.pool.unsigned_abs() as f64 / n as f64;
+                ensure!(
+                    ts.error().to_bits() == three_pass.to_bits(),
+                    "error drifted"
+                );
             }
             Ok(())
         });

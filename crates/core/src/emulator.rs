@@ -10,10 +10,17 @@
 //!
 //! This is the engine behind Figs 3 (1-way vs 4-way), 4 (vs TokenSmart),
 //! 6 (dynamic timing), 7 (random pairing) and 8 (heterogeneity).
+//!
+//! Every emulator time is a whole NoC cycle, so the run loop keeps its
+//! pending exchanges on a private [`CycleWheel`] (one FIFO chain per
+//! cycle) rather than on the SoC engine's picosecond `EventQueue`; it pops
+//! in the same `(time, sequence)` order.
 
-use blitzcoin_noc::{TileId, Topology};
+use std::cell::RefCell;
+
+use blitzcoin_noc::{Direction, TileId, Topology};
 use blitzcoin_sim::oracle::{self, Invariant, Oracle};
-use blitzcoin_sim::{EventQueue, FaultPlan, SimRng, SimTime, TileFaultKind};
+use blitzcoin_sim::{FaultPlan, SimRng, TileFaultKind};
 
 use crate::exchange::{four_way_allocation, pairwise_exchange_stochastic};
 use crate::metrics::{global_error, worst_case_error, ConvergenceRatio};
@@ -147,17 +154,25 @@ blitzcoin_sim::json_fields!(ConvergenceResult {
 
 #[derive(Debug, Clone)]
 struct TileRuntime {
-    neighbors: Vec<TileId>,
+    /// The tile's exchange neighbors, [`Topology::neighbors`] order, in
+    /// the first `degree` slots: a tile has at most four, so they live
+    /// inline rather than in a per-tile allocation.
+    neighbors: [TileId; 4],
+    /// Physical-mesh hop distance to each neighbor (a wrap-around
+    /// neighbor is a whole row or column away; see [`Topology::torus`]).
+    hops: [u64; 4],
+    degree: usize,
+    /// Round-robin cursor into `neighbors`, always below `degree`.
     rr_next: usize,
     interval: u64,
-    exchange_count: u64,
     pairing: PairingState,
     /// Generation counter: events carry the generation they were scheduled
     /// under; stale events (superseded by a wake-up reschedule) are skipped.
     gen: u64,
-    /// Consecutive zero-move exchanges; back-off engages only after a full
-    /// rotation over all neighbors moved nothing (a single idle direction
-    /// is not evidence of local convergence).
+    /// Consecutive zero-move exchanges within the current rotation;
+    /// back-off engages each time a full rotation over all neighbors moved
+    /// nothing (a single idle direction is not evidence of local
+    /// convergence), and the count then starts over.
     zero_rotation: u32,
     /// Absolute cycle at (or after) which the next exchange is a random
     /// pairing. Time-based so that dynamic-timing back-off does not starve
@@ -166,6 +181,232 @@ struct TileRuntime {
     next_pairing: u64,
     /// Absolute cycle of the tile's currently scheduled next exchange.
     next_fire: u64,
+}
+
+impl TileRuntime {
+    /// Fresh run state for `tile`, its neighbor list built in place: the
+    /// same N, E, S, W probe with self and repeats dropped as
+    /// [`Topology::neighbors`], without that method's allocation.
+    fn new(topo: &Topology, tile: TileId, refresh_cycles: u64) -> Self {
+        let mut rt = TileRuntime {
+            neighbors: [tile; 4],
+            hops: [0; 4],
+            degree: 0,
+            rr_next: 0,
+            interval: refresh_cycles,
+            pairing: PairingState::new(),
+            gen: 0,
+            zero_rotation: 0,
+            next_pairing: 0,
+            next_fire: 0,
+        };
+        for dir in Direction::ALL {
+            if let Some(nb) = topo.neighbor(tile, dir) {
+                if nb != tile && !rt.neighbors().contains(&nb) {
+                    rt.neighbors[rt.degree] = nb;
+                    rt.hops[rt.degree] = topo.hop_distance(tile, nb) as u64;
+                    rt.degree += 1;
+                }
+            }
+        }
+        rt
+    }
+
+    /// The tile's exchange neighbors.
+    fn neighbors(&self) -> &[TileId] {
+        &self.neighbors[..self.degree]
+    }
+}
+
+/// End-of-chain marker in [`CycleWheel`]'s slab links.
+const NIL: u32 = u32::MAX;
+
+/// One pending exchange on the [`CycleWheel`].
+#[derive(Debug, Clone, Copy)]
+struct WheelEntry {
+    cycle: u64,
+    tile: usize,
+    gen: u64,
+    /// The next entry of the same cycle's chain (or of the free list).
+    next: u32,
+}
+
+/// The emulator's event queue: a calendar wheel of whole NoC cycles.
+///
+/// A power-of-two ring holds one FIFO chain per cycle, threaded through a
+/// single slab of entries, and a bitmap of non-empty slots finds the next
+/// pending cycle with `trailing_zeros`. Every pending entry lies within
+/// one ring length of the latest pop, so each slot holds a single cycle,
+/// and a schedule that would land past the ring first grows it. Pops come
+/// out in exactly the `(time, sequence)` order of a FIFO
+/// `blitzcoin_sim::EventQueue`: emulator times are whole cycles, nothing
+/// is scheduled before the latest pop, and a chain is appended in
+/// scheduling order.
+#[derive(Debug, Default)]
+struct CycleWheel {
+    /// First slab index of each slot's chain (`NIL` when empty).
+    head: Vec<u32>,
+    /// Last slab index of each non-empty slot's chain.
+    tail: Vec<u32>,
+    /// One bit per slot, set while its chain is non-empty.
+    occupied: Vec<u64>,
+    /// Every entry, pending or free; freed entries chain from `free`.
+    slab: Vec<WheelEntry>,
+    free: u32,
+    /// The cycle of the latest pop.
+    now: u64,
+    len: usize,
+}
+
+impl CycleWheel {
+    /// Empties the wheel, rewinds it to cycle 0 and sizes the ring for
+    /// schedules up to `horizon` cycles ahead, keeping every allocation.
+    fn reset(&mut self, horizon: u64) {
+        let slots = ring_slots(horizon);
+        self.head.clear();
+        self.head.resize(slots, NIL);
+        self.tail.clear();
+        self.tail.resize(slots, NIL);
+        self.occupied.clear();
+        self.occupied.resize(slots / 64, 0);
+        self.slab.clear();
+        self.free = NIL;
+        self.now = 0;
+        self.len = 0;
+    }
+
+    /// Schedules `tile`'s exchange of generation `gen` at `cycle`, after
+    /// every entry already pending for that cycle.
+    ///
+    /// # Panics
+    /// Panics if `cycle` is before the latest pop.
+    fn schedule(&mut self, cycle: u64, tile: usize, gen: u64) {
+        let delay = cycle
+            .checked_sub(self.now)
+            .expect("CycleWheel: schedule before the latest pop");
+        if delay >= self.head.len() as u64 {
+            self.grow(delay);
+        }
+        let entry = WheelEntry {
+            cycle,
+            tile,
+            gen,
+            next: NIL,
+        };
+        let idx = if self.free == NIL {
+            self.slab.push(entry);
+            u32::try_from(self.slab.len() - 1).expect("CycleWheel: slab index overflow")
+        } else {
+            let idx = self.free;
+            self.free = self.slab[idx as usize].next;
+            self.slab[idx as usize] = entry;
+            idx
+        };
+        self.link(idx);
+        self.len += 1;
+    }
+
+    /// Removes and returns the earliest pending `(cycle, tile, gen)`.
+    fn pop(&mut self) -> Option<(u64, usize, u64)> {
+        if self.len == 0 {
+            return None;
+        }
+        let slot = self.next_occupied(self.now as usize & (self.head.len() - 1));
+        let idx = self.head[slot];
+        let e = self.slab[idx as usize];
+        self.head[slot] = e.next;
+        if e.next == NIL {
+            self.occupied[slot >> 6] &= !(1 << (slot & 63));
+        }
+        self.slab[idx as usize].next = self.free;
+        self.free = idx;
+        self.len -= 1;
+        self.now = e.cycle;
+        Some((e.cycle, e.tile, e.gen))
+    }
+
+    /// The first non-empty slot at or after `start`, wrapping around the
+    /// ring. The wheel must not be empty.
+    fn next_occupied(&self, start: usize) -> usize {
+        let words = self.occupied.len();
+        let mut w = start >> 6;
+        let mut bits = self.occupied[w] & (!0u64 << (start & 63));
+        while bits == 0 {
+            w = (w + 1) & (words - 1);
+            bits = self.occupied[w];
+        }
+        (w << 6) | bits.trailing_zeros() as usize
+    }
+
+    /// Appends slab entry `idx` to the chain of its cycle's slot.
+    fn link(&mut self, idx: u32) {
+        let slot = self.slab[idx as usize].cycle as usize & (self.head.len() - 1);
+        self.slab[idx as usize].next = NIL;
+        if self.head[slot] == NIL {
+            self.head[slot] = idx;
+            self.occupied[slot >> 6] |= 1 << (slot & 63);
+        } else {
+            self.slab[self.tail[slot] as usize].next = idx;
+        }
+        self.tail[slot] = idx;
+    }
+
+    /// Re-buckets every pending entry onto a ring long enough for a
+    /// schedule `delay` cycles ahead. Chains move in time order and keep
+    /// their internal order, so the pop order is unchanged.
+    fn grow(&mut self, delay: u64) {
+        let old_head = std::mem::take(&mut self.head);
+        let old_mask = old_head.len() - 1;
+        let slots = ring_slots(delay).max(2 * old_head.len());
+        self.head = vec![NIL; slots];
+        self.tail.clear();
+        self.tail.resize(slots, NIL);
+        self.occupied.clear();
+        self.occupied.resize(slots / 64, 0);
+        for k in 0..old_head.len() {
+            let mut idx = old_head[(self.now as usize + k) & old_mask];
+            while idx != NIL {
+                let next = self.slab[idx as usize].next;
+                self.link(idx);
+                idx = next;
+            }
+        }
+    }
+}
+
+/// Ring length for schedules up to `horizon` cycles past the latest pop:
+/// a power of two (slot = cycle mod length), at least one bitmap word.
+///
+/// # Panics
+/// Panics if no power of two above `horizon` fits in `usize`.
+fn ring_slots(horizon: u64) -> usize {
+    usize::try_from(horizon)
+        .ok()
+        .and_then(|h| h.checked_add(1)?.checked_next_power_of_two())
+        .expect("CycleWheel: horizon too long for a ring")
+        .max(64)
+}
+
+thread_local! {
+    /// Recycled wheel allocation. Sweeps run thousands of trials per
+    /// worker thread; a reset wheel pops exactly like a fresh one, so
+    /// reuse cannot perturb determinism.
+    static WHEEL_POOL: RefCell<Option<CycleWheel>> = const { RefCell::new(None) };
+}
+
+/// Takes the thread's recycled wheel, reset for `horizon`, or a new one
+/// the first time.
+fn take_wheel(horizon: u64) -> CycleWheel {
+    let mut wheel = WHEEL_POOL
+        .with(|p| p.borrow_mut().take())
+        .unwrap_or_default();
+    wheel.reset(horizon);
+    wheel
+}
+
+/// Hands a finished run's wheel back to the thread for the next trial.
+fn recycle_wheel(wheel: CycleWheel) {
+    WHEEL_POOL.with(|p| *p.borrow_mut() = Some(wheel));
 }
 
 /// What one exchange step did (internal).
@@ -208,17 +449,7 @@ impl Emulator {
         let tiles: Vec<TileState> = max.into_iter().map(|m| TileState::new(0, m)).collect();
         let runtime = topo
             .tiles()
-            .map(|t| TileRuntime {
-                neighbors: topo.neighbors(t),
-                rr_next: 0,
-                interval: config.refresh_cycles,
-                exchange_count: 0,
-                pairing: PairingState::new(),
-                gen: 0,
-                zero_rotation: 0,
-                next_pairing: 0,
-                next_fire: 0,
-            })
+            .map(|t| TileRuntime::new(&topo, t, config.refresh_cycles))
             .collect();
         let faulted = vec![None; tiles.len()];
         Emulator {
@@ -373,17 +604,16 @@ impl Emulator {
             .sum();
         let start_error = err_sum / n;
 
-        let mut queue: EventQueue<(usize, u64)> = EventQueue::new();
+        let mut wheel = take_wheel(self.wheel_horizon());
         for (i, rt) in self.runtime.iter_mut().enumerate() {
             rt.interval = self.config.refresh_cycles;
             rt.rr_next = 0;
-            rt.exchange_count = 0;
             rt.gen = 0;
             rt.zero_rotation = 0;
             let phase = rng.range_u64(0..self.config.refresh_cycles.max(1));
             rt.next_pairing = phase + pairing_interval(&self.config);
             rt.next_fire = phase;
-            queue.schedule(SimTime::from_noc_cycles(phase), (i, 0));
+            wheel.schedule(phase, i, 0);
         }
 
         let mut packets: u64 = 0;
@@ -394,13 +624,11 @@ impl Emulator {
         let mut conv_packets: u64 = 0;
         let mut end_cycles: u64 = 0;
 
-        while let Some(ev) = queue.pop() {
-            let now = ev.time.as_noc_cycles();
+        while let Some((now, i, gen)) = wheel.pop() {
             if now > self.config.max_cycles {
                 end_cycles = self.config.max_cycles;
                 break;
             }
-            let (i, gen) = ev.payload;
             // Activate every planned fault whose time has come. A
             // fail-stopped tile's target drops to zero (its coins are
             // drainable by neighbors), so the error ledger is rebuilt
@@ -421,6 +649,9 @@ impl Emulator {
                     }
                 }
             }
+            // Superseded entries still pop (rather than being unlinked on
+            // wake-up), so fault activation and the `max_cycles` stop
+            // above see every time the entry carried.
             if gen != self.runtime[i].gen {
                 continue; // superseded by a wake-up reschedule
             }
@@ -428,7 +659,6 @@ impl Emulator {
                 continue; // a faulted tile initiates nothing, ever again
             }
             end_cycles = now;
-            self.runtime[i].exchange_count += 1;
             exchanges += 1;
 
             let outcome = match self.config.mode {
@@ -479,8 +709,8 @@ impl Emulator {
                 Some(dt) => {
                     if !significant {
                         rt.zero_rotation += 1;
-                        let rotation = rt.neighbors.len().max(1) as u32;
-                        if rt.zero_rotation.is_multiple_of(rotation) {
+                        if rt.zero_rotation == rt.degree.max(1) as u32 {
+                            rt.zero_rotation = 0;
                             dt.next_interval(rt.interval, 0)
                         } else {
                             rt.interval
@@ -495,7 +725,7 @@ impl Emulator {
             let next = now + outcome.latency + rt.interval;
             rt.gen += 1;
             rt.next_fire = next;
-            queue.schedule(SimTime::from_noc_cycles(next), (i, rt.gen));
+            wheel.schedule(next, i, rt.gen);
 
             // A coin-moving exchange also resets the partner's back-off:
             // its FSM participated and observed the movement, so it should
@@ -512,12 +742,13 @@ impl Emulator {
                         if candidate < rp.next_fire {
                             rp.gen += 1;
                             rp.next_fire = candidate;
-                            queue.schedule(SimTime::from_noc_cycles(candidate), (p, rp.gen));
+                            wheel.schedule(candidate, p, rp.gen);
                         }
                     }
                 }
             }
         }
+        recycle_wheel(wheel);
 
         let final_error = global_error(&self.tiles);
         let worst_error = worst_case_error(&self.tiles);
@@ -534,6 +765,23 @@ impl Emulator {
         }
     }
 
+    /// The longest delay a run can schedule ahead of its latest pop: the
+    /// longest refresh interval the configuration allows, plus a status +
+    /// update round trip across the mesh diameter and the fault plan's
+    /// message jitter. The wheel is sized for it and grows past it.
+    fn wheel_horizon(&self) -> u64 {
+        let c = &self.config;
+        let interval = c
+            .dynamic_timing
+            .map_or(0, |dt| dt.max_cycles.max(dt.min_cycles))
+            .max(c.refresh_cycles)
+            .max(1);
+        let round_trip = 2 * per_message_latency(self.topo.diameter() as u64) + 1;
+        interval
+            .saturating_add(round_trip)
+            .saturating_add(self.fault.msg_jitter_cycles)
+    }
+
     /// One 1-way exchange for tile `i`.
     fn one_way_step(
         &mut self,
@@ -547,17 +795,26 @@ impl Emulator {
         let pairing_iv = pairing_interval(&self.config);
         let rt = &mut self.runtime[i];
         let is_pairing = pairing_iv > 0 && now >= rt.next_pairing;
-        let partner = if is_pairing {
+        let paired = if is_pairing {
             rt.next_pairing = now + pairing_iv;
             rt.pairing
-                .select_partner(self.config.pairing, &self.topo, tile, rng)
+                .select_partner(
+                    self.config.pairing,
+                    tile,
+                    &rt.neighbors[..rt.degree],
+                    self.tiles.len(),
+                    rng,
+                )
+                .map(|p| (p, self.topo.hop_distance(tile, p).max(1) as u64))
         } else {
             None
         };
-        let partner = match partner {
-            Some(p) => p,
+        // The partner and its hop distance: the random pairing's, or the
+        // next neighbor's in round-robin order.
+        let (partner, hops) = match paired {
+            Some(pair) => pair,
             None => {
-                if rt.neighbors.is_empty() {
+                if rt.degree == 0 {
                     return StepOutcome {
                         moved: 0,
                         latency: per_message_latency(1),
@@ -565,9 +822,9 @@ impl Emulator {
                         partner: None,
                     };
                 }
-                let p = rt.neighbors[rt.rr_next % rt.neighbors.len()];
-                rt.rr_next = (rt.rr_next + 1) % rt.neighbors.len();
-                p
+                let k = rt.rr_next;
+                rt.rr_next = if k + 1 == rt.degree { 0 } else { k + 1 };
+                (rt.neighbors[k], rt.hops[k])
             }
         };
 
@@ -578,7 +835,6 @@ impl Emulator {
             // partner is different — its coin register lives in the
             // always-on NoC domain, so the normal path below drains it
             // via the max=0 rule.)
-            let hops = self.topo.hop_distance(tile, partner).max(1) as u64;
             return StepOutcome {
                 moved: 0,
                 latency: 2 * per_message_latency(hops) + 1,
@@ -608,9 +864,8 @@ impl Emulator {
                 + (self.tiles[j].has as f64 - targets[j]).abs();
             *err_sum += new_err - old_err;
         }
-        // status + update message round trip, plus one cycle of FSM compute
-        let hops = self.topo.hop_distance(tile, partner).max(1) as u64;
-        // Message jitter now comes from the fault plan (stateless in the
+        // The status + update round trip, plus one cycle of FSM compute.
+        // Message jitter comes from the fault plan (stateless in the
         // packet identity, so it never perturbs the main RNG stream).
         let jitter = self.fault.msg_jitter(i, j, now);
         let latency = 2 * per_message_latency(hops) + 1 + jitter;
@@ -626,13 +881,20 @@ impl Emulator {
     /// (they never answer the request); fail-stopped ones participate as
     /// drainable max=0 registers, same as in the 1-way path.
     fn four_way_step(&mut self, i: usize, targets: &[f64], err_sum: &mut f64) -> StepOutcome {
-        let neighbors: Vec<TileId> = self.runtime[i]
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|t| self.faulted[t.index()] != Some(TileFaultKind::Stuck))
-            .collect();
-        if neighbors.is_empty() {
+        // The group: the center, then every neighbor that answers.
+        let mut idx = [i; 5];
+        let mut group = [self.tiles[i]; 5];
+        let mut len = 1;
+        for nb in self.runtime[i].neighbors() {
+            let k = nb.index();
+            if self.faulted[k] != Some(TileFaultKind::Stuck) {
+                idx[len] = k;
+                group[len] = self.tiles[k];
+                len += 1;
+            }
+        }
+        let answered = len as u64 - 1;
+        if answered == 0 {
             return StepOutcome {
                 moved: 0,
                 latency: per_message_latency(1),
@@ -640,13 +902,9 @@ impl Emulator {
                 partner: None,
             };
         }
-        let mut idx = Vec::with_capacity(neighbors.len() + 1);
-        idx.push(i);
-        idx.extend(neighbors.iter().map(|t| t.index()));
-        let group: Vec<TileState> = idx.iter().map(|&k| self.tiles[k]).collect();
-        let alloc = four_way_allocation(&group);
+        let alloc = four_way_allocation(&group[..len]);
         let mut moved_total = 0;
-        for (slot, &k) in idx.iter().enumerate() {
+        for (slot, &k) in idx[..len].iter().enumerate() {
             let delta = alloc[slot] - self.tiles[k].has;
             if delta != 0 {
                 let old = (self.tiles[k].has as f64 - targets[k]).abs();
@@ -661,8 +919,8 @@ impl Emulator {
         // port (one flit per cycle per phase), and the many-to-one
         // arithmetic needs two extra cycles — this is the 4-way method's
         // higher per-exchange cost the paper cites when preferring 1-way.
-        let packets = 3 * neighbors.len() as u64;
-        let latency = 3 * (per_message_latency(1) + neighbors.len() as u64 - 1) + 2;
+        let packets = 3 * answered;
+        let latency = 3 * (per_message_latency(1) + answered - 1) + 2;
         StepOutcome {
             moved: moved_total,
             latency,
@@ -690,6 +948,140 @@ fn pairing_interval(config: &EmulatorConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blitzcoin_sim::check::forall_seeded;
+    use blitzcoin_sim::{ensure, EventQueue, SimTime};
+
+    /// One step of a queue script: schedule `delay` cycles after the
+    /// latest pop, or pop.
+    enum Op {
+        Schedule { delay: u64, tile: usize, gen: u64 },
+        Pop,
+    }
+
+    /// A random interleaving of schedules and pops that ends drained:
+    /// bursts on one cycle, delays of 0 and 1, delays inside a ring sized
+    /// for `horizon`, and delays well past it (so the ring grows).
+    fn queue_script(rng: &mut SimRng, horizon: u64) -> Vec<Op> {
+        let mut ops = Vec::new();
+        let mut pending = 0usize;
+        for step in 0..rng.range_u64(1..400) {
+            if pending > 0 && rng.chance(0.45) {
+                ops.push(Op::Pop);
+                pending -= 1;
+                continue;
+            }
+            let delay = match rng.range_u64(0..5) {
+                0 => 0,
+                1 => 1,
+                2 => rng.range_u64(0..8),
+                3 => rng.range_u64(0..horizon + 1),
+                _ => rng.range_u64(horizon..4 * horizon + 300),
+            };
+            let burst = if rng.chance(0.15) {
+                rng.range_usize(2..10)
+            } else {
+                1
+            };
+            for _ in 0..burst {
+                let tile = rng.range_usize(0..64);
+                ops.push(Op::Schedule {
+                    delay,
+                    tile,
+                    gen: step,
+                });
+                pending += 1;
+            }
+        }
+        ops.extend((0..pending).map(|_| Op::Pop));
+        ops
+    }
+
+    fn replay_on_wheel(wheel: &mut CycleWheel, ops: &[Op]) -> Vec<(u64, usize, u64)> {
+        let mut now = 0;
+        let mut popped = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Schedule { delay, tile, gen } => wheel.schedule(now + delay, tile, gen),
+                Op::Pop => {
+                    let ev = wheel.pop().expect("script pops only pending entries");
+                    now = ev.0;
+                    popped.push(ev);
+                }
+            }
+        }
+        popped
+    }
+
+    fn replay_on_event_queue(ops: &[Op]) -> Vec<(u64, usize, u64)> {
+        let mut queue = EventQueue::new();
+        let mut now = 0;
+        let mut popped = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Schedule { delay, tile, gen } => {
+                    queue.schedule(SimTime::from_noc_cycles(now + delay), (tile, gen));
+                }
+                Op::Pop => {
+                    let ev = queue.pop().expect("script pops only pending entries");
+                    now = ev.time.as_noc_cycles();
+                    popped.push((now, ev.payload.0, ev.payload.1));
+                }
+            }
+        }
+        popped
+    }
+
+    #[test]
+    fn wheel_pops_exactly_like_a_fifo_event_queue() {
+        let mut grew = 0;
+        forall_seeded("cycle_wheel_vs_event_queue", 0xC1C1E, 0..300, |rng| {
+            let horizon = rng.range_u64(0..300);
+            let ops = queue_script(rng, horizon);
+            let want = replay_on_event_queue(&ops);
+            let mut fresh = CycleWheel::default();
+            fresh.reset(horizon);
+            let got = replay_on_wheel(&mut fresh, &ops);
+            ensure!(got == want, "wheel {got:?}\nqueue {want:?}");
+            ensure!(fresh.pop().is_none(), "the drained wheel still pops");
+            grew += usize::from(fresh.head.len() > ring_slots(horizon));
+            // A used wheel (grown, left part-full) must replay exactly
+            // like a fresh one once reset.
+            let other = queue_script(rng, horizon);
+            let mut used = CycleWheel::default();
+            used.reset(horizon);
+            let _ = replay_on_wheel(&mut used, &other[..other.len() / 2]);
+            used.reset(horizon);
+            ensure!(
+                replay_on_wheel(&mut used, &ops) == want,
+                "a reset wheel diverged from a fresh one"
+            );
+            Ok(())
+        });
+        assert!(grew > 0, "no case grew the ring");
+    }
+
+    #[test]
+    fn inline_neighbors_match_the_topology() {
+        for topo in [
+            Topology::mesh(1, 1),
+            Topology::torus(1, 1),
+            Topology::torus(2, 2),
+            Topology::torus(1, 4),
+            Topology::torus(2, 5),
+            Topology::mesh(3, 2),
+            Topology::torus(3, 3),
+            Topology::mesh(5, 4),
+            Topology::torus(5, 4),
+        ] {
+            for t in topo.tiles() {
+                let rt = TileRuntime::new(&topo, t, 64);
+                assert_eq!(rt.neighbors(), topo.neighbors(t).as_slice(), "{topo:?} {t}");
+                for (k, &nb) in rt.neighbors().iter().enumerate() {
+                    assert_eq!(rt.hops[k], topo.hop_distance(t, nb) as u64);
+                }
+            }
+        }
+    }
 
     fn run_one(d: usize, config: EmulatorConfig, seed: u64) -> (ConvergenceResult, Emulator) {
         let topo = Topology::torus(d, d);

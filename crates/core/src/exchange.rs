@@ -16,6 +16,8 @@
 //! and leave every active participant within rounding distance of the
 //! group-fair `has/max` ratio.
 
+use std::cmp::Ordering;
+
 use crate::tile::TileState;
 
 /// Outcome of a pairwise (1-way) exchange.
@@ -85,18 +87,11 @@ fn pairwise_exchange_inner(
     let new_i = if weight_sum == 0 {
         i.has
     } else {
-        // Exact integer fair share: total*max_i = q*ws + r with
-        // 0 <= r < ws, so the half-coin case is precisely `2r == ws` —
-        // no epsilon window, for any coin pool the hardware could hold
-        // (i128 cannot overflow from two 64-bit operands).
-        let n = total as i128 * i.max as i128;
-        let ws = weight_sum as i128;
-        let q = n.div_euclid(ws);
-        let r = n.rem_euclid(ws);
-        if 2 * r == ws {
+        let (q, residual) = fair_split(total, i.max, weight_sum);
+        if residual == Ordering::Equal {
             // Half-coin residual: deterministic variant holds position
             // (no movement); stochastic variant flips a fair coin.
-            let lo = q as i64;
+            let lo = q;
             let hi = lo + 1;
             let hold = if (lo - i.has).abs() <= (hi - i.has).abs() {
                 lo
@@ -114,10 +109,10 @@ fn pairwise_exchange_inner(
                     }
                 }
             }
-        } else if 2 * r > ws {
-            (q + 1) as i64
+        } else if residual == Ordering::Greater {
+            q + 1
         } else {
-            q as i64
+            q
         }
     };
     let new_j = total - new_i;
@@ -126,6 +121,26 @@ fn pairwise_exchange_inner(
         new_j,
         moved: new_i - i.has,
     }
+}
+
+/// The exact integer fair share: `total·max_i = q·ws + r` with
+/// `0 <= r < ws`. Returns `q` and how `r` compares with `ws − r`, so the
+/// half-coin case is precisely `Equal` — no epsilon window, for any coin
+/// pool the hardware could hold, and no doubling of `r` that could
+/// overflow. The split runs in `i64` whenever the product and the divisor
+/// fit, which is every exchange the emulator and the engine make, and in
+/// `i128` (which cannot overflow from two 64-bit operands) otherwise; the
+/// two give the same answer wherever both apply.
+fn fair_split(total: i64, max_i: u64, ws: u64) -> (i64, Ordering) {
+    if let (Ok(m), Ok(w)) = (i64::try_from(max_i), i64::try_from(ws)) {
+        if let Some(n) = total.checked_mul(m) {
+            let (q, r) = (n.div_euclid(w), n.rem_euclid(w));
+            return (q, r.cmp(&(w - r)));
+        }
+    }
+    let (n, w) = (i128::from(total) * i128::from(max_i), i128::from(ws));
+    let (q, r) = (n.div_euclid(w), n.rem_euclid(w));
+    (q as i64, r.cmp(&(w - r)))
 }
 
 /// Computes the 4-way fair allocation for a group (center + up to four
@@ -339,6 +354,50 @@ mod tests {
         // nearer the current holding, which for i (holding everything) is
         // the hi side
         assert_eq!(out.new_i, (1i64 << 52) + 1);
+    }
+
+    #[test]
+    fn i64_split_matches_the_i128_reference() {
+        use blitzcoin_sim::check::forall_seeded;
+        use blitzcoin_sim::ensure;
+        // the historical all-i128 split, kept as the reference
+        let reference = |total: i64, max_i: u64, ws: u64| {
+            let (n, w) = (total as i128 * max_i as i128, ws as i128);
+            let (q, r) = (n.div_euclid(w), n.rem_euclid(w));
+            (q as i64, (2 * r).cmp(&w))
+        };
+        let edge = [
+            0u64,
+            1,
+            2,
+            3,
+            63,
+            1 << 31,
+            1 << 32,
+            i64::MAX as u64,
+            u64::MAX,
+        ];
+        forall_seeded("fair_split_i64_vs_i128", 0xF5, 0..4000, |rng| {
+            let pick = |rng: &mut blitzcoin_sim::SimRng| match rng.range_u64(0..3) {
+                0 => edge[rng.range_usize(0..edge.len())],
+                1 => rng.range_u64(0..128),
+                _ => rng.next_u64() >> rng.range_u64(0..64),
+            };
+            let max_i = pick(rng);
+            let ws = max_i.saturating_add(pick(rng)).max(1);
+            let total = match rng.range_u64(0..3) {
+                0 => rng.range_i64(-64..200),
+                1 => rng.next_u64() as i64,
+                _ => [i64::MIN, i64::MIN + 1, -1, i64::MAX][rng.range_usize(0..4)],
+            };
+            let want = reference(total, max_i, ws);
+            let got = fair_split(total, max_i, ws);
+            ensure!(
+                got == want,
+                "total {total}, max {max_i}, ws {ws}: {got:?} vs {want:?}"
+            );
+            Ok(())
+        });
     }
 
     #[test]

@@ -27,6 +27,12 @@ impl ConvergenceRatio {
     pub fn of(tiles: &[TileState]) -> Self {
         let total_has: i64 = tiles.iter().map(|t| t.has).sum();
         let total_max: u64 = tiles.iter().map(|t| t.max).sum();
+        ConvergenceRatio::from_totals(total_has, total_max)
+    }
+
+    /// α from totals a caller already tracks, without a pass over the
+    /// tiles; equal to [`ConvergenceRatio::of`] for tiles with these sums.
+    pub fn from_totals(total_has: i64, total_max: u64) -> Self {
         ConvergenceRatio {
             alpha: if total_max == 0 {
                 None
@@ -59,11 +65,16 @@ pub fn per_tile_error(tile: &TileState, ratio: &ConvergenceRatio) -> f64 {
 
 /// Global error `E = (1/N) Σ E_i`.
 pub fn global_error(tiles: &[TileState]) -> f64 {
+    mean_error(tiles, &ConvergenceRatio::of(tiles))
+}
+
+/// `E = (1/N) Σ E_i` against a known `ratio`: [`global_error`] in one pass
+/// for callers that track the ratio's totals themselves.
+pub fn mean_error(tiles: &[TileState], ratio: &ConvergenceRatio) -> f64 {
     if tiles.is_empty() {
         return 0.0;
     }
-    let ratio = ConvergenceRatio::of(tiles);
-    tiles.iter().map(|t| per_tile_error(t, &ratio)).sum::<f64>() / tiles.len() as f64
+    tiles.iter().map(|t| per_tile_error(t, ratio)).sum::<f64>() / tiles.len() as f64
 }
 
 /// Worst-case absolute error across all tiles (Fig 7's metric).

@@ -9,26 +9,36 @@
 //! implements partner selection as a shift register that eventually pairs
 //! all non-neighboring tiles, bounding the time to reach the pair (a, b).
 
-use blitzcoin_noc::{TileId, Topology};
+use blitzcoin_noc::TileId;
 use blitzcoin_sim::SimRng;
 
 /// Random-pairing configuration.
+///
+/// The pairing cadence is time-based: a tile's first exchange at or after
+/// every `period` base refresh intervals is a random pairing, however far
+/// dynamic-timing back-off has stretched its own interval (the hardware
+/// counts in the always-on NoC domain). At the base interval that is one
+/// pairing per `period` exchanges, the paper's "once every 16 exchanges".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairingMode {
     /// Never pair with non-neighbors (the Fig 7 "without random pairing"
     /// baseline).
     Disabled,
-    /// Every `period`-th exchange picks a uniformly random non-neighbor.
+    /// Every `period` base refresh intervals, pair with a uniformly random
+    /// non-neighbor.
     Uniform {
-        /// Exchanges between random pairings (paper default: 16).
+        /// Base refresh intervals between random pairings (paper
+        /// default: 16).
         period: u32,
     },
-    /// Every `period`-th exchange takes the next partner from a rotating
-    /// offset (the hardware shift-register embodiment): tile `i` pairs
-    /// with `(i + offset) mod N`, with `offset` advancing past neighbors
-    /// and self, guaranteeing all non-neighbor pairs within `N` pairings.
+    /// Every `period` base refresh intervals, take the next partner from a
+    /// rotating offset (the hardware shift-register embodiment): tile `i`
+    /// pairs with `(i + offset) mod N`, with `offset` advancing past
+    /// neighbors and self, guaranteeing all non-neighbor pairs within `N`
+    /// pairings.
     ShiftRegister {
-        /// Exchanges between random pairings (paper default: 16).
+        /// Base refresh intervals between random pairings (paper
+        /// default: 16).
         period: u32,
     },
 }
@@ -82,15 +92,6 @@ impl PairingMode {
             PairingMode::Uniform { period } | PairingMode::ShiftRegister { period } => Some(period),
         }
     }
-
-    /// Whether exchange number `count` (1-based) for a tile should be a
-    /// random pairing instead of a neighbor exchange.
-    pub fn is_pairing_turn(&self, count: u64) -> bool {
-        match self.period() {
-            Some(p) if p > 0 => count.is_multiple_of(p as u64),
-            _ => false,
-        }
-    }
 }
 
 /// Per-tile partner-selection state for random pairing.
@@ -113,24 +114,26 @@ impl PairingState {
         PairingState::default()
     }
 
-    /// Selects a non-neighbor partner for `tile` under `mode`. Returns
-    /// `None` when the topology has no non-neighbor (tiny grids) or when
-    /// pairing is disabled.
+    /// Selects a non-neighbor partner for `tile` of an `n`-tile grid under
+    /// `mode`, where `neighbors` is the tile's [`Topology::neighbors`]
+    /// list. Returns `None` when the grid has no non-neighbor (tiny grids)
+    /// or when pairing is disabled.
+    ///
+    /// [`Topology::neighbors`]: blitzcoin_noc::Topology::neighbors
     pub fn select_partner(
         &mut self,
         mode: PairingMode,
-        topo: &Topology,
         tile: TileId,
+        neighbors: &[TileId],
+        n: usize,
         rng: &mut SimRng,
     ) -> Option<TileId> {
-        let n = topo.len();
+        let is_candidate = |t: TileId| t != tile && !neighbors.contains(&t);
         if n <= 5 {
             // Grids of up to 5 tiles have no non-neighbor distinct tile in
             // the torus case; fall back to None (no pairing possible).
-            let non_neighbors: Vec<TileId> = topo
-                .tiles()
-                .filter(|&t| t != tile && !topo.are_neighbors(tile, t))
-                .collect();
+            let non_neighbors: Vec<TileId> =
+                (0..n).map(TileId).filter(|&t| is_candidate(t)).collect();
             return match (mode, non_neighbors.is_empty()) {
                 (PairingMode::Disabled, _) | (_, true) => None,
                 (_, false) => Some(*rng.choose(&non_neighbors)),
@@ -143,7 +146,7 @@ impl PairingState {
                 // most 4 elements so this terminates almost immediately.
                 for _ in 0..64 {
                     let cand = TileId(rng.range_usize(0..n));
-                    if cand != tile && !topo.are_neighbors(tile, cand) {
+                    if is_candidate(cand) {
                         return Some(cand);
                     }
                 }
@@ -151,14 +154,17 @@ impl PairingState {
             }
             PairingMode::ShiftRegister { .. } => {
                 // Advance the rotating offset past self and neighbors.
+                // Both `tile` and `offset` are below `n`, so one
+                // subtraction wraps the sum.
                 for _ in 0..n {
-                    let cand = TileId((tile.index() + self.offset) % n);
+                    let sum = tile.index() + self.offset;
+                    let cand = TileId(if sum >= n { sum - n } else { sum });
                     self.offset = if self.offset + 1 >= n {
                         1
                     } else {
                         self.offset + 1
                     };
-                    if cand != tile && !topo.are_neighbors(tile, cand) {
+                    if is_candidate(cand) {
                         return Some(cand);
                     }
                 }
@@ -171,15 +177,18 @@ impl PairingState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blitzcoin_noc::Topology;
 
-    #[test]
-    fn pairing_turn_schedule() {
-        let m = PairingMode::Uniform { period: 16 };
-        assert!(!m.is_pairing_turn(1));
-        assert!(!m.is_pairing_turn(15));
-        assert!(m.is_pairing_turn(16));
-        assert!(m.is_pairing_turn(32));
-        assert!(!PairingMode::Disabled.is_pairing_turn(16));
+    /// Selects a partner for `tile` the way the emulator does: from the
+    /// tile's neighbor list and the grid size.
+    fn select(
+        st: &mut PairingState,
+        mode: PairingMode,
+        topo: &Topology,
+        tile: TileId,
+        rng: &mut SimRng,
+    ) -> Option<TileId> {
+        st.select_partner(mode, tile, &topo.neighbors(tile), topo.len(), rng)
     }
 
     #[test]
@@ -189,9 +198,14 @@ mod tests {
         let mut st = PairingState::new();
         let tile = topo.tile_by_id(7);
         for _ in 0..200 {
-            let p = st
-                .select_partner(PairingMode::Uniform { period: 16 }, &topo, tile, &mut rng)
-                .unwrap();
+            let p = select(
+                &mut st,
+                PairingMode::Uniform { period: 16 },
+                &topo,
+                tile,
+                &mut rng,
+            )
+            .unwrap();
             assert_ne!(p, tile);
             assert!(!topo.are_neighbors(tile, p));
         }
@@ -205,9 +219,7 @@ mod tests {
         let tile = topo.tile_by_id(12);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..topo.len() * 2 {
-            let p = st
-                .select_partner(PairingMode::default(), &topo, tile, &mut rng)
-                .unwrap();
+            let p = select(&mut st, PairingMode::default(), &topo, tile, &mut rng).unwrap();
             assert_ne!(p, tile);
             assert!(!topo.are_neighbors(tile, p));
             seen.insert(p);
@@ -222,7 +234,13 @@ mod tests {
         let mut rng = SimRng::seed(5);
         let mut st = PairingState::new();
         assert_eq!(
-            st.select_partner(PairingMode::Disabled, &topo, topo.tile_by_id(0), &mut rng),
+            select(
+                &mut st,
+                PairingMode::Disabled,
+                &topo,
+                topo.tile_by_id(0),
+                &mut rng
+            ),
             None
         );
     }
@@ -232,7 +250,8 @@ mod tests {
         let topo = Topology::torus(2, 2); // every other tile is a neighbor
         let mut rng = SimRng::seed(5);
         let mut st = PairingState::new();
-        let got = st.select_partner(
+        let got = select(
+            &mut st,
             PairingMode::Uniform { period: 16 },
             &topo,
             topo.tile_by_id(0),
@@ -241,7 +260,8 @@ mod tests {
         // 2x2 torus: tile 0 neighbors 1 and 2; tile 3 is a non-neighbor
         assert_eq!(got, Some(TileId(3)));
         let topo1 = Topology::mesh(2, 1);
-        let got1 = st.select_partner(
+        let got1 = select(
+            &mut st,
             PairingMode::Uniform { period: 16 },
             &topo1,
             topo1.tile_by_id(0),

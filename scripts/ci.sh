@@ -28,9 +28,15 @@ fi
 
 # Bench smoke gate: every benchmark body must still run (--test mode
 # executes each body once without timing), so a bench target that rots
-# fails here instead of on the next scripts/bench.sh snapshot.
+# fails here instead of on the next scripts/bench.sh snapshot. The
+# figures and ablations targets also run the behavioural emulator
+# under settings no golden CSV uses: a plain mesh, a hotspot cap,
+# refresh intervals of 16 and 256 (back-off cap 4096), lambda 1 and 8,
+# and pairing periods 8 and 32.
 cargo bench -q --offline -p blitzcoin-bench --bench policies -- --test
 cargo bench -q --offline -p blitzcoin-bench --bench kernels -- --test
+cargo bench -q --offline -p blitzcoin-bench --bench figures -- --test
+cargo bench -q --offline -p blitzcoin-bench --bench ablations -- --test
 
 # Benchmark self-tests: perfbench is a Cargo workspace of its own (it
 # links the crates by path, as a library user would), so the workspace

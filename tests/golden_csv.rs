@@ -7,6 +7,9 @@
 //! Price Theory's engine-level results deliberately live in *separate*
 //! CSV files so these stay frozen; those files (and the six-scheme
 //! shoot-out matrix) are locked here too, against their own goldens.
+//! The behavioural emulator's figures (fig3–fig8) are locked the same
+//! way, so a change to the emulator's event loop, partner selection or
+//! exchange arithmetic must replay every random draw and pop exactly.
 //!
 //! Regenerate (only for an intentional result change, with the deviation
 //! recorded in CHANGES.md) with:
@@ -18,7 +21,13 @@ use std::path::{Path, PathBuf};
 use blitzcoin_exp::{run_experiment, Ctx};
 
 /// (experiment id, csv files it writes that are locked here)
-const LOCKED: [(&str, &[&str]); 3] = [
+const LOCKED: [(&str, &[&str]); 9] = [
+    ("fig3", &["fig03_oneway_fourway.csv"]),
+    ("fig4", &["fig04_bc_vs_ts.csv"]),
+    ("fig5", &["fig05_pairing.csv"]),
+    ("fig6", &["fig06_dynamic_timing.csv"]),
+    ("fig7", &["fig07_random_pairing_hist.csv"]),
+    ("fig8", &["fig08_heterogeneity.csv"]),
     ("fig17", &["fig17_soc3x3.csv", "fig17_soc3x3_pt.csv"]),
     (
         "resilience",
