@@ -185,11 +185,6 @@ impl PtMarket {
         self.iterations
     }
 
-    /// Whether the session has yielded its [`PtStep::Grant`].
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Demand of bidder `i` at `price` — what the bidder itself computes
     /// when a quote reaches it.
     pub fn demand(&self, i: usize, price: f64) -> f64 {
@@ -461,7 +456,6 @@ mod tests {
             assert_eq!(hand, (out.price, out.grants, out.cleared), "at {budget}");
             assert_eq!(session.iterations(), out.iterations);
             assert_eq!(rounds, out.iterations);
-            assert!(session.is_done());
         }
     }
 

@@ -26,18 +26,6 @@ pub fn static_allocation(budget_mw: f64, n: usize) -> Vec<f64> {
     vec![budget_mw / n as f64; n]
 }
 
-/// Splits `budget_mw` across tiles proportionally to fixed weights
-/// (a provisioned-at-design-time static allocation).
-///
-/// # Panics
-/// Panics if the weights are empty or sum to zero.
-pub fn static_weighted_allocation(budget_mw: f64, weights: &[f64]) -> Vec<f64> {
-    assert!(!weights.is_empty(), "need at least one tile");
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "weights must sum to a positive value");
-    weights.iter().map(|w| budget_mw * w / total).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,14 +33,6 @@ mod tests {
     #[test]
     fn equal_split() {
         assert_eq!(static_allocation(100.0, 4), vec![25.0; 4]);
-    }
-
-    #[test]
-    fn weighted_split_conserves_budget() {
-        let shares = static_weighted_allocation(120.0, &[50.0, 30.0, 190.0, 30.0, 50.0, 50.0]);
-        let total: f64 = shares.iter().sum();
-        assert!((total - 120.0).abs() < 1e-9);
-        assert!(shares[2] > shares[0]);
     }
 
     #[test]

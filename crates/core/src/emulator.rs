@@ -480,11 +480,6 @@ impl Emulator {
         self
     }
 
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
     /// Per-tile fault state after a run (`None` = still healthy).
     pub fn faulted(&self) -> &[Option<TileFaultKind>] {
         &self.faulted
@@ -534,17 +529,6 @@ impl Emulator {
             };
             t.has = rng.range_i64(0..hi + 1);
         }
-    }
-
-    /// Places the entire coin pool on one random tile: the worst-case
-    /// activity-change scenario (a single tile relinquishing the whole
-    /// budget). Used for transport-limited studies.
-    pub fn init_concentrated(&mut self, rng: &mut SimRng, pool: u64) {
-        for t in &mut self.tiles {
-            t.has = 0;
-        }
-        let n = self.tiles.len();
-        self.tiles[rng.range_usize(0..n)].has = pool as i64;
     }
 
     /// Total coins currently in the system.

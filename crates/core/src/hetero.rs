@@ -37,16 +37,6 @@ pub fn heterogeneous_max(n: usize, acc_types: u32, rng: &mut SimRng) -> Vec<u64>
         .collect()
 }
 
-/// The spread (max - min) of targets produced for `acc_types` types;
-/// useful for reasoning about expected start error.
-pub fn target_spread(acc_types: u32) -> u64 {
-    if acc_types <= 1 {
-        0
-    } else {
-        MAX_COINS_PER_TILE as u64 - 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,8 +78,6 @@ mod tests {
         let s8 = spread(8, &mut rng);
         assert_eq!(s1, 0.0);
         assert!(s8 > 30.0);
-        assert_eq!(target_spread(1), 0);
-        assert_eq!(target_spread(8), 55);
     }
 
     #[test]

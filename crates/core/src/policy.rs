@@ -10,6 +10,8 @@
 //!   workload-aware strategy that the evaluation shows is 3.0-4.1% faster
 //!   because no low-power tile is forced to an inefficient high-V point.
 
+use crate::tile::MAX_COINS_PER_TILE;
+
 /// The target-allocation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocationPolicy {
@@ -25,43 +27,22 @@ blitzcoin_sim::json_unit_enum!(AllocationPolicy {
 });
 
 impl AllocationPolicy {
-    /// Computes integer `max` coin targets for a set of tiles.
-    ///
-    /// `p_max_mw[i]` is tile `i`'s power at F_max (used by RP and to skip
-    /// inactive tiles: entries of 0.0 mean "inactive", and receive
-    /// `max = 0`). `levels` is the per-tile register ceiling (64 for the
-    /// 6-bit hardware): the largest target is scaled to `levels`.
-    ///
-    /// Returns an empty vector for empty input; all-inactive input yields
-    /// all zeros.
-    ///
-    /// # Panics
-    /// Panics if `levels == 0` or any power is negative.
-    pub fn assign_max(&self, p_max_mw: &[f64], levels: u64) -> Vec<u64> {
-        assert!(levels > 0, "need at least one coin level");
-        assert!(
-            p_max_mw.iter().all(|&p| p >= 0.0),
-            "powers must be non-negative"
-        );
-        let active_peak = p_max_mw.iter().cloned().fold(0.0, f64::max);
-        if active_peak == 0.0 {
-            return vec![0; p_max_mw.len()];
+    /// The integer `max` coin target of a tile whose power at F_max is
+    /// `p_mw`, when the hungriest tile's is `peak_mw`. AP gives every
+    /// active tile the full register range; RP scales the range by
+    /// `p_mw / peak_mw`, with at least one coin. A tile with no power
+    /// (`p_mw == 0`, inactive) gets 0.
+    pub fn max_target(&self, p_mw: f64, peak_mw: f64) -> u64 {
+        if p_mw == 0.0 {
+            return 0;
         }
-        p_max_mw
-            .iter()
-            .map(|&p| {
-                if p == 0.0 {
-                    0
-                } else {
-                    match self {
-                        AllocationPolicy::AbsoluteProportional => levels,
-                        AllocationPolicy::RelativeProportional => {
-                            ((p / active_peak) * levels as f64).round().max(1.0) as u64
-                        }
-                    }
-                }
-            })
-            .collect()
+        let levels = MAX_COINS_PER_TILE as u64;
+        match self {
+            AllocationPolicy::AbsoluteProportional => levels,
+            AllocationPolicy::RelativeProportional => {
+                (levels as f64 * p_mw / peak_mw).round().max(1.0) as u64
+            }
+        }
     }
 
     /// Short name as used in the paper ("AP"/"RP").
@@ -83,19 +64,28 @@ impl std::fmt::Display for AllocationPolicy {
 mod tests {
     use super::*;
 
+    fn targets(policy: AllocationPolicy, p: &[f64]) -> Vec<u64> {
+        let peak = p.iter().cloned().fold(0.0, f64::max);
+        p.iter().map(|&p| policy.max_target(p, peak)).collect()
+    }
+
     #[test]
     fn ap_gives_equal_targets_to_active_tiles() {
-        let p = [50.0, 190.0, 0.0, 30.0];
-        let m = AllocationPolicy::AbsoluteProportional.assign_max(&p, 64);
-        assert_eq!(m, vec![64, 64, 0, 64]);
+        let m = targets(
+            AllocationPolicy::AbsoluteProportional,
+            &[50.0, 190.0, 0.0, 30.0],
+        );
+        assert_eq!(m, vec![63, 63, 0, 63]);
     }
 
     #[test]
     fn rp_scales_with_power() {
-        let p = [50.0, 190.0, 0.0, 30.0];
-        let m = AllocationPolicy::RelativeProportional.assign_max(&p, 64);
-        assert_eq!(m[1], 64); // the peak tile gets the full range
-        assert_eq!(m[0], (50.0 / 190.0 * 64.0_f64).round() as u64);
+        let m = targets(
+            AllocationPolicy::RelativeProportional,
+            &[50.0, 190.0, 0.0, 30.0],
+        );
+        assert_eq!(m[1], 63); // the peak tile gets the full range
+        assert_eq!(m[0], (63.0 * 50.0 / 190.0_f64).round() as u64);
         assert_eq!(m[2], 0);
         assert!(m[3] >= 1);
         // ordering follows power
@@ -104,18 +94,18 @@ mod tests {
 
     #[test]
     fn rp_small_tiles_get_at_least_one_coin_target() {
-        let p = [1000.0, 0.5];
-        let m = AllocationPolicy::RelativeProportional.assign_max(&p, 64);
+        let m = targets(AllocationPolicy::RelativeProportional, &[1000.0, 0.5]);
         assert_eq!(m[1], 1);
     }
 
     #[test]
     fn all_inactive() {
-        let m = AllocationPolicy::AbsoluteProportional.assign_max(&[0.0, 0.0], 64);
-        assert_eq!(m, vec![0, 0]);
-        assert!(AllocationPolicy::RelativeProportional
-            .assign_max(&[], 64)
-            .is_empty());
+        for policy in [
+            AllocationPolicy::AbsoluteProportional,
+            AllocationPolicy::RelativeProportional,
+        ] {
+            assert_eq!(targets(policy, &[0.0, 0.0]), vec![0, 0]);
+        }
     }
 
     #[test]

@@ -163,19 +163,10 @@ impl Ctx {
     /// Runs `sim` under `seed` through the shared result cache: a warm
     /// key replays the memoized [`SimReport`] (bit-identical to a
     /// re-run, see [`blitzcoin_soc::cached`]). Every SoC-engine figure
-    /// routes its runs through here (or [`Ctx::run_sims`]) so identical
-    /// (config, seed) points compute once within *and across* figures.
+    /// routes its runs through here so identical (config, seed) points
+    /// compute once within *and across* figures.
     pub fn run_sim(&self, sim: &Simulation, seed: u64) -> SimReport {
         blitzcoin_soc::cached::run_cached(&self.cache(), sim, seed).0
-    }
-
-    /// Fans a batch of `(sim, seed)` units across [`Ctx::exec`]'s
-    /// workers through the cache, returning reports in unit order.
-    pub fn run_sims(&self, units: &[(Simulation, u64)]) -> Vec<SimReport> {
-        let cache = self.cache();
-        self.exec().run(units.len(), |i| {
-            blitzcoin_soc::cached::run_cached(&cache, &units[i].0, units[i].1).0
-        })
     }
 
     /// A [`blitzcoin_soc::SimConfig`] for `manager` at `budget_mw` with

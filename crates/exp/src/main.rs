@@ -49,7 +49,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let mut write_experiments = false;
+    let (mut write_experiments, mut list, mut plots) = (false, false, false);
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
@@ -182,21 +182,8 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "list" => {
-                for id in ALL_EXPERIMENTS {
-                    println!("{id}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "plots" => {
-                let written =
-                    blitzcoin_viz::figures::render_results_dir(&ctx.out_dir).expect("render plots");
-                for p in &written {
-                    println!("{}", p.display());
-                }
-                println!("{} plots written", written.len());
-                return ExitCode::SUCCESS;
-            }
+            "list" => list = true,
+            "plots" => plots = true,
             "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
             other if ALL_EXPERIMENTS.contains(&other) => ids.push(other.to_string()),
             other => {
@@ -204,6 +191,29 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    }
+    // `list` and `plots` run once every flag is parsed, so a flag after
+    // them (`plots --out DIR`) still applies.
+    if list {
+        for id in ALL_EXPERIMENTS {
+            println!("{id}");
+        }
+        return ExitCode::SUCCESS;
+    }
+    if plots {
+        return match blitzcoin_viz::figures::render_results_dir(&ctx.out_dir) {
+            Ok(written) => {
+                for p in &written {
+                    println!("{}", p.display());
+                }
+                println!("{} plots written", written.len());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("render plots from {}: {e}", ctx.out_dir.display());
+                ExitCode::FAILURE
+            }
+        };
     }
     if ids.is_empty() {
         eprintln!(
@@ -216,7 +226,10 @@ fn main() -> ExitCode {
     }
     ids.dedup();
 
-    std::fs::create_dir_all(&ctx.out_dir).expect("create output directory");
+    if let Err(e) = std::fs::create_dir_all(&ctx.out_dir) {
+        eprintln!("create output directory {}: {e}", ctx.out_dir.display());
+        return ExitCode::FAILURE;
+    }
     let jobs = ctx.exec().jobs() as u64;
     let mut results = Vec::new();
     for id in &ids {
@@ -249,12 +262,18 @@ fn main() -> ExitCode {
 
     let manifest = blitzcoin_sim::json::ToJson::to_json(&results).to_string_pretty();
     let manifest_path = ctx.out_dir.join("manifest.json");
-    std::fs::write(&manifest_path, manifest).expect("write manifest");
+    if let Err(e) = std::fs::write(&manifest_path, manifest) {
+        eprintln!("write {}: {e}", manifest_path.display());
+        return ExitCode::FAILURE;
+    }
     println!("manifest: {}", manifest_path.display());
 
     if write_experiments {
         let md = render_experiments_md(&results);
-        std::fs::write("EXPERIMENTS.md", md).expect("write EXPERIMENTS.md");
+        if let Err(e) = std::fs::write("EXPERIMENTS.md", md) {
+            eprintln!("write EXPERIMENTS.md: {e}");
+            return ExitCode::FAILURE;
+        }
         println!("wrote EXPERIMENTS.md");
     }
     if blitzcoin_sim::oracle::enabled() && violations > 0 {

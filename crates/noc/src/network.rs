@@ -154,11 +154,6 @@ impl TrafficStats {
         self.packets.iter().sum()
     }
 
-    /// Total flits across all planes.
-    pub fn total_flits(&self) -> u64 {
-        self.flits.iter().sum()
-    }
-
     /// Total packets lost across all planes.
     pub fn total_dropped(&self) -> u64 {
         self.dropped.iter().sum()
@@ -236,11 +231,6 @@ impl Network {
         self.fault = plan;
     }
 
-    /// The installed fault plan (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> Topology {
         self.topo
@@ -254,11 +244,6 @@ impl Network {
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &TrafficStats {
         &self.stats
-    }
-
-    /// Resets traffic statistics (link reservations are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::default();
     }
 
     /// Dense-structure audit: the length of every per-tile container the
@@ -452,9 +437,6 @@ mod tests {
         assert_eq!(s.coin_packets, 1);
         assert_eq!(s.packets[Plane::MmioIrq.index()], 2);
         assert_eq!(s.hops, 4);
-        assert_eq!(s.total_flits(), 4);
-        net.reset_stats();
-        assert_eq!(net.stats().total_packets(), 0);
     }
 
     #[test]

@@ -236,11 +236,6 @@ impl Topology {
         self.height
     }
 
-    /// Whether neighbor pairing wraps around the edges.
-    pub fn is_wraparound(&self) -> bool {
-        self.wraparound
-    }
-
     /// Total number of tiles.
     pub fn len(&self) -> usize {
         self.width * self.height
@@ -515,8 +510,7 @@ mod tests {
                             assert_eq!(
                                 topo.are_neighbors(a, b),
                                 list.contains(&b),
-                                "{w}x{h} wrap={} {a} {b}",
-                                topo.is_wraparound()
+                                "{topo:?} {a} {b}"
                             );
                         }
                     }

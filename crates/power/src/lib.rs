@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod area;
 pub mod curve;
 pub mod ldo;
 pub mod lut;
@@ -58,7 +57,6 @@ pub mod proxy;
 pub mod tdc;
 pub mod uvfr;
 
-pub use area::AreaModel;
 pub use curve::VfCurve;
 pub use ldo::{Ldo, PidGains};
 pub use lut::CoinLut;

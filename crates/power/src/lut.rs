@@ -81,25 +81,6 @@ impl CoinLut {
         (self.entries.len() - 1) as u32
     }
 
-    /// The smallest coin count whose entry is non-idle (runs the tile at
-    /// F_min or above), or `None` if no entry is non-idle.
-    pub fn min_active_coins(&self) -> Option<u32> {
-        self.entries.iter().position(|&f| f > 0.0).map(|i| i as u32)
-    }
-
-    /// The smallest coin count mapping to the tile's F_max (saturation
-    /// point), or `None` if the table never reaches it.
-    pub fn saturation_coins(&self) -> Option<u32> {
-        let top = *self.entries.last().expect("non-empty");
-        if top == 0.0 {
-            return None;
-        }
-        self.entries
-            .iter()
-            .position(|&f| (f - top).abs() < 1e-9)
-            .map(|i| i as u32)
-    }
-
     /// All entries (index = coin count).
     pub fn entries(&self) -> &[f64] {
         &self.entries
@@ -133,7 +114,6 @@ mod tests {
         assert!(l.f_target(1) > 0.0);
         assert!(l.f_target(1) < m.f_min(), "1 coin lands in the extension");
         assert_eq!(l.f_target(0), 0.0);
-        assert_eq!(l.min_active_coins(), Some(1));
         // ...and 6 coins (30 mW > p_min 26 mW) run above F_min.
         assert!(l.f_target(6) >= m.f_min());
     }
@@ -148,7 +128,7 @@ mod tests {
     fn saturates_at_pmax() {
         let (m, l) = lut();
         // NVDLA p_max = 190 mW = 38 coins at 5 mW/coin.
-        assert_eq!(l.saturation_coins(), Some(38));
+        assert!(l.f_target(37) < m.f_max());
         assert_eq!(l.f_target(38), m.f_max());
         assert_eq!(l.f_target(64), m.f_max());
         assert_eq!(l.f_target(1000), m.f_max());
@@ -181,7 +161,6 @@ mod tests {
     fn all_idle_table() {
         let m = PowerModel::of(AcceleratorClass::Nvdla);
         let l = CoinLut::build(&m, 0.1, 8); // 0.8 mW max: below the floor
-        assert_eq!(l.min_active_coins(), None);
-        assert_eq!(l.saturation_coins(), None);
+        assert!(l.entries().iter().all(|&f| f == 0.0));
     }
 }

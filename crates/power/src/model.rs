@@ -149,31 +149,6 @@ impl PowerModel {
         }
     }
 
-    /// Builds a custom model from explicit corners (used by tests and
-    /// design-space sweeps).
-    ///
-    /// # Panics
-    /// Panics if the corners are degenerate.
-    pub fn custom(class: AcceleratorClass, curve: VfCurve, p_min: f64, p_max: f64) -> Self {
-        let (v_min, v_max) = (curve.v_min(), curve.v_max());
-        let (f_min, f_max) = (curve.f_min(), curve.f_max());
-        let a = [
-            [v_min, f_min * v_min * v_min],
-            [v_max, f_max * v_max * v_max],
-        ];
-        let det = a[0][0] * a[1][1] - a[0][1] * a[1][0];
-        assert!(det.abs() > 1e-12, "degenerate calibration corners");
-        let l0 = (p_min * a[1][1] - a[0][1] * p_max) / det;
-        let c = (a[0][0] * p_max - p_min * a[1][0]) / det;
-        assert!(c > 0.0, "dynamic coefficient must be positive");
-        PowerModel {
-            class,
-            curve,
-            l0,
-            c,
-        }
-    }
-
     /// The accelerator class.
     pub fn class(&self) -> AcceleratorClass {
         self.class

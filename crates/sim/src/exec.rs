@@ -24,10 +24,8 @@
 //!
 //! Job-count resolution, in priority order:
 //! 1. an explicit count given to [`Executor::new`] (the `--jobs` CLI flag);
-//! 2. a process-wide pin set by [`pin_jobs`] (the bench harness pins 1 so
-//!    Criterion numbers stay comparable across machines);
-//! 3. the `BLITZCOIN_JOBS` environment variable;
-//! 4. [`std::thread::available_parallelism`].
+//! 2. the `BLITZCOIN_JOBS` environment variable;
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! # Example
 //!
@@ -47,20 +45,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::rng::SimRng;
 
-/// Process-wide job-count pin (0 = unpinned). Set by [`pin_jobs`];
-/// consulted by [`Executor::from_env`].
-static PINNED_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Pins the job count used by [`Executor::from_env`] for the rest of the
-/// process, overriding `BLITZCOIN_JOBS` and the detected parallelism.
-///
-/// The bench harness pins 1 so that wall-clock numbers measure the
-/// kernels, not the machine's core count. An explicit [`Executor::new`]
-/// still wins over the pin (the `--jobs` CLI flag is always honored).
-pub fn pin_jobs(jobs: usize) {
-    PINNED_JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
 /// The derived sub-seed of grid index `idx` under `root`: the one
 /// derivation every sweep point, figure sub-seed, and cache key shares,
 /// so a key can never disagree with the seed a runner actually used.
@@ -79,10 +63,6 @@ pub fn trial_seed(root: u64, point: u64, trial: u64) -> u64 {
 
 /// The job count [`Executor::from_env`] would use right now.
 pub fn default_jobs() -> usize {
-    let pinned = PINNED_JOBS.load(Ordering::Relaxed);
-    if pinned > 0 {
-        return pinned;
-    }
     if let Ok(v) = std::env::var("BLITZCOIN_JOBS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
@@ -118,7 +98,7 @@ impl Executor {
         Executor { jobs: 1 }
     }
 
-    /// An executor sized by the environment (pin > `BLITZCOIN_JOBS` >
+    /// An executor sized by the environment (`BLITZCOIN_JOBS` >
     /// available parallelism); see the module docs for the full order.
     pub fn from_env() -> Self {
         Executor::new(default_jobs())
@@ -360,14 +340,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pinned_jobs_feed_from_env() {
-        // NOTE: process-global; keep this the only test touching the pin.
-        pin_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        assert_eq!(Executor::from_env().jobs(), 3);
     }
 
     #[test]

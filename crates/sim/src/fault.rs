@@ -21,7 +21,6 @@
 //! can leak budget silently.
 
 use crate::rng::splitmix64;
-use crate::time::SimTime;
 
 /// What a scheduled tile fault does to its tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -228,18 +227,6 @@ impl FaultPlan {
     /// Whether `tile` has faulted (either kind) by `cycle`.
     pub fn tile_faulted(&self, tile: usize, cycle: u64) -> bool {
         self.tile_fault(tile).is_some_and(|f| cycle >= f.at_cycle)
-    }
-
-    /// Whether `tile` has fail-stopped by `cycle` (stuck tiles return
-    /// false: they still hold their coins).
-    pub fn tile_dead(&self, tile: usize, cycle: u64) -> bool {
-        self.tile_fault(tile)
-            .is_some_and(|f| f.kind == TileFaultKind::FailStop && cycle >= f.at_cycle)
-    }
-
-    /// Convenience: whether `tile` has faulted by SimTime `t`.
-    pub fn tile_faulted_at(&self, tile: usize, t: SimTime) -> bool {
-        self.tile_faulted(tile, t.as_noc_cycles())
     }
 
     fn decision(&self, salt: u64, a: u64, b: u64, c: u64) -> u64 {
@@ -455,11 +442,8 @@ mod tests {
         let plan = sample_plan();
         assert!(!plan.tile_faulted(5, 999));
         assert!(plan.tile_faulted(5, 1_000));
-        assert!(plan.tile_dead(5, 1_000));
         assert!(plan.tile_faulted(6, 2_000));
-        assert!(!plan.tile_dead(6, 2_000), "stuck is not dead");
         assert!(!plan.tile_faulted(7, u64::MAX));
-        assert!(plan.tile_faulted_at(5, SimTime::from_noc_cycles(1_000)));
     }
 
     #[test]

@@ -74,15 +74,6 @@ impl Json {
         T::from_json(v).map_err(|e| e.context(key))
     }
 
-    /// Like [`Json::field`], but yields `default` when the key is absent
-    /// (for backward-compatible additions to persisted formats).
-    pub fn field_or<T: FromJson>(&self, key: &str, default: T) -> Result<T, JsonError> {
-        match self.get(key) {
-            Some(v) => T::from_json(v).map_err(|e| e.context(key)),
-            None => Ok(default),
-        }
-    }
-
     /// The value as `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -828,7 +819,6 @@ mod tests {
         let v = Json::parse(r#"{"x": 4}"#).unwrap();
         assert_eq!(v.field::<u32>("x").unwrap(), 4);
         assert!(v.field::<u32>("y").is_err());
-        assert_eq!(v.field_or::<u32>("y", 9).unwrap(), 9);
     }
 
     #[derive(Debug, PartialEq)]

@@ -5,7 +5,6 @@
 //! it takes effect (the UVFR actuation delay) and keeps the traces the
 //! paper's figures are built from.
 
-use blitzcoin_core::AllocationPolicy;
 use blitzcoin_sim::{SimTime, TileFaultKind};
 
 use crate::engine::{Core, EngineClocks, Ev};
@@ -103,12 +102,10 @@ impl Core<'_> {
     /// proportions, not the coin value, encode the policy).
     pub(crate) fn policy_max(&self, ti: usize) -> u64 {
         let model = self.tiles[ti].model.as_ref().expect("managed tile");
-        let base = match self.cfg().policy {
-            AllocationPolicy::AbsoluteProportional => 63,
-            AllocationPolicy::RelativeProportional => {
-                (63.0 * model.p_max() / self.sim.top_pmax).round().max(1.0) as u64
-            }
-        };
+        let base = self
+            .cfg()
+            .policy
+            .max_target(model.p_max(), self.sim.top_pmax);
         // a thermally throttled tile's target is cut until it cools
         match &self.thermal {
             Some(th) if th.throttled[ti] => {

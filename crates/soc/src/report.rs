@@ -174,11 +174,6 @@ impl SimReport {
         self.exec_time.as_us_f64()
     }
 
-    /// All response times, in µs.
-    pub fn responses_us(&self) -> Vec<f64> {
-        self.responses.iter().map(|r| r.response_us).collect()
-    }
-
     /// Mean power-management response time (µs), if any change occurred.
     pub fn mean_response_us(&self) -> Option<f64> {
         if self.responses.is_empty() {
@@ -251,21 +246,6 @@ impl SimReport {
         self.power
             .integral(SimTime::ZERO, self.exec_time.max(SimTime::from_ns(1)))
             * 1e3
-    }
-
-    /// Energy-delay product in µJ·ms — the figure of merit that penalizes
-    /// both wasted power and lost throughput.
-    pub fn energy_delay_uj_ms(&self) -> f64 {
-        self.energy_uj() * self.exec_time.as_ms_f64()
-    }
-
-    /// Per-managed-tile energies (µJ), aligned with `managed_tiles`.
-    pub fn tile_energies_uj(&self) -> Vec<f64> {
-        let end = self.exec_time.max(SimTime::from_ns(1));
-        self.tile_power
-            .iter()
-            .map(|t| t.integral(SimTime::ZERO, end) * 1e3)
-            .collect()
     }
 
     /// Peak managed power over the execution window (mW).
@@ -355,8 +335,6 @@ mod tests {
         let r = dummy(100, 120.0);
         // 108 mW for 100 us = 10.8 uJ
         assert!((r.energy_uj() - 10.8).abs() < 1e-9);
-        assert!((r.energy_delay_uj_ms() - 10.8 * 0.1).abs() < 1e-9);
-        assert!(r.tile_energies_uj().is_empty());
     }
 
     #[test]
@@ -383,7 +361,6 @@ mod tests {
         assert_eq!(r.response_at(0.0), Some(1.0));
         assert_eq!(r.response_at(60.0), None);
         assert_eq!(r.mean_nontrivial_response_us(2.0), Some(3.0));
-        assert_eq!(r.responses_us(), vec![1.0, 3.0]);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl Scale {
         self.hi
     }
 
-    /// Whether the scale is logarithmic.
-    pub fn is_log(&self) -> bool {
-        self.log
-    }
-
     /// Tick positions: powers of ten (log) or ~`target` "nice" steps
     /// (1/2/5 progression, linear).
     pub fn ticks(&self, target: usize) -> Vec<f64> {

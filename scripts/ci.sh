@@ -26,18 +26,6 @@ if grep -rn "match .*manager" crates/soc/src/engine.rs crates/soc/src/engine/; t
     exit 1
 fi
 
-# Bench smoke gate: every benchmark body must still run (--test mode
-# executes each body once without timing), so a bench target that rots
-# fails here instead of on the next scripts/bench.sh snapshot. The
-# figures and ablations targets also run the behavioural emulator
-# under settings no golden CSV uses: a plain mesh, a hotspot cap,
-# refresh intervals of 16 and 256 (back-off cap 4096), lambda 1 and 8,
-# and pairing periods 8 and 32.
-cargo bench -q --offline -p blitzcoin-bench --bench policies -- --test
-cargo bench -q --offline -p blitzcoin-bench --bench kernels -- --test
-cargo bench -q --offline -p blitzcoin-bench --bench figures -- --test
-cargo bench -q --offline -p blitzcoin-bench --bench ablations -- --test
-
 # Benchmark self-tests: perfbench is a Cargo workspace of its own (it
 # links the crates by path, as a library user would), so the workspace
 # `cargo test` above never reaches its argument, catalogue and
@@ -157,11 +145,5 @@ if [ "$cold_ms" -lt $(( warm_ms * 3 )) ]; then
     exit 1
 fi
 echo "ci: cache gate ok over $(echo $cached | wc -w) experiments (cold ${cold_ms} ms, warm ${warm_ms} ms)"
-
-# Bench-gate selftest: the host-drift-normalized regression gate's
-# arithmetic on synthetic snapshot pairs (pass under pure host drift,
-# fail on a true regression, skip on a pre-reference baseline). The
-# real gate runs inside scripts/bench.sh, which is too slow for CI.
-sh scripts/bench.sh --gate-selftest
 
 echo "ci: all green"

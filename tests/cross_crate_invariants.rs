@@ -226,11 +226,12 @@ fn policy_targets_fit_register() {
             AllocationPolicy::AbsoluteProportional,
             AllocationPolicy::RelativeProportional,
         ] {
-            let m = policy.assign_max(&powers, 63);
-            ensure!(m.iter().all(|&x| x <= 63));
-            for (target, p) in m.iter().zip(&powers) {
+            let peak = powers.iter().cloned().fold(0.0, f64::max);
+            for &p in &powers {
+                let target = policy.max_target(p, peak);
+                ensure!(target <= 63);
                 ensure!(
-                    (*p == 0.0) == (*target == 0),
+                    (p == 0.0) == (target == 0),
                     "inactive iff zero power: p={p}, target={target}"
                 );
             }

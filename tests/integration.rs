@@ -2,6 +2,8 @@
 //! harness, the full-SoC simulator, the behavioural emulator and the
 //! analytical model working together.
 
+use std::path::Path;
+
 use blitzcoin_exp::{run_experiment, Ctx, ALL_EXPERIMENTS};
 use blitzcoin_soc::prelude::*;
 
@@ -181,4 +183,47 @@ fn unknown_cache_mode_fails_alike_from_flag_and_env() {
     assert!(!out.exists(), "a rejected run must not start");
     // A valid value is accepted in any case.
     assert!(run(&["list"], Some("OFF")).status.success());
+}
+
+#[test]
+fn plots_honours_an_out_dir_given_after_it() {
+    let scratch = std::env::temp_dir().join(format!("blitzcoin_cli_plots_{}", std::process::id()));
+    let (data, cwd) = (scratch.join("data"), scratch.join("cwd"));
+    for dir in [&data, &cwd] {
+        std::fs::create_dir_all(dir).expect("create scratch dirs");
+    }
+    let csv = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fig01_scaling.csv");
+    std::fs::copy(csv, data.join("fig01_scaling.csv")).expect("copy fig01 CSV");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
+        .args(["plots", "--out", data.to_str().expect("utf-8 temp dir")])
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn blitzcoin-exp");
+    assert!(out.status.success());
+    assert!(data.join("plots/fig01_scaling.svg").is_file());
+    assert!(
+        !cwd.join("results").exists(),
+        "plots must not fall back to ./results"
+    );
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
+fn unwritable_out_dir_exits_1_without_a_panic() {
+    let file = std::env::temp_dir().join(format!("blitzcoin_cli_file_{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("create a regular file");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
+        .args([
+            "fig2",
+            "--quick",
+            "--out",
+            file.to_str().expect("utf-8 temp dir"),
+        ])
+        .output()
+        .expect("spawn blitzcoin-exp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("create output directory"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_file(&file);
 }

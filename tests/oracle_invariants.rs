@@ -12,6 +12,7 @@
 //! reproduce exactly and name the case to replay.
 
 use blitzcoin_core::emulator::{Emulator, EmulatorConfig, ExchangeMode};
+use blitzcoin_core::{DynamicTiming, HotspotCap, PairingMode};
 use blitzcoin_noc::Topology;
 use blitzcoin_sim::check::forall;
 use blitzcoin_sim::{ensure, FaultPlan, LinkOutage, SimRng, TileFault, TileFaultKind};
@@ -209,11 +210,32 @@ fn price_theory_oracle_is_clean_even_when_the_supervisor_dies() {
     );
 }
 
+/// Refresh intervals (NoC cycles) and back-off multipliers λ the
+/// emulator oracle test cycles through; each interval's back-off cap is
+/// 16x it, so 256 reaches the 4096-cycle cap.
+const TIMINGS: [(u64, f64); 5] = [(64, 2.0), (16, 2.0), (256, 2.0), (64, 1.0), (64, 8.0)];
+
+/// Per-tile coin targets: the paper's 32 plus the coin-precision
+/// extremes.
+const TARGETS: [u64; 3] = [32, 8, 128];
+
+/// Random-pairing modes and hotspot caps, which act only in 1-way
+/// exchanges.
+const ONE_WAY_KNOBS: [(PairingMode, Option<i64>); 4] = [
+    (PairingMode::ShiftRegister { period: 16 }, None),
+    (PairingMode::ShiftRegister { period: 8 }, Some(200)),
+    (PairingMode::ShiftRegister { period: 32 }, None),
+    (PairingMode::Disabled, None),
+];
+
 #[test]
 fn emulator_oracle_conserves_for_both_exchange_modes() {
     // The behavioural emulator audits the total coin ledger after every
-    // exchange step; any topology, mode, initial distribution, and fault
-    // plan must keep it exact.
+    // exchange step; any topology, mode, initial distribution, fault
+    // plan and timing, pairing, cap or target setting must keep it
+    // exact. `forall` runs its cases in order, so `case` is the case
+    // index a failure names.
+    let (mut case, mut one_way) = (0, 0);
     forall("emulator oracle conservation", 20, |rng| {
         let d = rng.range_usize(3..7);
         let topo = if rng.chance(0.5) {
@@ -221,19 +243,38 @@ fn emulator_oracle_conserves_for_both_exchange_modes() {
         } else {
             Topology::torus(d, d)
         };
+        let mode = if rng.chance(0.5) {
+            ExchangeMode::OneWay
+        } else {
+            ExchangeMode::FourWay
+        };
+        let (refresh, lambda) = TIMINGS[case % TIMINGS.len()];
+        let target = TARGETS[case % TARGETS.len()];
+        case += 1;
+        let (pairing, cap) = if mode == ExchangeMode::OneWay {
+            one_way += 1;
+            ONE_WAY_KNOBS[one_way % ONE_WAY_KNOBS.len()]
+        } else {
+            ONE_WAY_KNOBS[0]
+        };
         let cfg = EmulatorConfig {
-            mode: if rng.chance(0.5) {
-                ExchangeMode::OneWay
-            } else {
-                ExchangeMode::FourWay
-            },
+            mode,
+            refresh_cycles: refresh,
+            dynamic_timing: Some(DynamicTiming {
+                base_cycles: refresh,
+                max_cycles: 16 * refresh,
+                lambda,
+                ..DynamicTiming::default()
+            }),
+            pairing,
+            hotspot_cap: cap.map(HotspotCap::new),
             stop_at_convergence: false,
             max_cycles: 150_000,
             quiescence_exchanges: 1_500,
             ..EmulatorConfig::default()
         };
         let mut emu =
-            Emulator::new(topo, vec![32; d * d], cfg).with_fault_plan(any_plan(rng, d * d));
+            Emulator::new(topo, vec![target; d * d], cfg).with_fault_plan(any_plan(rng, d * d));
         emu.init_uniform_random(rng);
         let before = emu.total_coins();
         emu.run(rng);
@@ -250,6 +291,10 @@ fn emulator_oracle_conserves_for_both_exchange_modes() {
         );
         Ok(())
     });
+    assert!(
+        one_way >= ONE_WAY_KNOBS.len(),
+        "only {one_way} 1-way cases: some pairing or cap setting never ran"
+    );
 }
 
 #[test]
