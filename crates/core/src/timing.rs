@@ -101,12 +101,6 @@ impl DynamicTiming {
                 .max(self.min_cycles.max(1))
         }
     }
-
-    /// A "conventional" (static) timing rule with the same base interval:
-    /// the interval never changes. Used as the Fig 6 baseline.
-    pub fn static_interval(&self, _coins_moved: i64) -> u64 {
-        self.base_cycles
-    }
 }
 
 #[cfg(test)]
@@ -250,12 +244,5 @@ mod tests {
             );
             Ok(())
         });
-    }
-
-    #[test]
-    fn static_rule_is_constant() {
-        let dt = DynamicTiming::default();
-        assert_eq!(dt.static_interval(0), 64);
-        assert_eq!(dt.static_interval(99), 64);
     }
 }

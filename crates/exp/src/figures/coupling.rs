@@ -20,14 +20,14 @@
 use blitzcoin_sim::csv::CsvTable;
 use blitzcoin_soc::prelude::*;
 
-use crate::sweep::{par_units, write_csv};
+use crate::sweep::{fmt_opt, grid_at, par_units, scheme_stat_cells, write_csv, THERMAL_LIMIT_C};
 use crate::{Ctx, FigResult};
 
-/// Default junction limit (°C) for the throttled runs: low enough that
-/// the 3x3 AV SoC crosses it within tens of µs at a 240 mW budget.
-const TIGHT_LIMIT_C: f64 = 46.5;
 /// Junction limit for the free-running reference (never reached).
 const FREE_LIMIT_C: f64 = 105.0;
+
+/// The scheme statistics `thermal_coupling.csv` reports, one column each.
+const STATS: [&str; 1] = ["pt_iterations"];
 
 /// Workload scenarios: sustained keeps every accelerator busy, burst
 /// serializes frames through dependency chains so tiles heat in bursts.
@@ -74,10 +74,6 @@ fn reaction_lag_us(r: &SimReport) -> Option<f64> {
     }
 }
 
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "none".to_string(), |x| format!("{x:.3}"))
-}
-
 /// The `thermal-coupling` experiment: every cycle-level manager under
 /// identical seeds with in-loop heat, tight-limit vs free-running.
 pub fn thermal_coupling(ctx: &Ctx) -> FigResult {
@@ -86,45 +82,39 @@ pub fn thermal_coupling(ctx: &Ctx) -> FigResult {
         "In-loop thermal throttling: reaction lag per manager",
     );
     let frames = if ctx.quick { 4 } else { 6 };
-    let tight = ctx.thermal_limit_c.unwrap_or(TIGHT_LIMIT_C);
-
-    // The five schemes that predate Price Theory keep their rows in
-    // `thermal_coupling.csv` byte-stable; PT runs the identical grid
-    // into its own `thermal_coupling_pt.csv` below.
-    const LOCKED_MANAGERS: [ManagerKind; 5] = [
-        ManagerKind::BlitzCoin,
-        ManagerKind::BcCentralized,
-        ManagerKind::CentralizedRoundRobin,
-        ManagerKind::TokenSmart,
-        ManagerKind::Static,
-    ];
+    let tight = ctx.thermal_limit_c.unwrap_or(THERMAL_LIMIT_C);
 
     // manager x scenario at the tight limit, plus a free-running burst
     // reference per manager (same seed) to bound what throttling buys.
-    let mut grid: Vec<(ManagerKind, &str, f64)> = LOCKED_MANAGERS
+    let mut grid: Vec<(ManagerKind, (&str, f64))> = ManagerKind::ALL
         .into_iter()
-        .flat_map(|m| SCENARIOS.map(|s| (m, s, tight)))
+        .flat_map(|m| SCENARIOS.map(|s| (m, (s, tight))))
         .collect();
-    for m in LOCKED_MANAGERS {
-        grid.push((m, "burst", FREE_LIMIT_C));
+    for m in ManagerKind::ALL {
+        grid.push((m, ("burst", FREE_LIMIT_C)));
     }
-    let reports = par_units(ctx, &grid, |(m, s, limit)| run(ctx, *m, s, *limit, frames));
+    let reports = par_units(ctx, &grid, |&(m, (s, limit))| run(ctx, m, s, limit, frames));
+    let at = |m, s, limit| grid_at(&grid, &reports, m, (s, limit));
 
-    let mut csv = CsvTable::new([
-        "manager",
-        "scenario",
-        "limit_c",
-        "finished",
-        "exec_us",
-        "avg_power_mw",
-        "thermal_peak_c",
-        "throttle_events",
-        "first_throttle_us",
-        "responses",
-        "reaction_lag_us",
-    ]);
-    for ((m, s, limit), r) in grid.iter().zip(&reports) {
-        csv.row([
+    let mut csv = CsvTable::new(
+        [
+            "manager",
+            "scenario",
+            "limit_c",
+            "finished",
+            "exec_us",
+            "avg_power_mw",
+            "thermal_peak_c",
+            "throttle_events",
+            "first_throttle_us",
+            "responses",
+            "reaction_lag_us",
+        ]
+        .into_iter()
+        .chain(STATS),
+    );
+    for (&(m, (s, limit)), r) in grid.iter().zip(&reports) {
+        let cells = [
             m.to_string(),
             s.to_string(),
             format!("{limit:.1}"),
@@ -136,59 +126,10 @@ pub fn thermal_coupling(ctx: &Ctx) -> FigResult {
             fmt_opt(r.first_throttle_us),
             r.responses.len().to_string(),
             fmt_opt(reaction_lag_us(r)),
-        ]);
+        ];
+        csv.row(cells.into_iter().chain(scheme_stat_cells(r, &STATS)));
     }
     write_csv(ctx, &mut fig, "thermal_coupling.csv", &csv);
-
-    // Price Theory under the identical grid (same seed, same limits),
-    // tabulated separately so the locked CSV stays frozen.
-    let pt_grid: Vec<(&str, f64)> = SCENARIOS
-        .map(|s| (s, tight))
-        .into_iter()
-        .chain(std::iter::once(("burst", FREE_LIMIT_C)))
-        .collect();
-    let pt_reports = par_units(ctx, &pt_grid, |(s, limit)| {
-        run(ctx, ManagerKind::PriceTheory, s, *limit, frames)
-    });
-    let mut pt_csv = CsvTable::new([
-        "manager",
-        "scenario",
-        "limit_c",
-        "finished",
-        "exec_us",
-        "avg_power_mw",
-        "thermal_peak_c",
-        "throttle_events",
-        "first_throttle_us",
-        "responses",
-        "reaction_lag_us",
-        "pt_iterations",
-    ]);
-    for ((s, limit), r) in pt_grid.iter().zip(&pt_reports) {
-        pt_csv.row([
-            ManagerKind::PriceTheory.to_string(),
-            s.to_string(),
-            format!("{limit:.1}"),
-            r.finished.to_string(),
-            format!("{:.3}", r.exec_time_us()),
-            format!("{:.3}", r.avg_power_mw()),
-            fmt_opt(r.thermal_peak_c),
-            r.throttle_events.to_string(),
-            fmt_opt(r.first_throttle_us),
-            r.responses.len().to_string(),
-            fmt_opt(reaction_lag_us(r)),
-            format!("{:.0}", r.scheme_stat("pt_iterations").unwrap_or(0.0)),
-        ]);
-    }
-    write_csv(ctx, &mut fig, "thermal_coupling_pt.csv", &pt_csv);
-
-    let at = |m: ManagerKind, s: &str, limit: f64| {
-        let i = grid
-            .iter()
-            .position(|&(gm, gs, gl)| gm == m && gs == s && gl == limit)
-            .expect("grid point");
-        &reports[i]
-    };
 
     // -- claims ----------------------------------------------------------
 
@@ -211,7 +152,7 @@ pub fn thermal_coupling(ctx: &Ctx) -> FigResult {
     let tight_rows: Vec<&SimReport> = grid
         .iter()
         .zip(&reports)
-        .filter(|((_, _, l), _)| *l == tight)
+        .filter(|((_, (_, l)), _)| *l == tight)
         .map(|(_, r)| r)
         .collect();
     let engaged = tight_rows.iter().filter(|r| r.throttle_events > 0).count();
@@ -263,15 +204,18 @@ pub fn thermal_coupling(ctx: &Ctx) -> FigResult {
         hot_peak < free_peak && hot.exec_time >= free.exec_time,
     );
 
-    let pt_clean = pt_reports
+    let pt_runs = [
+        at(ManagerKind::PriceTheory, "sustained", tight),
+        at(ManagerKind::PriceTheory, "burst", tight),
+        at(ManagerKind::PriceTheory, "burst", FREE_LIMIT_C),
+    ];
+    let pt_clean = pt_runs
         .iter()
         .all(|r| r.finished && r.oracle_violations == 0);
-    let pt_engaged = pt_grid
+    let pt_engaged = SCENARIOS
         .iter()
-        .zip(&pt_reports)
-        .filter(|((_, l), _)| *l == tight)
-        .all(|(_, r)| r.throttle_events > 0);
-    let pt_iters: f64 = pt_reports
+        .all(|&s| at(ManagerKind::PriceTheory, s, tight).throttle_events > 0);
+    let pt_iters: f64 = pt_runs
         .iter()
         .map(|r| r.scheme_stat("pt_iterations").unwrap_or(0.0))
         .sum();
@@ -285,7 +229,7 @@ pub fn thermal_coupling(ctx: &Ctx) -> FigResult {
             "{} PT coupled runs, clean={pt_clean}, tight throttles \
              engaged={pt_engaged}, {pt_iters:.0} t\u{e2}tonnement \
              iterations",
-            pt_reports.len()
+            pt_runs.len()
         ),
         pt_clean && pt_engaged && pt_iters > 0.0,
     );

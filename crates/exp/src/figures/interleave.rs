@@ -22,47 +22,29 @@
 //! that. Each divergence is bisected to the first event pop where the
 //! shuffled run departed from FIFO and printed as a one-paste replay
 //! line.
-//!
-//! The five schemes that predate Price Theory keep their rows in
-//! `interleave.csv` byte-stable; PT fuzzes the identical grid into its
-//! own `interleave_pt.csv`.
 
 use blitzcoin_sim::csv::CsvTable;
 use blitzcoin_sim::interleave::{self, RunFacts};
 use blitzcoin_sim::oracle::{Invariant, Oracle};
-use blitzcoin_sim::{FaultPlan, TieBreak, TileFault, TileFaultKind};
+use blitzcoin_sim::TieBreak;
 use blitzcoin_soc::prelude::*;
 
-use crate::sweep::{par_units, write_csv};
+use crate::sweep::{grid_at, kill, par_units, write_csv, WORKER_TILE};
 use crate::{Ctx, FigResult};
 
-/// Mid-run fail-stop instant (NoC cycles), matching the `resilience`
-/// experiment so the fuzzed fault scenario is the measured one.
-const FAULT_AT_CYCLE: u64 = 24_000;
-/// The victim accelerator (the 3x3 AV floorplan's NVDLA).
-const WORKER_TILE: usize = 4;
-
-/// The managers whose rows the pre-existing `interleave.csv` locks.
-const LOCKED_MANAGERS: [ManagerKind; 5] = [
+/// Every cycle-level scheme, in the row and claim order of the study.
+const SCHEMES: [ManagerKind; 6] = [
     ManagerKind::BlitzCoin,
     ManagerKind::BcCentralized,
     ManagerKind::CentralizedRoundRobin,
     ManagerKind::TokenSmart,
     ManagerKind::Static,
+    ManagerKind::PriceTheory,
 ];
 
-/// Workload scenarios shared by both passes.
+/// Workload scenarios: healthy, and the `resilience` study's mid-run
+/// worker kill, so the fuzzed fault scenario is the measured one.
 const SCENARIOS: [(&str, bool); 2] = [("healthy", false), ("kill-worker", true)];
-
-fn kill_worker() -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    plan.tile_faults.push(TileFault {
-        tile: WORKER_TILE,
-        at_cycle: FAULT_AT_CYCLE,
-        kind: TileFaultKind::FailStop,
-    });
-    plan
-}
 
 fn build(manager: ManagerKind, faulted: bool, frames: usize, tie: TieBreak) -> Simulation {
     let soc = floorplan::soc_3x3();
@@ -73,7 +55,7 @@ fn build(manager: ManagerKind, faulted: bool, frames: usize, tie: TieBreak) -> S
     };
     let sim = Simulation::new(soc, wl, cfg);
     if faulted {
-        sim.with_fault_plan(kill_worker())
+        sim.with_fault_plan(kill(WORKER_TILE))
     } else {
         sim
     }
@@ -101,86 +83,6 @@ fn facts_of(r: &SimReport, faulted: bool) -> RunFacts {
     }
 }
 
-/// Fuzzes `managers` across every (scenario, ordering) pair, reporting
-/// forbidden divergences through `oracle` and tabulating one CSV row per
-/// (manager, scenario). Returns each manager's divergence count.
-fn fuzz(
-    ctx: &Ctx,
-    fig: &mut FigResult,
-    oracle: &mut Oracle,
-    managers: &[ManagerKind],
-    frames: usize,
-    ties: &[TieBreak],
-    csv_name: &str,
-) -> Vec<(ManagerKind, u64)> {
-    // All (manager, scenario, ordering) runs are independent
-    // simulations, so the whole grid fans out at once; the FIFO baseline
-    // is index 0 of each point's tie slice.
-    let mut grid: Vec<(ManagerKind, usize, TieBreak)> = Vec::new();
-    for &m in managers {
-        for si in 0..SCENARIOS.len() {
-            for &tie in ties {
-                grid.push((m, si, tie));
-            }
-        }
-    }
-    let all_facts = par_units(ctx, &grid, |&(m, si, tie)| {
-        facts_of(
-            &ctx.run_sim(&build(m, SCENARIOS[si].1, frames, tie), ctx.seed),
-            SCENARIOS[si].1,
-        )
-    });
-
-    let mut csv = CsvTable::new([
-        "manager",
-        "scenario",
-        "orderings",
-        "divergences",
-        "violations",
-    ]);
-    let per_tie = ties.len();
-    let orderings = per_tie - 1;
-    let mut per_manager: Vec<(ManagerKind, u64)> = Vec::new();
-    for (mi, &m) in managers.iter().enumerate() {
-        let mut manager_divergences = 0u64;
-        for (si, &(scenario, faulted)) in SCENARIOS.iter().enumerate() {
-            let base_idx = (mi * SCENARIOS.len() + si) * per_tie;
-            let slice = &all_facts[base_idx..base_idx + per_tie];
-            let baseline = &slice[0];
-            let runs: Vec<(TieBreak, RunFacts)> = ties[1..]
-                .iter()
-                .zip(&slice[1..])
-                .map(|(&tie, f)| (tie, f.clone()))
-                .collect();
-            let name = format!("interleave {m}/{scenario}");
-            let outcome = interleave::compare(&name, ctx.seed, baseline, &runs, |tie, cap| {
-                build(m, faulted, frames, tie).run_traced(ctx.seed, cap).1
-            });
-            for d in &outcome.divergences {
-                eprintln!("{}", d.replay_line());
-                oracle.report(
-                    Invariant::OrderIndependence,
-                    d.first_diff.map_or(0, |(t, _)| t / 1250),
-                    format!("{}: `{}`", d.name, d.fact),
-                    d.expected.clone(),
-                    format!("{} under {}", d.actual, d.tie_break),
-                );
-            }
-            manager_divergences += outcome.divergences.len() as u64;
-            csv.row([
-                m.to_string(),
-                scenario.to_string(),
-                orderings.to_string(),
-                outcome.divergences.len().to_string(),
-                outcome.violations.to_string(),
-            ]);
-        }
-        per_manager.push((m, manager_divergences));
-    }
-    write_csv(ctx, fig, csv_name, &csv);
-    per_manager
-}
-
 /// The `interleave` experiment: every cycle-level manager, healthy and
 /// with a mid-run worker kill, fuzzed across `ctx.orderings()` shuffled
 /// same-timestamp orderings.
@@ -195,32 +97,65 @@ pub fn interleave(ctx: &Ctx) -> FigResult {
         .chain(interleave::tie_breaks(ctx.seed, orderings))
         .collect();
 
+    // All (scheme, scenario, ordering) runs are independent simulations,
+    // so the whole grid fans out at once; the FIFO ordering is each
+    // (scheme, scenario) pair's baseline.
+    let grid: Vec<(ManagerKind, (usize, TieBreak))> = SCHEMES
+        .iter()
+        .flat_map(|&m| (0..SCENARIOS.len()).map(move |si| (m, si)))
+        .flat_map(|(m, si)| ties.iter().map(move |&tie| (m, (si, tie))))
+        .collect();
+    let all_facts = par_units(ctx, &grid, |&(m, (si, tie))| {
+        facts_of(
+            &ctx.run_sim(&build(m, SCENARIOS[si].1, frames, tie), ctx.seed),
+            SCENARIOS[si].1,
+        )
+    });
+    let at = |m, si, tie| grid_at(&grid, &all_facts, m, (si, tie));
+
     // Forbidden divergences surface through the oracle: the CLI (and the
     // CI interleave leg) exits nonzero whenever the per-experiment
     // violation delta is nonzero, so a divergence can never pass silently.
     let mut oracle =
         Oracle::new("blitzcoin-exp interleave", ctx.seed).with_tie_break(ctx.tie_break);
-
-    let mut per_manager = fuzz(
-        ctx,
-        &mut fig,
-        &mut oracle,
-        &LOCKED_MANAGERS,
-        frames,
-        &ties,
-        "interleave.csv",
-    );
-    per_manager.extend(fuzz(
-        ctx,
-        &mut fig,
-        &mut oracle,
-        &[ManagerKind::PriceTheory],
-        frames,
-        &ties,
-        "interleave_pt.csv",
-    ));
-
-    for (m, divergences) in per_manager {
+    let mut csv = CsvTable::new([
+        "manager",
+        "scenario",
+        "orderings",
+        "divergences",
+        "violations",
+    ]);
+    for m in SCHEMES {
+        let mut divergences = 0u64;
+        for (si, &(scenario, faulted)) in SCENARIOS.iter().enumerate() {
+            let runs: Vec<(TieBreak, RunFacts)> = ties[1..]
+                .iter()
+                .map(|&tie| (tie, at(m, si, tie).clone()))
+                .collect();
+            let name = format!("interleave {m}/{scenario}");
+            let baseline = at(m, si, TieBreak::Fifo);
+            let outcome = interleave::compare(&name, ctx.seed, baseline, &runs, |tie, cap| {
+                build(m, faulted, frames, tie).run_traced(ctx.seed, cap).1
+            });
+            for d in &outcome.divergences {
+                eprintln!("{}", d.replay_line());
+                oracle.report(
+                    Invariant::OrderIndependence,
+                    d.first_diff.map_or(0, |(t, _)| t / 1250),
+                    format!("{}: `{}`", d.name, d.fact),
+                    d.expected.clone(),
+                    format!("{} under {}", d.actual, d.tie_break),
+                );
+            }
+            divergences += outcome.divergences.len() as u64;
+            csv.row([
+                m.to_string(),
+                scenario.to_string(),
+                orderings.to_string(),
+                outcome.divergences.len().to_string(),
+                outcome.violations.to_string(),
+            ]);
+        }
         fig.claim(
             format!("interleave.{m}"),
             "no result depends on the FIFO serialization of same-timestamp \
@@ -234,5 +169,6 @@ pub fn interleave(ctx: &Ctx) -> FigResult {
             divergences == 0,
         );
     }
+    write_csv(ctx, &mut fig, "interleave.csv", &csv);
     fig
 }

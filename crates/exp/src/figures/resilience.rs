@@ -10,55 +10,76 @@
 //! fault (one tile, fail-stop, same instant) into each scheme and
 //! measures what the paper only asserts: BlitzCoin degrades by exactly
 //! the dead tile's tasks while the others stop reallocating at all.
+//! Price Theory, whose supervisor is re-elected when it dies, is the
+//! hierarchical contrast.
+//!
+//! Every engine run is one row of `resilience.csv`;
+//! `resilience_tokensmart.csv` holds the behavioural ring model's healthy
+//! and broken runs.
 
 use blitzcoin_baselines::{TokenSmart, TsConfig};
 use blitzcoin_sim::csv::CsvTable;
-use blitzcoin_sim::{FaultPlan, SimRng, TileFault, TileFaultKind};
+use blitzcoin_sim::SimRng;
 use blitzcoin_soc::prelude::*;
 
-use crate::sweep::{par_units, write_csv};
+use crate::sweep::{
+    fmt_opt, grid_at, kill, par_units, post_fault_responses, scheme_stat_cells, write_csv,
+    CONTROLLER_TILE, HIERARCHY_TILE, WORKER_TILE,
+};
 use crate::{Ctx, FigResult};
 
-/// When the fault strikes, in NoC cycles (30 us: mid-run for every
-/// manager and frame count used here).
-const FAULT_AT_CYCLE: u64 = 24_000;
-/// The same instant in microseconds (800 NoC cycles per us).
-const FAULT_AT_US: f64 = 30.0;
-/// The victim accelerator for "kill one arbitrary tile" (the 3x3 AV
-/// floorplan's NVDLA).
-const WORKER_TILE: usize = 4;
-/// The victim for "kill the critical element": the CPU tile the
-/// centralized managers run on.
-const CONTROLLER_TILE: usize = 3;
-/// Price Theory's critical element: the cluster supervisor, boot-elected
-/// as the first managed tile of the 3x3 AV floorplan.
-const PT_SUPERVISOR_TILE: usize = 0;
+/// Each scheme's scenarios, in row order: a healthy run, the worker kill
+/// every scheme shares, and a kill aimed at the scheme's own critical
+/// element — the CPU tile the centralized controllers run on
+/// (`kill-controller`; BlitzCoin's `kill-cpu` kills the same tile to show
+/// it has no such element) or the Price Theory cluster supervisor
+/// (`kill-supervisor`). TokenSmart's worker kill is labelled
+/// `kill-ring-stop`: the NVDLA is one of its ring's stops.
+const SCENARIOS: [(ManagerKind, &[&str]); 5] = [
+    (
+        ManagerKind::BlitzCoin,
+        &["healthy", "kill-worker", "kill-cpu"],
+    ),
+    (
+        ManagerKind::BcCentralized,
+        &["healthy", "kill-worker", "kill-controller"],
+    ),
+    (
+        ManagerKind::CentralizedRoundRobin,
+        &["healthy", "kill-worker", "kill-controller"],
+    ),
+    (ManagerKind::TokenSmart, &["healthy", "kill-ring-stop"]),
+    (
+        ManagerKind::PriceTheory,
+        &["healthy", "kill-worker", "kill-supervisor"],
+    ),
+];
 
-fn kill(tile: usize) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    plan.tile_faults.push(TileFault {
-        tile,
-        at_cycle: FAULT_AT_CYCLE,
-        kind: TileFaultKind::FailStop,
-    });
-    plan
-}
+/// The scheme statistics `resilience.csv` reports, one column each.
+const STATS: [&str; 5] = [
+    "ts_rings_broken",
+    "ts_pool_in_transit",
+    "pt_iterations",
+    "pt_takeovers",
+    "pt_reclaims",
+];
 
-fn run(ctx: &Ctx, manager: ManagerKind, plan: Option<FaultPlan>, frames: usize) -> SimReport {
+fn run(ctx: &Ctx, manager: ManagerKind, scenario: &str, frames: usize) -> SimReport {
     let soc = floorplan::soc_3x3();
     let wl = workload::av_parallel(&soc, frames);
     let sim = Simulation::new(soc, wl, ctx.sim_config(manager, 120.0));
-    let sim = match plan {
-        Some(p) => sim.with_fault_plan(p),
+    let victim = match scenario {
+        "healthy" => None,
+        "kill-worker" | "kill-ring-stop" => Some(WORKER_TILE),
+        "kill-cpu" | "kill-controller" => Some(CONTROLLER_TILE),
+        "kill-supervisor" => Some(HIERARCHY_TILE),
+        other => unreachable!("unknown scenario {other}"),
+    };
+    let sim = match victim {
+        Some(tile) => sim.with_fault_plan(kill(tile)),
         None => sim,
     };
     ctx.run_sim(&sim, ctx.seed)
-}
-
-/// Responses to activity changes that happened *after* the fault: the
-/// direct measure of whether the manager is still reallocating.
-fn post_fault_responses(r: &SimReport) -> usize {
-    r.responses.iter().filter(|s| s.at_us > FAULT_AT_US).count()
 }
 
 /// The `resilience` experiment: kill one tile under every manager, break
@@ -70,24 +91,39 @@ pub fn resilience(ctx: &Ctx) -> FigResult {
     );
     let f = if ctx.quick { 2 } else { 4 };
 
-    let mut csv = CsvTable::new([
-        "manager",
-        "scenario",
-        "finished",
-        "exec_us",
-        "responses",
-        "post_fault_responses",
-        "coins_leaked",
-        "coins_reclaimed",
-        "coins_quarantined",
-        "tasks_abandoned",
-        "recovery_us",
-        "peak_overshoot_mw",
-    ]);
-    let mut record = |manager: ManagerKind, scenario: &str, r: &SimReport| {
-        csv.row([
-            manager.to_string(),
-            scenario.to_string(),
+    // The (scheme x scenario) grid: every run is an independent
+    // simulation, so all of them execute concurrently. Every scenario
+    // shares ctx.seed on purpose — the differential claim compares the
+    // *same* workload draw with and without the fault.
+    let grid: Vec<(ManagerKind, &str)> = SCENARIOS
+        .iter()
+        .flat_map(|&(m, scenarios)| scenarios.iter().map(move |&s| (m, s)))
+        .collect();
+    let reports = par_units(ctx, &grid, |&(m, s)| run(ctx, m, s, f));
+    let at = |m, s| grid_at(&grid, &reports, m, s);
+
+    let mut csv = CsvTable::new(
+        [
+            "manager",
+            "scenario",
+            "finished",
+            "exec_us",
+            "responses",
+            "post_fault_responses",
+            "coins_leaked",
+            "coins_reclaimed",
+            "coins_quarantined",
+            "tasks_abandoned",
+            "recovery_us",
+            "peak_overshoot_mw",
+        ]
+        .into_iter()
+        .chain(STATS),
+    );
+    for (&(m, s), r) in grid.iter().zip(&reports) {
+        let cells = [
+            m.to_string(),
+            s.to_string(),
             r.finished.to_string(),
             format!("{:.3}", r.exec_time_us()),
             r.responses.len().to_string(),
@@ -96,63 +132,18 @@ pub fn resilience(ctx: &Ctx) -> FigResult {
             r.coins_reclaimed.to_string(),
             r.coins_quarantined.to_string(),
             r.tasks_abandoned.to_string(),
-            r.recovery_us
-                .map_or_else(|| "none".to_string(), |x| format!("{x:.3}")),
+            fmt_opt(r.recovery_us),
             format!("{:.3}", r.peak_overshoot_mw()),
-        ]);
-    };
-
-    // The 3x3 (manager x scenario) grid: every run is an independent
-    // simulation, so all nine execute concurrently. Every scenario
-    // shares ctx.seed on purpose — the differential claim compares the
-    // *same* workload draw with and without the fault.
-    let grid: Vec<(ManagerKind, Option<FaultPlan>)> = [
-        ManagerKind::BlitzCoin,
-        ManagerKind::BcCentralized,
-        ManagerKind::CentralizedRoundRobin,
-    ]
-    .into_iter()
-    .flat_map(|m| {
-        [None, Some(kill(WORKER_TILE)), Some(kill(CONTROLLER_TILE))].map(|plan| (m, plan))
-    })
-    .collect();
-    let reports = par_units(ctx, &grid, |(m, plan)| run(ctx, *m, plan.clone(), f));
-
-    // BlitzCoin: healthy, worker killed, and — for symmetry with the
-    // centralized runs — the CPU tile killed (it plays no role in the
-    // coin economy, so nothing should degrade at all).
-    let (bc_healthy, bc_worker, bc_cpu) = (&reports[0], &reports[1], &reports[2]);
-    record(ManagerKind::BlitzCoin, "healthy", bc_healthy);
-    record(ManagerKind::BlitzCoin, "kill-worker", bc_worker);
-    record(ManagerKind::BlitzCoin, "kill-cpu", bc_cpu);
-
-    // Centralized managers: the same single-tile fault aimed at the
-    // controller (their worker-kill rows are in the CSV for reference).
-    let mut central = Vec::new();
-    for (j, m) in [
-        ManagerKind::BcCentralized,
-        ManagerKind::CentralizedRoundRobin,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let (healthy, worker, ctl) = (
-            &reports[3 + 3 * j],
-            &reports[4 + 3 * j],
-            &reports[5 + 3 * j],
-        );
-        record(m, "healthy", healthy);
-        record(m, "kill-worker", worker);
-        record(m, "kill-controller", ctl);
-        central.push((m, healthy, ctl));
+        ];
+        csv.row(cells.into_iter().chain(scheme_stat_cells(r, &STATS)));
     }
-
     write_csv(ctx, &mut fig, "resilience.csv", &csv);
 
-    // TokenSmart: the ring's sequential pool is its own critical element.
-    // The abstract ring converges within ~one revolution, so the fault is
-    // live from cycle 0 — the analogue of the controller dying before the
-    // sweep, not after the run is already settled.
+    // TokenSmart's behavioural ring model: the sequential pool is its own
+    // critical element. The abstract ring converges within ~one
+    // revolution, so the fault is live from cycle 0 — the analogue of the
+    // controller dying before the sweep, not after the run is already
+    // settled.
     let ts_run = |broken: bool| {
         let mut ts = TokenSmart::new(vec![32; 16], 512, TsConfig::default());
         if broken {
@@ -175,93 +166,14 @@ pub fn resilience(ctx: &Ctx) -> FigResult {
     }
     write_csv(ctx, &mut fig, "resilience_tokensmart.csv", &ts_csv);
 
-    // TokenSmart in the engine: the same single-tile fault as every other
-    // scheme, now with real packet timing — the token lands on the corpse
-    // and the circulating pool is trapped mid-transit. New CSV on purpose:
-    // `resilience_tokensmart.csv` (the abstract model) is golden-locked.
-    let ts_grid: Vec<Option<FaultPlan>> = vec![None, Some(kill(WORKER_TILE))];
-    let ts_engine = par_units(ctx, &ts_grid, |plan| {
-        run(ctx, ManagerKind::TokenSmart, plan.clone(), f)
-    });
-    let (tse_healthy, tse_broken) = (&ts_engine[0], &ts_engine[1]);
-    let mut tse_csv = CsvTable::new([
-        "scenario",
-        "finished",
-        "exec_us",
-        "post_fault_responses",
-        "coins_leaked",
-        "coins_quarantined",
-        "rings_broken",
-        "pool_in_transit",
-    ]);
-    for (name, r) in [("healthy", tse_healthy), ("kill-ring-stop", tse_broken)] {
-        tse_csv.row([
-            name.to_string(),
-            r.finished.to_string(),
-            format!("{:.3}", r.exec_time_us()),
-            post_fault_responses(r).to_string(),
-            r.coins_leaked.to_string(),
-            r.coins_quarantined.to_string(),
-            format!("{:.0}", r.scheme_stat("ts_rings_broken").unwrap_or(0.0)),
-            format!("{:.0}", r.scheme_stat("ts_pool_in_transit").unwrap_or(0.0)),
-        ]);
-    }
-    write_csv(ctx, &mut fig, "resilience_ts_engine.csv", &tse_csv);
-
-    // Price Theory in the engine: same single-tile faults, plus a kill
-    // aimed at its own critical element — the cluster supervisor (the
-    // first managed tile of the 3x3 AV floorplan). Unlike the
-    // centralized schemes, PT survives that kill: a member watchdog
-    // notices the silent supervisor, takes the market over, reclaims
-    // the corpse's ledger, and keeps clearing. New CSV on purpose: the
-    // original `resilience.csv` is golden-locked.
-    let pt_grid: Vec<Option<FaultPlan>> = vec![
-        None,
-        Some(kill(WORKER_TILE)),
-        Some(kill(PT_SUPERVISOR_TILE)),
-    ];
-    let pt_reports = par_units(ctx, &pt_grid, |plan| {
-        run(ctx, ManagerKind::PriceTheory, plan.clone(), f)
-    });
-    let (pt_healthy, pt_worker, pt_sup) = (&pt_reports[0], &pt_reports[1], &pt_reports[2]);
-    let mut pt_csv = CsvTable::new([
-        "scenario",
-        "finished",
-        "exec_us",
-        "responses",
-        "post_fault_responses",
-        "coins_leaked",
-        "coins_reclaimed",
-        "coins_quarantined",
-        "tasks_abandoned",
-        "recovery_us",
-        "pt_iterations",
-        "pt_takeovers",
-        "pt_reclaims",
-    ]);
-    for (name, r) in [
-        ("healthy", pt_healthy),
-        ("kill-worker", pt_worker),
-        ("kill-supervisor", pt_sup),
-    ] {
-        pt_csv.row([
-            name.to_string(),
-            r.finished.to_string(),
-            format!("{:.3}", r.exec_time_us()),
-            r.responses.len().to_string(),
-            post_fault_responses(r).to_string(),
-            r.coins_leaked.to_string(),
-            r.coins_reclaimed.to_string(),
-            r.coins_quarantined.to_string(),
-            r.tasks_abandoned.to_string(),
-            r.recovery_us
-                .map_or_else(|| "none".to_string(), |x| format!("{x:.3}")),
-            format!("{:.0}", r.scheme_stat("pt_iterations").unwrap_or(0.0)),
-            format!("{:.0}", r.scheme_stat("pt_takeovers").unwrap_or(0.0)),
-            format!("{:.0}", r.scheme_stat("pt_reclaims").unwrap_or(0.0)),
-        ]);
-    }
-    write_csv(ctx, &mut fig, "resilience_pt.csv", &pt_csv);
+    let bc_healthy = at(ManagerKind::BlitzCoin, "healthy");
+    let bc_worker = at(ManagerKind::BlitzCoin, "kill-worker");
+    let bc_cpu = at(ManagerKind::BlitzCoin, "kill-cpu");
+    let tse_healthy = at(ManagerKind::TokenSmart, "healthy");
+    let tse_broken = at(ManagerKind::TokenSmart, "kill-ring-stop");
+    let pt_healthy = at(ManagerKind::PriceTheory, "healthy");
+    let pt_worker = at(ManagerKind::PriceTheory, "kill-worker");
+    let pt_sup = at(ManagerKind::PriceTheory, "kill-supervisor");
 
     // -- claims ----------------------------------------------------------
 
@@ -295,7 +207,11 @@ pub fn resilience(ctx: &Ctx) -> FigResult {
         ),
         bc_cpu.finished,
     );
-    for (m, healthy, ctl) in &central {
+    for m in [
+        ManagerKind::BcCentralized,
+        ManagerKind::CentralizedRoundRobin,
+    ] {
+        let (healthy, ctl) = (at(m, "healthy"), at(m, "kill-controller"));
         fig.claim(
             format!("{m}-collapse"),
             "killing the controller stops the centralized scheme from ever \

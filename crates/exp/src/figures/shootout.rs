@@ -23,25 +23,13 @@
 //! schemes that stop reallocating — render as the worst response).
 
 use blitzcoin_sim::csv::CsvTable;
-use blitzcoin_sim::{FaultPlan, TileFault, TileFaultKind};
 use blitzcoin_soc::prelude::*;
 
-use crate::sweep::{par_units, write_csv};
+use crate::sweep::{
+    fmt_opt, grid_at, kill, par_units, post_fault_responses, write_csv, CONTROLLER_TILE,
+    FAULT_AT_US, HIERARCHY_TILE, THERMAL_LIMIT_C,
+};
 use crate::{Ctx, FigResult};
-
-/// Mid-run fail-stop instant (NoC cycles), matching `resilience`.
-const FAULT_AT_CYCLE: u64 = 24_000;
-/// The same instant in microseconds (800 NoC cycles per us).
-const FAULT_AT_US: f64 = 30.0;
-/// The CPU tile the centralized controllers run on.
-const CONTROLLER_TILE: usize = 3;
-/// The tile that is a TS ring stop, the PT cluster supervisor, and a BC
-/// economy member all at once (the 3x3 AV floorplan's first managed
-/// tile).
-const HIERARCHY_TILE: usize = 0;
-/// Junction limit (°C) for the sustained-thermal scenario, matching the
-/// `thermal-coupling` experiment's tight limit at a 240 mW budget.
-const THERMAL_LIMIT_C: f64 = 46.5;
 
 /// The four scenarios, in matrix column order.
 const SCENARIOS: [&str; 4] = [
@@ -50,16 +38,6 @@ const SCENARIOS: [&str; 4] = [
     "hierarchy-break",
     "sustained-thermal",
 ];
-
-fn kill(tile: usize) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    plan.tile_faults.push(TileFault {
-        tile,
-        at_cycle: FAULT_AT_CYCLE,
-        kind: TileFaultKind::FailStop,
-    });
-    plan
-}
 
 fn is_faulted(scenario: &str) -> bool {
     matches!(scenario, "controller-death" | "hierarchy-break")
@@ -87,12 +65,6 @@ fn run(ctx: &Ctx, manager: ManagerKind, scenario: &str, frames: usize) -> SimRep
         other => unreachable!("unknown scenario {other}"),
     };
     ctx.run_sim(&sim, ctx.seed)
-}
-
-/// Responses to activity changes after the fault instant: the direct
-/// measure of whether the manager is still reallocating.
-fn post_fault_responses(r: &SimReport) -> usize {
-    r.responses.iter().filter(|s| s.at_us > FAULT_AT_US).count()
 }
 
 /// "Still managing power" per scenario: a faulted run must keep
@@ -178,8 +150,7 @@ pub fn shootout(ctx: &Ctx) -> FigResult {
             post_fault_responses(r).to_string(),
             survived(r, s).to_string(),
             matrix_us(r, s).map_or_else(|| "dead".to_string(), |x| format!("{x:.3}")),
-            r.recovery_us
-                .map_or_else(|| "none".to_string(), |x| format!("{x:.3}")),
+            fmt_opt(r.recovery_us),
             r.coins_leaked.to_string(),
             r.coins_quarantined.to_string(),
             r.tasks_abandoned.to_string(),
@@ -207,13 +178,7 @@ pub fn shootout(ctx: &Ctx) -> FigResult {
     if ctx.manager.is_some() {
         return fig; // a one-scheme matrix can't support the differentials
     }
-    let at = |m: ManagerKind, s: &str| {
-        let i = grid
-            .iter()
-            .position(|&(gm, gs)| gm == m && gs == s)
-            .expect("grid point");
-        &reports[i]
-    };
+    let at = |m, s| grid_at(&grid, &reports, m, s);
 
     let healthy_ok = schemes.iter().all(|&m| at(m, "healthy").finished);
     fig.claim(

@@ -1,28 +1,48 @@
 //! Full-SoC experiments: Figs 16-20 and the AP-vs-RP study of §VI-A.
 //!
-//! Every per-scheme comparison here (BC vs BC-C vs C-RR, BC vs Static,
-//! RP vs AP) runs its independent simulations concurrently through
-//! [`par_units`], flattened across the sweep grid so the executor sees
-//! one work queue. Seeding: each *sweep point* — a (budget, dataflow)
-//! combo, a workload size, a budget level — gets its own
-//! [`Ctx::subseed`], while the schemes compared *within* a point share
-//! that seed on purpose (paired comparison on the same workload draw).
+//! Every per-scheme comparison here (BC vs BC-C vs C-RR, plus TS and PT
+//! in Figs 17/18; BC vs Static; RP vs AP) runs its independent
+//! simulations concurrently through [`par_units`], flattened across the
+//! sweep grid so the executor sees one work queue; Figs 17/18 write all
+//! five schemes' rows into one CSV per figure. Seeding: each *sweep point*
+//! — a (budget, dataflow) combo, a workload size, a budget level — gets
+//! its own [`Ctx::subseed`], while the schemes compared *within* a point
+//! share that seed on purpose (paired comparison on the same workload
+//! draw).
 
 use blitzcoin_sim::csv::CsvTable;
 use blitzcoin_sim::SimTime;
 use blitzcoin_soc::prelude::*;
 
-use crate::sweep::{par_units, write_csv};
+use crate::sweep::{grid_at, par_units, scheme_stat_cells, write_csv};
 use crate::{Ctx, FigResult};
 
 /// The three managers of the paper's headline comparison, in the order
-/// every grid below reports them. TokenSmart runs the same grids but
-/// reports into separate `*_tokensmart.csv` files: the three-manager
-/// CSVs are frozen by the golden-CSV regression lock.
+/// every grid below reports them.
 const MANAGERS: [ManagerKind; 3] = [
     ManagerKind::BlitzCoin,
     ManagerKind::BcCentralized,
     ManagerKind::CentralizedRoundRobin,
+];
+
+/// The schemes of the Fig 17/18 grid, in each point's row order: the
+/// paper's three managers, then TokenSmart and Price Theory on the same
+/// per-point sub-seeds (a paired comparison on one workload draw).
+const GRID_SCHEMES: [ManagerKind; 5] = [
+    ManagerKind::BlitzCoin,
+    ManagerKind::BcCentralized,
+    ManagerKind::CentralizedRoundRobin,
+    ManagerKind::TokenSmart,
+    ManagerKind::PriceTheory,
+];
+
+/// The scheme statistics the Fig 17/18 CSVs report, one column each.
+const GRID_STATS: [&str; 5] = [
+    "ts_mode_switches",
+    "ts_hop_retries",
+    "pt_iterations",
+    "pt_cleared",
+    "pt_sessions",
 ];
 
 fn frames(ctx: &Ctx) -> usize {
@@ -156,9 +176,9 @@ pub fn fig16(ctx: &Ctx) -> FigResult {
 }
 
 /// The Fig 17/18 grid: per-(budget, dataflow) execution and response for
-/// all three managers, with the paper's aggregate ratios. The full
-/// combos x managers grid executes concurrently; each combo owns a
-/// sub-seed shared by its three managers.
+/// every [`GRID_SCHEMES`] scheme, with the paper's aggregate ratios. The
+/// whole scheme x combo grid executes concurrently; each combo owns a
+/// sub-seed shared by its schemes.
 #[allow(clippy::too_many_arguments)]
 fn soc_grid(
     fig: &mut FigResult,
@@ -171,52 +191,75 @@ fn soc_grid(
     paper_bc_throughput: &str,
     csv_name: &str,
 ) {
-    let units: Vec<(u64, f64, bool, ManagerKind)> = combos
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &(budget, dep))| MANAGERS.map(|m| (i as u64, budget, dep, m)))
+    let grid: Vec<(ManagerKind, usize)> = (0..combos.len())
+        .flat_map(|i| GRID_SCHEMES.map(|m| (m, i)))
         .collect();
-    let reports = par_units(ctx, &units, |&(i, budget, dep, m)| {
-        make(m, budget, dep, ctx.subseed(i))
+    let reports = par_units(ctx, &grid, |&(m, i)| {
+        let (budget, dep) = combos[i];
+        make(m, budget, dep, ctx.subseed(i as u64))
     });
+    let at = |m, i| grid_at(&grid, &reports, m, i);
 
-    let mut csv = CsvTable::new([
-        "budget_mw",
-        "dataflow",
-        "manager",
-        "exec_us",
-        "mean_response_us",
-        "nontrivial_response_us",
-        "max_response_us",
-        "utilization",
-    ]);
+    let mut csv = CsvTable::new(
+        [
+            "budget_mw",
+            "dataflow",
+            "manager",
+            "exec_us",
+            "mean_response_us",
+            "nontrivial_response_us",
+            "max_response_us",
+            "utilization",
+        ]
+        .into_iter()
+        .chain(GRID_STATS),
+    );
+    for (&(m, i), r) in grid.iter().zip(&reports) {
+        let (budget, dep) = combos[i];
+        let cells = [
+            format!("{budget}"),
+            if dep { "WL-Dep" } else { "WL-Par" }.to_string(),
+            m.to_string(),
+            format!("{:.1}", r.exec_time_us()),
+            format!("{:.3}", r.mean_response_us().unwrap_or(0.0)),
+            format!("{:.3}", r.mean_nontrivial_response_us(0.05).unwrap_or(0.0)),
+            format!("{:.3}", r.max_response_us().unwrap_or(0.0)),
+            format!("{:.3}", r.utilization()),
+        ];
+        csv.row(cells.into_iter().chain(scheme_stat_cells(r, &GRID_STATS)));
+    }
+    write_csv(ctx, fig, csv_name, &csv);
+
     let mut speedup_bcc_vs_crr = Vec::new();
     let mut speedup_bc_vs_crr = Vec::new();
     let mut speedup_bc_vs_bcc = Vec::new();
     let mut resp_ratio_bcc = Vec::new();
     let mut resp_ratio_crr = Vec::new();
-    for (i, &(budget, dep)) in combos.iter().enumerate() {
-        let [bc, bcc, crr] = [&reports[3 * i], &reports[3 * i + 1], &reports[3 * i + 2]];
-        for (m, r) in MANAGERS.iter().zip([bc, bcc, crr]) {
-            csv.row([
-                format!("{budget}"),
-                if dep { "WL-Dep" } else { "WL-Par" }.to_string(),
-                m.to_string(),
-                format!("{:.1}", r.exec_time_us()),
-                format!("{:.3}", r.mean_response_us().unwrap_or(0.0)),
-                format!("{:.3}", r.mean_nontrivial_response_us(0.05).unwrap_or(0.0)),
-                format!("{:.3}", r.max_response_us().unwrap_or(0.0)),
-                format!("{:.3}", r.utilization()),
-            ]);
-        }
+    let mut exec_ratio_ts = Vec::new();
+    let mut resp_ratio_ts = Vec::new();
+    let mut resp_ratio_pt = Vec::new();
+    let mut pt_iters_total = 0.0;
+    let mut pt_all_cleared = true;
+    for i in 0..combos.len() {
+        let bc = at(ManagerKind::BlitzCoin, i);
+        let bcc = at(ManagerKind::BcCentralized, i);
+        let crr = at(ManagerKind::CentralizedRoundRobin, i);
+        let ts = at(ManagerKind::TokenSmart, i);
+        let pt = at(ManagerKind::PriceTheory, i);
         speedup_bcc_vs_crr.push(crr.exec_time_us() / bcc.exec_time_us());
         speedup_bc_vs_crr.push(crr.exec_time_us() / bc.exec_time_us());
         speedup_bc_vs_bcc.push(bcc.exec_time_us() / bc.exec_time_us());
         let bc_resp = bc.mean_nontrivial_response_us(0.05).unwrap_or(f64::NAN);
         resp_ratio_bcc.push(bcc.mean_response_us().unwrap_or(f64::NAN) / bc_resp);
         resp_ratio_crr.push(crr.mean_response_us().unwrap_or(f64::NAN) / bc_resp);
+        exec_ratio_ts.push(ts.exec_time_us() / bc.exec_time_us());
+        resp_ratio_ts.push(ts.mean_response_us().unwrap_or(f64::NAN) / bc_resp);
+        resp_ratio_pt.push(pt.mean_response_us().unwrap_or(f64::NAN) / bc_resp);
+        let sessions = pt.scheme_stat("pt_sessions").unwrap_or(0.0);
+        pt_iters_total += pt.scheme_stat("pt_iterations").unwrap_or(0.0);
+        pt_all_cleared &=
+            sessions > 0.0 && pt.scheme_stat("pt_cleared").unwrap_or(0.0) >= sessions * 0.5;
     }
-    write_csv(ctx, fig, csv_name, &csv);
 
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let bcc_speed = avg(&speedup_bcc_vs_crr);
@@ -246,109 +289,6 @@ fn soc_grid(
         r_bcc > 2.0 && r_crr > 5.0,
     );
 
-    // TokenSmart rides the same grid — same combos, same sub-seeds, so
-    // every TS row is a paired comparison against the locked rows above —
-    // but lands in its own CSV to keep the three-manager file frozen.
-    let ts_units: Vec<(u64, f64, bool)> = combos
-        .iter()
-        .enumerate()
-        .map(|(i, &(budget, dep))| (i as u64, budget, dep))
-        .collect();
-    let ts_reports = par_units(ctx, &ts_units, |&(i, budget, dep)| {
-        make(ManagerKind::TokenSmart, budget, dep, ctx.subseed(i))
-    });
-    let mut ts_csv = CsvTable::new([
-        "budget_mw",
-        "dataflow",
-        "manager",
-        "exec_us",
-        "mean_response_us",
-        "nontrivial_response_us",
-        "max_response_us",
-        "utilization",
-        "ts_mode_switches",
-        "ts_hop_retries",
-    ]);
-    let mut exec_ratio_ts = Vec::new();
-    let mut resp_ratio_ts = Vec::new();
-    for (i, &(budget, dep)) in combos.iter().enumerate() {
-        let (bc, ts) = (&reports[3 * i], &ts_reports[i]);
-        ts_csv.row([
-            format!("{budget}"),
-            if dep { "WL-Dep" } else { "WL-Par" }.to_string(),
-            ManagerKind::TokenSmart.to_string(),
-            format!("{:.1}", ts.exec_time_us()),
-            format!("{:.3}", ts.mean_response_us().unwrap_or(0.0)),
-            format!("{:.3}", ts.mean_nontrivial_response_us(0.05).unwrap_or(0.0)),
-            format!("{:.3}", ts.max_response_us().unwrap_or(0.0)),
-            format!("{:.3}", ts.utilization()),
-            format!("{:.0}", ts.scheme_stat("ts_mode_switches").unwrap_or(0.0)),
-            format!("{:.0}", ts.scheme_stat("ts_hop_retries").unwrap_or(0.0)),
-        ]);
-        exec_ratio_ts.push(ts.exec_time_us() / bc.exec_time_us());
-        resp_ratio_ts.push(
-            ts.mean_response_us().unwrap_or(f64::NAN)
-                / bc.mean_nontrivial_response_us(0.05).unwrap_or(f64::NAN),
-        );
-    }
-    write_csv(
-        ctx,
-        fig,
-        &csv_name.replace(".csv", "_tokensmart.csv"),
-        &ts_csv,
-    );
-    // Price Theory rides the same grid the same way: paired sub-seeds
-    // against the locked rows, its own CSV so the goldens stay frozen.
-    let pt_units: Vec<(u64, f64, bool)> = combos
-        .iter()
-        .enumerate()
-        .map(|(i, &(budget, dep))| (i as u64, budget, dep))
-        .collect();
-    let pt_reports = par_units(ctx, &pt_units, |&(i, budget, dep)| {
-        make(ManagerKind::PriceTheory, budget, dep, ctx.subseed(i))
-    });
-    let mut pt_csv = CsvTable::new([
-        "budget_mw",
-        "dataflow",
-        "manager",
-        "exec_us",
-        "mean_response_us",
-        "nontrivial_response_us",
-        "max_response_us",
-        "utilization",
-        "pt_iterations",
-        "pt_cleared",
-        "pt_sessions",
-    ]);
-    let mut pt_iters_total = 0.0;
-    let mut pt_all_cleared = true;
-    let mut resp_ratio_pt = Vec::new();
-    for (i, &(budget, dep)) in combos.iter().enumerate() {
-        let (bc, pt) = (&reports[3 * i], &pt_reports[i]);
-        let iters = pt.scheme_stat("pt_iterations").unwrap_or(0.0);
-        let sessions = pt.scheme_stat("pt_sessions").unwrap_or(0.0);
-        let cleared = pt.scheme_stat("pt_cleared").unwrap_or(0.0);
-        pt_csv.row([
-            format!("{budget}"),
-            if dep { "WL-Dep" } else { "WL-Par" }.to_string(),
-            ManagerKind::PriceTheory.to_string(),
-            format!("{:.1}", pt.exec_time_us()),
-            format!("{:.3}", pt.mean_response_us().unwrap_or(0.0)),
-            format!("{:.3}", pt.mean_nontrivial_response_us(0.05).unwrap_or(0.0)),
-            format!("{:.3}", pt.max_response_us().unwrap_or(0.0)),
-            format!("{:.3}", pt.utilization()),
-            format!("{iters:.0}"),
-            format!("{cleared:.0}"),
-            format!("{sessions:.0}"),
-        ]);
-        pt_iters_total += iters;
-        pt_all_cleared &= sessions > 0.0 && cleared >= sessions * 0.5;
-        resp_ratio_pt.push(
-            pt.mean_response_us().unwrap_or(f64::NAN)
-                / bc.mean_nontrivial_response_us(0.05).unwrap_or(f64::NAN),
-        );
-    }
-    write_csv(ctx, fig, &csv_name.replace(".csv", "_pt.csv"), &pt_csv);
     let pt_resp = avg(&resp_ratio_pt);
     fig.claim(
         format!("{soc_name}.pt-cycle-level"),

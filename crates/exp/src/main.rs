@@ -202,6 +202,10 @@ fn main() -> ExitCode {
     }
     if plots {
         return match blitzcoin_viz::figures::render_results_dir(&ctx.out_dir) {
+            Ok(written) if written.is_empty() => {
+                eprintln!("no result CSVs to plot in {}", ctx.out_dir.display());
+                ExitCode::FAILURE
+            }
             Ok(written) => {
                 for p in &written {
                     println!("{}", p.display());
@@ -224,7 +228,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    ids.dedup();
+    // keep the first occurrence of each id: `fig1 fig13 fig1` and
+    // `all fig2` run every experiment once
+    let mut seen = std::collections::HashSet::new();
+    ids.retain(|id| seen.insert(id.clone()));
 
     if let Err(e) = std::fs::create_dir_all(&ctx.out_dir) {
         eprintln!("create output directory {}: {e}", ctx.out_dir.display());

@@ -9,11 +9,20 @@
 //! (`ctx.seed → point → trial`), so no two sweep points ever consume
 //! correlated RNG streams and output is byte-identical at every `--jobs`
 //! value.
+//!
+//! A scheme comparison runs as one (scheme × point) grid: one
+//! [`par_units`] fan-out, one CSV whose `manager` column names the
+//! scheme (plus one `scheme_stat_cells` column per scheme statistic it
+//! reports), and claims read through `grid_at`. The fault studies
+//! (`resilience`, `interleave`, `shootout`) share the fault instant,
+//! victim tiles and `kill` below, so their scenarios are one and the
+//! same fault.
 
 use blitzcoin_core::emulator::ConvergenceResult;
 use blitzcoin_core::montecarlo::TrialStats;
 use blitzcoin_sim::csv::CsvTable;
-use blitzcoin_sim::{SimRng, Sweep};
+use blitzcoin_sim::{FaultPlan, SimRng, Sweep, TileFault, TileFaultKind};
+use blitzcoin_soc::{ManagerKind, SimReport};
 
 use crate::{Ctx, FigResult};
 
@@ -63,6 +72,77 @@ pub fn par_units<T: Sync, R: Send>(
     body: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
     ctx.exec().map(items, |_, item| body(item))
+}
+
+/// The result of one (scheme, point) cell of a comparison grid: `grid`
+/// lists the cells in the order `results` holds them.
+///
+/// # Panics
+/// Panics on a cell the grid does not hold (a bug in the caller).
+pub(crate) fn grid_at<'a, P: PartialEq, R>(
+    grid: &[(ManagerKind, P)],
+    results: &'a [R],
+    manager: ManagerKind,
+    point: P,
+) -> &'a R {
+    let i = grid
+        .iter()
+        .position(|(m, p)| *m == manager && *p == point)
+        .expect("grid point");
+    &results[i]
+}
+
+/// One CSV cell per `keys` entry: the report's
+/// [`SimReport::scheme_stats`] value, or empty where the scheme does not
+/// report that statistic.
+pub(crate) fn scheme_stat_cells<'a>(
+    r: &'a SimReport,
+    keys: &'a [&str],
+) -> impl Iterator<Item = String> + 'a {
+    keys.iter().map(|k| {
+        r.scheme_stat(k)
+            .map_or_else(String::new, |v| format!("{v:.0}"))
+    })
+}
+
+/// An optional measurement as a CSV cell: `none` when absent.
+pub(crate) fn fmt_opt(v: Option<f64>) -> String {
+    v.map_or_else(|| "none".to_string(), |x| format!("{x:.3}"))
+}
+
+/// When every fault study's fail-stop strikes, in NoC cycles (30 us:
+/// mid-run for every manager and frame count the studies use).
+const FAULT_AT_CYCLE: u64 = 24_000;
+/// The same instant in microseconds (800 NoC cycles per us).
+pub(crate) const FAULT_AT_US: f64 = 30.0;
+/// The victim accelerator for "kill one arbitrary tile" (the 3x3 AV
+/// floorplan's NVDLA).
+pub(crate) const WORKER_TILE: usize = 4;
+/// The CPU tile the centralized controllers run on.
+pub(crate) const CONTROLLER_TILE: usize = 3;
+/// The 3x3 AV floorplan's first managed tile: a TokenSmart ring stop,
+/// the boot-elected Price Theory cluster supervisor, and an ordinary
+/// BlitzCoin economy member all at once.
+pub(crate) const HIERARCHY_TILE: usize = 0;
+/// The tight junction limit (°C) of the in-loop thermal runs: low enough
+/// that the 3x3 AV SoC crosses it within tens of µs at a 240 mW budget.
+pub(crate) const THERMAL_LIMIT_C: f64 = 46.5;
+
+/// A fault plan that fail-stops `tile` at [`FAULT_AT_CYCLE`].
+pub(crate) fn kill(tile: usize) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    plan.tile_faults.push(TileFault {
+        tile,
+        at_cycle: FAULT_AT_CYCLE,
+        kind: TileFaultKind::FailStop,
+    });
+    plan
+}
+
+/// Responses to activity changes that happened *after* the fault: the
+/// direct measure of whether the manager is still reallocating.
+pub(crate) fn post_fault_responses(r: &SimReport) -> usize {
+    r.responses.iter().filter(|s| s.at_us > FAULT_AT_US).count()
 }
 
 /// Writes `csv` under the context's output directory and registers it on

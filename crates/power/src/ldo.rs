@@ -101,13 +101,6 @@ impl Ldo {
         self.v_min + (self.v_max - self.v_min) * code / self.max_code as f64
     }
 
-    /// The closest code producing at least voltage `v`.
-    pub fn code_for_voltage(&self, v: f64) -> u32 {
-        let v = v.clamp(self.v_min, self.v_max);
-        let frac = (v - self.v_min) / (self.v_max - self.v_min);
-        (frac * self.max_code as f64).ceil() as u32
-    }
-
     /// One PID controller update: `error` is `target_code - measured_code`
     /// in TDC counts; the controller steps the LDO code. Returns the new
     /// code.
@@ -127,12 +120,6 @@ impl Ldo {
         self.code = new_code;
         self.updates += 1;
         new_code
-    }
-
-    /// Resets the controller state (integral and derivative history).
-    pub fn reset_controller(&mut self) {
-        self.integral = 0.0;
-        self.prev_error = 0.0;
     }
 
     /// Number of controller updates performed.
@@ -171,16 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn code_for_voltage_ceils() {
-        let l = ldo();
-        let code = l.code_for_voltage(0.75);
-        assert!(l.voltage_for_code(code) >= 0.75);
-        assert!(l.voltage_for_code(code.saturating_sub(1)) < 0.75);
-        assert_eq!(l.code_for_voltage(0.0), 0);
-        assert_eq!(l.code_for_voltage(2.0), 255);
-    }
-
-    #[test]
     fn pid_moves_toward_positive_error() {
         let mut l = ldo();
         l.set_code(100);
@@ -210,23 +187,12 @@ mod tests {
             l.pid_update(1e6);
         }
         assert_eq!(l.code(), 255);
-        l.reset_controller();
+        let mut l = ldo();
+        l.set_code(255);
         for _ in 0..100 {
             l.pid_update(-1e6);
         }
         assert_eq!(l.code(), 0);
-    }
-
-    #[test]
-    fn reset_controller_clears_history() {
-        let mut l = ldo();
-        l.pid_update(50.0);
-        l.reset_controller();
-        l.set_code(128);
-        for _ in 0..5 {
-            l.pid_update(0.0);
-        }
-        assert_eq!(l.code(), 128, "no residual integral action after reset");
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl Tdc {
         self.window_noc_cycles
     }
 
-    /// The window length in nanoseconds.
-    pub fn window_ns(&self) -> f64 {
-        self.window_noc_cycles as f64 * 1e3 / Self::NOC_MHZ
-    }
-
     /// The digital code produced for tile frequency `f_mhz` (edge count in
     /// one window, truncated as a real counter would).
     pub fn code_for(&self, f_mhz: f64) -> u32 {
@@ -103,11 +98,6 @@ mod tests {
     #[test]
     fn longer_window_improves_resolution() {
         assert!(Tdc::new(256).resolution_mhz() < Tdc::new(32).resolution_mhz());
-    }
-
-    #[test]
-    fn window_ns() {
-        assert!((Tdc::new(64).window_ns() - 80.0).abs() < 1e-9);
     }
 
     #[test]

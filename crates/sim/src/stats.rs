@@ -167,23 +167,6 @@ impl Histogram {
             .map(|(i, &c)| (self.bin_center(i), c))
             .collect()
     }
-
-    /// Fraction of samples at or above `x` (computed on bin lower edges).
-    pub fn tail_fraction(&self, x: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        let tail: u64 = self
-            .bins
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.lo + w * *i as f64 >= x)
-            .map(|(_, &c)| c)
-            .sum();
-        tail as f64 / total as f64
-    }
 }
 
 /// A percentile summary of a finite sample set.
@@ -349,18 +332,6 @@ mod tests {
         assert_eq!(h.bin_center(0), 0.5);
         assert_eq!(h.bin_center(3), 3.5);
         assert_eq!(h.points().len(), 4);
-    }
-
-    #[test]
-    fn histogram_tail_fraction() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        assert!((h.tail_fraction(5.0) - 0.5).abs() < 1e-12);
-        assert_eq!(h.tail_fraction(0.0), 1.0);
-        let empty = Histogram::new(0.0, 1.0, 2);
-        assert_eq!(empty.tail_fraction(0.5), 0.0);
     }
 
     #[test]

@@ -187,29 +187,6 @@ impl StepTrace {
         m
     }
 
-    /// The first time at or after `from` at which the signal satisfies
-    /// `pred`, or `None`.
-    pub fn first_time(&self, from: SimTime, mut pred: impl FnMut(f64) -> bool) -> Option<SimTime> {
-        if pred(self.value_at(from)) {
-            return Some(from);
-        }
-        self.points
-            .iter()
-            .find(|p| p.time > from && pred(p.value))
-            .map(|p| p.time)
-    }
-
-    /// The last time at or after `from` at which the signal *changes*, or
-    /// `None` if it never changes after `from`. Used to detect settling
-    /// (e.g. Fig 20's "coins stop moving" response time).
-    pub fn last_change_after(&self, from: SimTime) -> Option<SimTime> {
-        self.points
-            .iter()
-            .rev()
-            .find(|p| p.time > from)
-            .map(|p| p.time)
-    }
-
     /// Resamples the signal at uniform `step` intervals over `[from, to]`.
     pub fn resample(&self, from: SimTime, to: SimTime, step: SimTime) -> Vec<TracePoint> {
         assert!(step > SimTime::ZERO, "resample step must be positive");
@@ -323,25 +300,6 @@ mod tests {
         // value held at window start counts
         assert_eq!(t.max_in(SimTime::from_ns(1500), us(2)), 50.0);
         assert_eq!(t.max_in(us(1), us(1)), 0.0);
-    }
-
-    #[test]
-    fn first_time_predicate() {
-        let mut t = StepTrace::new("x");
-        t.record(us(1), 1.0);
-        t.record(us(5), 9.0);
-        assert_eq!(t.first_time(SimTime::ZERO, |v| v > 5.0), Some(us(5)));
-        assert_eq!(t.first_time(us(6), |v| v > 5.0), Some(us(6)));
-        assert_eq!(t.first_time(SimTime::ZERO, |v| v > 100.0), None);
-    }
-
-    #[test]
-    fn last_change_after() {
-        let mut t = StepTrace::new("x");
-        t.record(us(1), 1.0);
-        t.record(us(5), 2.0);
-        assert_eq!(t.last_change_after(SimTime::ZERO), Some(us(5)));
-        assert_eq!(t.last_change_after(us(5)), None);
     }
 
     #[test]

@@ -9,7 +9,8 @@ use crate::csv::Table;
 
 /// Renders every recognized CSV in `dir` into `dir/plots/*.svg`;
 /// returns the written paths. Missing CSVs are skipped (render what the
-/// harness has produced so far).
+/// harness has produced so far); `dir/plots` is created with the first
+/// SVG, so a directory without result CSVs is left untouched.
 ///
 /// # Errors
 /// Returns an I/O error if the plots directory or a file cannot be
@@ -17,9 +18,11 @@ use crate::csv::Table;
 pub fn render_results_dir(dir: impl AsRef<Path>) -> io::Result<Vec<PathBuf>> {
     let dir = dir.as_ref();
     let plots = dir.join("plots");
-    fs::create_dir_all(&plots)?;
     let mut written = Vec::new();
     let mut emit = |name: &str, svg: String| -> io::Result<()> {
+        if written.is_empty() {
+            fs::create_dir_all(&plots)?;
+        }
         let path = plots.join(name);
         fs::write(&path, svg)?;
         written.push(path);

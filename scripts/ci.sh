@@ -146,4 +146,24 @@ if [ "$cold_ms" -lt $(( warm_ms * 3 )) ]; then
 fi
 echo "ci: cache gate ok over $(echo $cached | wc -w) experiments (cold ${cold_ms} ms, warm ${warm_ms} ms)"
 
+# Regeneration gate: a full run at the committed seed with the plain
+# release binary must reproduce results/ byte for byte. Every CSV the run
+# writes must equal its committed twin, and every committed CSV must be
+# one the run wrote, so a stale file left in results/ fails too.
+regen="$smoke_dir/regen"
+target/release/blitzcoin-exp all --seed 2024 --jobs 2 --out "$regen" > /dev/null
+for f in "$regen"/*.csv; do
+    cmp "$f" "results/$(basename "$f")" || {
+        echo "ci: results/$(basename "$f") differs from a fresh full run" >&2
+        exit 1
+    }
+done
+for f in results/*.csv; do
+    [ -e "$regen/$(basename "$f")" ] || {
+        echo "ci: results/$(basename "$f") is not written by a full run" >&2
+        exit 1
+    }
+done
+echo "ci: regen gate ok ($(ls "$regen"/*.csv | wc -l) CSVs match results/)"
+
 echo "ci: all green"

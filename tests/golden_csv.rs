@@ -1,15 +1,16 @@
-//! Golden-CSV regression lock for the scheme-as-policy refactor.
+//! Golden-CSV regression lock.
 //!
-//! Quick-mode experiment CSVs for the four pre-refactor managers were
-//! captured at their fixed seeds before `engine.rs` was split behind the
-//! `ManagerPolicy` trait; the post-refactor engine must reproduce them
-//! byte for byte, at `--jobs 1` and `--jobs 8` alike. TokenSmart's and
-//! Price Theory's engine-level results deliberately live in *separate*
-//! CSV files so these stay frozen; those files (and the six-scheme
-//! shoot-out matrix) are locked here too, against their own goldens.
-//! The behavioural emulator's figures (fig3–fig8) are locked the same
-//! way, so a change to the emulator's event loop, partner selection or
-//! exchange arithmetic must replay every random draw and pop exactly.
+//! Quick-mode experiment CSVs captured at their fixed seeds; the code
+//! must reproduce them byte for byte, at `--jobs 1` and `--jobs 8`
+//! alike. `fig17_soc3x3.csv` and `resilience.csv` hold every
+//! cycle-level scheme's rows (BC, BC-C, C-RR, TokenSmart and Price
+//! Theory, one `manager` column), so an engine or manager-policy change
+//! must replay each scheme's runs exactly; `shootout.csv` locks the
+//! six-scheme fault matrix and `resilience_tokensmart.csv` the
+//! behavioural ring model. The behavioural emulator's figures
+//! (fig3–fig8) are locked the same way, so a change to the emulator's
+//! event loop, partner selection or exchange arithmetic must replay
+//! every random draw and pop exactly.
 //!
 //! Regenerate (only for an intentional result change, with the deviation
 //! recorded in CHANGES.md) with:
@@ -28,14 +29,10 @@ const LOCKED: [(&str, &[&str]); 9] = [
     ("fig6", &["fig06_dynamic_timing.csv"]),
     ("fig7", &["fig07_random_pairing_hist.csv"]),
     ("fig8", &["fig08_heterogeneity.csv"]),
-    ("fig17", &["fig17_soc3x3.csv", "fig17_soc3x3_pt.csv"]),
+    ("fig17", &["fig17_soc3x3.csv"]),
     (
         "resilience",
-        &[
-            "resilience.csv",
-            "resilience_tokensmart.csv",
-            "resilience_pt.csv",
-        ],
+        &["resilience.csv", "resilience_tokensmart.csv"],
     ),
     ("shootout", &["shootout.csv"]),
 ];

@@ -227,3 +227,48 @@ fn unwritable_out_dir_exits_1_without_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_file(&file);
 }
+
+#[test]
+fn repeated_experiment_ids_run_once() {
+    let out = std::env::temp_dir().join(format!("blitzcoin_cli_dup_{}", std::process::id()));
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
+        .args([
+            "fig2",
+            "fig13",
+            "fig2",
+            "--quick",
+            "--out",
+            out.to_str().expect("utf-8 temp dir"),
+        ])
+        .output()
+        .expect("spawn blitzcoin-exp");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "{stderr}");
+    assert_eq!(stderr.matches("running fig2 ").count(), 1, "{stderr}");
+    let manifest = std::fs::read_to_string(out.join("manifest.json")).expect("manifest written");
+    let manifest = blitzcoin_sim::json::Json::parse(&manifest).expect("manifest parses");
+    let ids: Vec<&str> = manifest
+        .as_arr()
+        .expect("manifest is an array")
+        .iter()
+        .map(|r| r.get("id").and_then(|id| id.as_str()).expect("entry id"))
+        .collect();
+    assert_eq!(ids, ["fig2", "fig13"]);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn plots_without_result_csvs_exits_1_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("blitzcoin_cli_noplots_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create an empty dir");
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
+        .args(["plots", "--out", dir_arg])
+        .output()
+        .expect("spawn blitzcoin-exp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(dir_arg), "{stderr}");
+    assert!(!dir.join("plots").exists(), "no plots dir without plots");
+    let _ = std::fs::remove_dir_all(&dir);
+}
