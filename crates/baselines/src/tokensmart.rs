@@ -301,10 +301,18 @@ impl TokenSmart {
     /// or `max_cycles` elapse. The error metric is identical to
     /// BlitzCoin's (Section III-E) so Fig 4 compares the same quantity;
     /// tokens still in the pool count as undelivered error.
+    ///
+    /// The error is checked after a visit only once the tokens moved since
+    /// the last check exceed what [`TokenSmart::skip_budget`] allows, so
+    /// a revolution that moves nothing costs no O(N) pass. Every visit it
+    /// skips provably has an error at or above the threshold, so the run
+    /// stops at the same visit as checking after every one.
     pub fn run(&mut self, _rng: &mut SimRng) -> TsResult {
         let mut cycles: u64 = 0;
         let mut packets: u64 = 0;
         let mut converged = false;
+        let mut budget = None;
+        let mut moved: u64 = 0;
         while cycles < self.config.max_cycles {
             if let Some((ft, at)) = self.fault {
                 if cycles >= at && self.cursor == ft {
@@ -315,9 +323,12 @@ impl TokenSmart {
                     break;
                 }
             }
-            self.visit_once();
+            moved += self.visit_once().unsigned_abs();
             cycles += self.config.visit_cycles;
             packets += 1;
+            if budget.is_some_and(|b| moved <= b) {
+                continue;
+            }
             // the pool itself is undistributed budget: count it against
             // convergence by measuring error with the pool folded in as a
             // virtual inactive tile holding `pool` coins.
@@ -326,6 +337,8 @@ impl TokenSmart {
                 converged = true;
                 break;
             }
+            budget = self.skip_budget(err);
+            moved = 0;
         }
         TsResult {
             converged,
@@ -346,6 +359,39 @@ impl TokenSmart {
         let n = self.tiles.len() as f64;
         let ratio = ConvergenceRatio::from_totals(self.total - self.pool, self.total_max);
         mean_error(&self.tiles, &ratio) + self.pool.unsigned_abs() as f64 / n
+    }
+
+    /// How many tokens the ring may move, from a state whose
+    /// [`TokenSmart::error`] is `err`, before `error()` could fall under
+    /// the threshold; `None` when it may already be under it.
+    ///
+    /// A visit moves `m` tokens between the pool and one stop. That
+    /// changes n·E by at most 3|m|: |m| in the pool term, |m| in the
+    /// stop's holding, and |m| over all targets together, because α·max_i
+    /// shifts by m·max_i/Σmax. So after `moved` tokens the exact error is
+    /// at least E − 3·moved/n.
+    ///
+    /// `error()` rounds. Holdings, Σmax and the pool are integers below
+    /// 2^53, so they convert exactly, and each further step is one IEEE
+    /// operation with relative error u = 2^−53: α = H/Σmax (H = total −
+    /// pool), α·max_i, has_i − α·max_i, the n-term sum, the division by
+    /// n, |pool|/n and the final addition. The recursive-summation bound
+    /// (Higham, ch. 3) then puts the computed value within
+    /// c·(E + |H|/n) of the exact E, with c = (n + 4)·`f64::EPSILON` ≥
+    /// γ_{n+4} for any n below 2^50. That error counts twice. At the
+    /// check, the exact E may lie below `err` by about c·(err + |H|/n).
+    /// At a skipped visit, the computed value may lie below the exact one
+    /// by c·(E′ + |H′|/n); the worst case is the smallest E′, at most
+    /// `err`, and |H′| ≤ |H| + moved ≤ |H| + n·slack/3. Those two, plus
+    /// the few roundings of the budget arithmetic below, come to less
+    /// than 2c·(err + |slack| + |H|/n), half of `margin`.
+    fn skip_budget(&self, err: f64) -> Option<u64> {
+        let n = self.tiles.len() as f64;
+        let held = (self.total - self.pool).unsigned_abs() as f64;
+        let slack = err - self.config.err_threshold;
+        let margin = 4.0 * (n + 4.0) * f64::EPSILON * (err + slack.abs() + held / n);
+        let tokens = (slack - margin) * n / 3.0;
+        (tokens >= 0.0).then_some(tokens as u64)
     }
 
     /// Worst per-tile error.
@@ -512,6 +558,125 @@ mod tests {
                     "error drifted"
                 );
             }
+            Ok(())
+        });
+    }
+
+    /// [`TokenSmart::run`] before the bounded skip: the error is checked
+    /// after every visit. The reference the skip must match.
+    fn run_checking_every_visit(ts: &mut TokenSmart) -> TsResult {
+        let mut cycles: u64 = 0;
+        let mut packets: u64 = 0;
+        let mut converged = false;
+        while cycles < ts.config.max_cycles {
+            if let Some((ft, at)) = ts.fault {
+                if cycles >= at && ts.cursor == ft {
+                    ts.ring_broken = true;
+                    cycles = ts.config.max_cycles;
+                    break;
+                }
+            }
+            ts.visit_once();
+            cycles += ts.config.visit_cycles;
+            packets += 1;
+            if ts.error() < ts.config.err_threshold {
+                converged = true;
+                break;
+            }
+        }
+        TsResult {
+            converged,
+            cycles,
+            packets,
+            mode_switches: ts.mode_switches,
+            ring_broken: ts.ring_broken,
+            final_error: ts.error(),
+            worst_error: ts.worst_error(),
+        }
+    }
+
+    /// A ring built to sit near the 3|m| bound. Its first `takers` stops
+    /// have a target of 1 and hold nothing; the rest have a target of 64
+    /// and hold 128, so α is just under 2; the pool holds one token per
+    /// taker. Each of the first visits moves one token into a taker,
+    /// which stays under its α target, while every loaded stop stays
+    /// above its own. So n·E falls by 3 − 2(takers + 1)/Σmax per token,
+    /// above 2.99 for the shortest runs, through any threshold between
+    /// the start and the end of that run.
+    fn near_bound_ring(rng: &mut SimRng, cfg: TsConfig) -> TokenSmart {
+        let n = rng.range_usize(50..601);
+        let takers = rng.range_usize(n / 5..n / 2);
+        let max = (0..n).map(|i| if i < takers { 1 } else { 64 }).collect();
+        let has = (0..n).map(|i| if i < takers { 0 } else { 128 }).collect();
+        let mut ts = TokenSmart::with_holdings(max, has, takers as i64, cfg);
+        ts.config.err_threshold = ts.error() * (0.5 + 0.5 * rng.unit_f64());
+        ts
+    }
+
+    #[test]
+    fn bounded_skip_matches_checking_every_visit() {
+        use blitzcoin_sim::check::forall_seeded;
+        use blitzcoin_sim::ensure;
+        forall_seeded("ts_bounded_skip", 0x5C1F, 0..400, |rng| {
+            let n = match rng.range_u64(0..10) {
+                0 => rng.range_usize(200..601),
+                1..=3 => rng.range_usize(1..4),
+                _ => rng.range_usize(4..100),
+            };
+            let max: Vec<u64> = match rng.range_u64(0..4) {
+                0 => vec![0; n],
+                1 => vec![32; n],
+                _ => (0..n)
+                    .map(|_| [0, 8, 16, 32, 64][rng.range_usize(0..5)])
+                    .collect(),
+            };
+            let total_max: u64 = max.iter().sum();
+            let cfg = TsConfig {
+                starvation_visits: rng.range_u64(2..80),
+                fair_hold_visits: rng.range_u64(1..40),
+                err_threshold: 0.25 + 2.75 * rng.unit_f64(),
+                max_cycles: TsConfig::default().visit_cycles * n as u64 * rng.range_u64(1..40),
+                ..TsConfig::default()
+            };
+            let mut ts = match rng.range_u64(0..4) {
+                0 => near_bound_ring(rng, cfg),
+                // a pool of a fifth to one and a half times the demand
+                1 | 2 => {
+                    let supply = (total_max as f64 * (0.2 + 1.3 * rng.unit_f64())) as u64 + 1;
+                    let mut ts = TokenSmart::new(max, supply, cfg);
+                    if rng.chance(0.5) {
+                        ts.init_uniform_random(rng);
+                    }
+                    ts
+                }
+                _ => {
+                    let has = max
+                        .iter()
+                        .map(|&m| rng.range_i64(0..2 * m as i64 + 8))
+                        .collect();
+                    TokenSmart::with_holdings(max, has, rng.range_i64(0..64), cfg)
+                }
+            };
+            let n = ts.tiles.len();
+            if rng.chance(0.2) {
+                let at = rng.range_u64(0..cfg.max_cycles + 1);
+                ts.fail_tile_at(rng.range_usize(0..n), at);
+            }
+            let mut reference = ts.clone();
+            let want = run_checking_every_visit(&mut reference);
+            let got = ts.run(&mut SimRng::seed(0));
+            ensure!(got == want, "n {n}: skip {got:?} vs every visit {want:?}");
+            ensure!(
+                ts.pool == reference.pool,
+                "pool {} vs {}",
+                ts.pool,
+                reference.pool
+            );
+            ensure!(
+                ts.tiles == reference.tiles,
+                "holdings differ at n {n}, threshold {}",
+                ts.config.err_threshold
+            );
             Ok(())
         });
     }

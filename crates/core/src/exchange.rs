@@ -17,6 +17,8 @@
 //! group-fair `has/max` ratio.
 
 use std::cmp::Ordering;
+use std::fmt;
+use std::ops::Deref;
 
 use crate::tile::TileState;
 
@@ -143,6 +145,31 @@ fn fair_split(total: i64, max_i: u64, ws: u64) -> (i64, Ordering) {
     (q as i64, r.cmp(&(w - r)))
 }
 
+/// The most tiles a 4-way group holds: the center and four neighbors.
+const MAX_GROUP: usize = 5;
+
+/// The new coin counts of a 4-way group, index-aligned with the group
+/// and held on the stack. It dereferences to the slice of counts.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct GroupAllocation {
+    coins: [i64; MAX_GROUP],
+    len: usize,
+}
+
+impl Deref for GroupAllocation {
+    type Target = [i64];
+
+    fn deref(&self) -> &[i64] {
+        &self.coins[..self.len]
+    }
+}
+
+impl fmt::Debug for GroupAllocation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
 /// Computes the 4-way fair allocation for a group (center + up to four
 /// neighbors): every active tile receives `round(total * max_k / Σmax)`
 /// coins, with the rounding remainder assigned to the largest fractional
@@ -151,6 +178,9 @@ fn fair_split(total: i64, max_i: u64, ws: u64) -> (i64, Ordering) {
 /// case holdings are unchanged.
 ///
 /// Returns the new coin counts, index-aligned with `group`.
+///
+/// # Panics
+/// Panics if `group` holds more than five tiles.
 ///
 /// # Example
 ///
@@ -167,9 +197,18 @@ fn fair_split(total: i64, max_i: u64, ws: u64) -> (i64, Ordering) {
 /// let alloc = four_way_allocation(&group);
 /// assert_eq!(alloc.iter().sum::<i64>(), 16);  // conservation
 /// // fair ratio = 16/32 = 0.5 -> targets 4, 4, 2, 2, 4
-/// assert_eq!(alloc, vec![4, 4, 2, 2, 4]);
+/// assert_eq!(*alloc, [4, 4, 2, 2, 4]);
 /// ```
-pub fn four_way_allocation(group: &[TileState]) -> Vec<i64> {
+pub fn four_way_allocation(group: &[TileState]) -> GroupAllocation {
+    assert!(
+        group.len() <= MAX_GROUP,
+        "a 4-way group holds at most {MAX_GROUP} tiles, got {}",
+        group.len()
+    );
+    let mut alloc = GroupAllocation {
+        coins: [0; MAX_GROUP],
+        len: group.len(),
+    };
     let total: i64 = group.iter().map(|t| t.has).sum();
     let weight_sum: u64 = group.iter().map(|t| t.max).sum();
     if weight_sum == 0 {
@@ -178,39 +217,43 @@ pub fn four_way_allocation(group: &[TileState]) -> Vec<i64> {
         // unchanged. This early exit must come before the share loop, or
         // the fractional parts would all be NaN and the remainder sort
         // would have no meaningful order to offer.
-        return group.iter().map(|t| t.has).collect();
+        for (a, t) in alloc.coins.iter_mut().zip(group) {
+            *a = t.has;
+        }
+        return alloc;
     }
     // Exact shares, floored; track fractional parts for the remainder.
-    let mut alloc: Vec<i64> = Vec::with_capacity(group.len());
-    let mut fracs: Vec<(usize, f64)> = Vec::with_capacity(group.len());
+    let mut fracs = [(0usize, 0.0f64); MAX_GROUP];
     for (k, t) in group.iter().enumerate() {
         let share = total as f64 * t.max as f64 / weight_sum as f64;
         let base = share.floor() as i64;
-        alloc.push(base);
-        fracs.push((k, share - base as f64));
+        alloc.coins[k] = base;
+        fracs[k] = (k, share - base as f64);
     }
+    let fracs = &mut fracs[..group.len()];
     let mut remainder = total - alloc.iter().sum::<i64>();
     debug_assert!(remainder >= 0 && remainder < group.len() as i64 + 1);
     // Largest fractional parts get the leftover coins; ties -> lower
     // index. `total_cmp` is a total order, so an unexpected NaN fraction
     // sorts deterministically (and last) instead of panicking the way
-    // `partial_cmp().unwrap()` did.
-    fracs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    for &(k, _) in &fracs {
+    // `partial_cmp().unwrap()` did. The index makes every key distinct,
+    // so the unstable (allocation-free) sort gives the stable order.
+    fracs.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    for &(k, _) in fracs.iter() {
         if remainder == 0 {
             break;
         }
         // Only active tiles absorb remainder coins (an inactive tile's
         // share is exactly 0, frac 0, so it sorts last anyway).
         if group[k].max > 0 {
-            alloc[k] += 1;
+            alloc.coins[k] += 1;
             remainder -= 1;
         }
     }
     // If every active tile was exhausted (can't happen with weight_sum>0
     // unless remainder exceeded active count), dump on the center.
     if remainder != 0 {
-        alloc[0] += remainder;
+        alloc.coins[0] += remainder;
     }
     alloc
 }
@@ -313,7 +356,7 @@ mod tests {
             TileState::inactive(0),
             TileState::inactive(7),
         ];
-        assert_eq!(four_way_allocation(&group), vec![3, 0, 7]);
+        assert_eq!(*four_way_allocation(&group), [3, 0, 7]);
     }
 
     #[test]
@@ -324,14 +367,14 @@ mod tests {
             TileState::new(1, 3),
         ];
         // total 3, each exact share 1.0: no remainder drama
-        assert_eq!(four_way_allocation(&group), vec![1, 1, 1]);
+        assert_eq!(*four_way_allocation(&group), [1, 1, 1]);
         let group2 = [
             TileState::new(2, 3),
             TileState::new(1, 3),
             TileState::new(1, 3),
         ];
         // total 4, shares 4/3 each: fracs equal, tie -> lowest index
-        assert_eq!(four_way_allocation(&group2), vec![2, 1, 1]);
+        assert_eq!(*four_way_allocation(&group2), [2, 1, 1]);
     }
 
     #[test]
@@ -427,7 +470,7 @@ mod tests {
             TileState::inactive(1),
         ];
         let alloc = four_way_allocation(&group);
-        assert_eq!(alloc, vec![5, -2, 0, 63, 1]);
+        assert_eq!(*alloc, [5, -2, 0, 63, 1]);
         assert_eq!(alloc.iter().sum::<i64>(), 67, "conservation");
     }
 
@@ -481,6 +524,6 @@ mod tests {
             TileState::new(0, 8),
         ];
         let alloc = four_way_allocation(&group);
-        assert_eq!(alloc, vec![4, 4, 4, 4, 4]);
+        assert_eq!(*alloc, [4, 4, 4, 4, 4]);
     }
 }

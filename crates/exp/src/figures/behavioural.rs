@@ -48,7 +48,7 @@ pub fn fig2(ctx: &Ctx) -> FigResult {
     let alloc = four_way_allocation(&group);
     let after4: Vec<TileState> = group
         .iter()
-        .zip(&alloc)
+        .zip(alloc.iter())
         .map(|(t, &h)| TileState::new(h, t.max))
         .collect();
     let err4 = global_error(&after4);

@@ -20,11 +20,10 @@
 use blitzcoin_sim::csv::CsvTable;
 use blitzcoin_soc::prelude::*;
 
-use crate::sweep::{fmt_opt, grid_at, par_units, scheme_stat_cells, write_csv, THERMAL_LIMIT_C};
+use crate::sweep::{
+    fmt_opt, grid_at, par_units, scheme_stat_cells, write_csv, FREE_LIMIT_C, THERMAL_LIMIT_C,
+};
 use crate::{Ctx, FigResult};
-
-/// Junction limit for the free-running reference (never reached).
-const FREE_LIMIT_C: f64 = 105.0;
 
 /// The scheme statistics `thermal_coupling.csv` reports, one column each.
 const STATS: [&str; 1] = ["pt_iterations"];

@@ -16,7 +16,9 @@
 //! golden ordering; the active mode is stamped into `manifest.json`).
 //! `--orderings N` sets the shuffled orderings per point for the
 //! `interleave` experiment. `--thermal-limit C` overrides the junction
-//! limit (°C) the `thermal-coupling` experiment throttles at.
+//! limit (°C) the `thermal-coupling` experiment throttles at; it must
+//! lie below the 105 °C limit of that experiment's free-running
+//! reference runs.
 //! `--mega-d D` adds a `D` x `D` point to the `mega-mesh` experiment
 //! beyond its built-in 16x16 (and, in full mode, 32x32) grids.
 //! `--manager KIND` (any of `BC|BC-C|C-RR|TS|PT|Static`, parsed through
@@ -35,6 +37,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use blitzcoin_exp::sweep::FREE_LIMIT_C;
 use blitzcoin_exp::{render_experiments_md, run_experiment, Ctx, ALL_EXPERIMENTS};
 use blitzcoin_sim::CacheMode;
 
@@ -94,9 +97,14 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 match limit.parse::<f64>() {
-                    Ok(c) if c.is_finite() && c > 0.0 => ctx.thermal_limit_c = Some(c),
+                    Ok(c) if c.is_finite() && c > 0.0 && c < FREE_LIMIT_C => {
+                        ctx.thermal_limit_c = Some(c)
+                    }
                     Ok(_) => {
-                        eprintln!("--thermal-limit must be a positive temperature");
+                        eprintln!(
+                            "--thermal-limit must be a positive temperature below \
+                             {FREE_LIMIT_C} (the free-running reference limit)"
+                        );
                         return ExitCode::FAILURE;
                     }
                     Err(e) => {

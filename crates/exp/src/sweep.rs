@@ -127,6 +127,10 @@ pub(crate) const HIERARCHY_TILE: usize = 0;
 /// The tight junction limit (°C) of the in-loop thermal runs: low enough
 /// that the 3x3 AV SoC crosses it within tens of µs at a 240 mW budget.
 pub(crate) const THERMAL_LIMIT_C: f64 = 46.5;
+/// The junction limit (°C) of `thermal-coupling`'s free-running
+/// reference runs, which never reach it. A `--thermal-limit` must stay
+/// below it, or its throttled runs would repeat the reference runs.
+pub const FREE_LIMIT_C: f64 = 105.0;
 
 /// A fault plan that fail-stops `tile` at [`FAULT_AT_CYCLE`].
 pub(crate) fn kill(tile: usize) -> FaultPlan {

@@ -166,4 +166,22 @@ for f in results/*.csv; do
 done
 echo "ci: regen gate ok ($(ls "$regen"/*.csv | wc -l) CSVs match results/)"
 
+# Plots gate: `plots` over the regenerated CSVs must reproduce
+# results/plots/ byte for byte, and every committed SVG must be one it
+# wrote, so a figure whose renderer or data moved cannot keep a stale SVG.
+target/release/blitzcoin-exp plots --out "$regen" > /dev/null
+for f in "$regen"/plots/*.svg; do
+    cmp "$f" "results/plots/$(basename "$f")" || {
+        echo "ci: results/plots/$(basename "$f") differs from a fresh plots run" >&2
+        exit 1
+    }
+done
+for f in results/plots/*.svg; do
+    [ -e "$regen/plots/$(basename "$f")" ] || {
+        echo "ci: results/plots/$(basename "$f") is not written by plots" >&2
+        exit 1
+    }
+done
+echo "ci: plots gate ok ($(ls "$regen"/plots/*.svg | wc -l) SVGs match results/plots/)"
+
 echo "ci: all green"

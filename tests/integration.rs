@@ -272,3 +272,64 @@ fn plots_without_result_csvs_exits_1_and_writes_nothing() {
     assert!(!dir.join("plots").exists(), "no plots dir without plots");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs `plots --out DIR` on a DIR holding one `fig01_scaling.csv` with
+/// the given text; returns the exit code and stderr.
+fn plots_on_fig01(tag: &str, csv: &str) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!("blitzcoin_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create a scratch dir");
+    std::fs::write(dir.join("fig01_scaling.csv"), csv).expect("write the CSV");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
+        .args(["plots", "--out", dir.to_str().expect("utf-8 temp dir")])
+        .output()
+        .expect("spawn blitzcoin-exp");
+    let _ = std::fs::remove_dir_all(&dir);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn plots_on_a_ragged_csv_exits_1_naming_the_file() {
+    let (code, stderr) = plots_on_fig01("ragged", "n,sw_central_us\n1,2,3\n");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("fig01_scaling.csv"), "{stderr}");
+    assert!(
+        stderr.contains("3 cells under a 2-column header"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn plots_on_a_csv_missing_a_column_exits_1_naming_the_file() {
+    let (code, stderr) = plots_on_fig01("nocol", "n,foo\n1,2\n");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("fig01_scaling.csv"), "{stderr}");
+    assert!(stderr.contains("no column 'sw_central_us'"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn thermal_limit_at_or_above_the_free_reference_is_rejected() {
+    let out = std::env::temp_dir().join(format!("blitzcoin_cli_tlimit_{}", std::process::id()));
+    for limit in ["105", "120"] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
+            .args([
+                "thermal-coupling",
+                "--quick",
+                "--thermal-limit",
+                limit,
+                "--out",
+                out.to_str().expect("utf-8 temp dir"),
+            ])
+            .output()
+            .expect("spawn blitzcoin-exp");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{limit}: {stderr}");
+        assert!(stderr.contains("--thermal-limit must be"), "{stderr}");
+        assert!(stderr.contains("105"), "{stderr}");
+        assert!(!out.exists(), "a rejected run must not start");
+    }
+}
