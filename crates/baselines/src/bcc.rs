@@ -87,9 +87,9 @@ impl BccController {
     /// Response time of an activity change, in NoC cycles: the tile's
     /// notification reaches the controller (`notify_cycles`), the
     /// controller recomputes, then sequentially pushes one register write
-    /// per active tile at `service_cycles` each (Equation 5.2's O(N)).
-    pub fn response_cycles(n_active: usize, notify_cycles: u64, service_cycles: u64) -> u64 {
-        notify_cycles + n_active as u64 * service_cycles
+    /// per active tile at `per_tile_cycles` each (Equation 5.2's O(N)).
+    pub fn response_cycles(n_active: usize, notify_cycles: u64, per_tile_cycles: u64) -> u64 {
+        notify_cycles + n_active as u64 * per_tile_cycles
     }
 }
 

@@ -128,10 +128,10 @@ impl CrrController {
 
     /// Response time of the centralized service loop, in NoC cycles:
     /// the controller services each of the `n_active` tiles sequentially
-    /// at `service_cycles` each (firmware work + register round trip)
+    /// at `per_tile_cycles` each (firmware work + register round trip)
     /// before the new assignment is fully applied.
-    pub fn response_cycles(n_active: usize, service_cycles: u64) -> u64 {
-        n_active as u64 * service_cycles
+    pub fn response_cycles(n_active: usize, per_tile_cycles: u64) -> u64 {
+        n_active as u64 * per_tile_cycles
     }
 }
 

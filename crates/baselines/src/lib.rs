@@ -20,8 +20,10 @@
 //! - [`pt`]: **Price Theory (PT)** [Muthukaruppan et al., ASPLOS 2014] —
 //!   hierarchical market-based allocation: an iterative price adjustment
 //!   (tâtonnement) balances cluster demand against the power supply.
-//! - [`static_alloc`]: **Static** — a fixed equal split of the budget,
-//!   the silicon baseline of Fig 19.
+//!
+//! The fifth comparator, **Static** (the silicon baseline of Fig 19), has
+//! no protocol to model: the SoC engine's static policy sets
+//! P_max-proportional shares once at boot.
 //!
 //! # Example
 //!
@@ -41,11 +43,9 @@
 pub mod bcc;
 pub mod crr;
 pub mod pt;
-pub mod static_alloc;
 pub mod tokensmart;
 
 pub use bcc::BccController;
 pub use crr::{CrrController, CrrLevel};
 pub use pt::{PtMarket, PtStep};
-pub use static_alloc::static_allocation;
 pub use tokensmart::{TokenSmart, TsConfig, TsResult};

@@ -89,35 +89,15 @@ pub fn run_one(
     emu.run(&mut rng)
 }
 
-/// Runs `trials` independent emulator runs. Each trial assigns targets via
-/// `max_fn(trial_rng)` and initializes coins with the paper's protocol:
-/// each tile draws `has ~ U[0, 2·max]` independently
+/// Runs `trials` independent emulator runs on `exec`. Each trial assigns
+/// targets via `max_fn(trial_rng)` and initializes coins with the paper's
+/// protocol: each tile draws `has ~ U[0, 2·max]` independently
 /// (see [`Emulator::init_uniform_random`]).
 ///
-/// Trials execute on the environment-sized parallel executor
-/// ([`Executor::from_env`]); use [`run_trials_with`] for an explicit job
-/// count. Every trial's RNG is `SimRng::seed(root_seed).derive(trial)`
-/// and results are collected in trial order, so the output is identical
-/// at every job count — and identical to what the historical serial loop
+/// Every trial's RNG is `SimRng::seed(root_seed).derive(trial)` and
+/// results are collected in trial order, so the output is identical at
+/// every job count — and identical to what the historical serial loop
 /// produced.
-pub fn run_trials(
-    topo: Topology,
-    config: EmulatorConfig,
-    trials: u32,
-    root_seed: u64,
-    max_fn: impl Fn(&mut SimRng) -> Vec<u64> + Sync,
-) -> TrialStats {
-    run_trials_with(
-        &Executor::from_env(),
-        topo,
-        config,
-        trials,
-        root_seed,
-        max_fn,
-    )
-}
-
-/// [`run_trials`] on an explicit executor.
 pub fn run_trials_with(
     exec: &Executor,
     topo: Topology,
@@ -136,16 +116,6 @@ pub fn run_trials_with(
 
 /// The standard homogeneous protocol used by Figs 3, 4 and 6: every tile
 /// active with `max = 32`, coins drawn `U[0, 64]` per tile.
-pub fn run_homogeneous_trials(
-    topo: Topology,
-    config: EmulatorConfig,
-    trials: u32,
-    root_seed: u64,
-) -> TrialStats {
-    run_homogeneous_trials_with(&Executor::from_env(), topo, config, trials, root_seed)
-}
-
-/// [`run_homogeneous_trials`] on an explicit executor.
 pub fn run_homogeneous_trials_with(
     exec: &Executor,
     topo: Topology,
@@ -165,24 +135,6 @@ pub fn run_homogeneous_trials_with(
 /// long the exchange takes to re-absorb the freed coins. This is the
 /// emulator-level analogue of the response-time measurements of
 /// Figs 17-20.
-pub fn run_activity_change_trials(
-    topo: Topology,
-    config: EmulatorConfig,
-    trials: u32,
-    root_seed: u64,
-    flip_fraction: f64,
-) -> TrialStats {
-    run_activity_change_trials_with(
-        &Executor::from_env(),
-        topo,
-        config,
-        trials,
-        root_seed,
-        flip_fraction,
-    )
-}
-
-/// [`run_activity_change_trials`] on an explicit executor.
 pub fn run_activity_change_trials_with(
     exec: &Executor,
     topo: Topology,
@@ -217,10 +169,15 @@ pub fn run_activity_change_trials_with(
 mod tests {
     use super::*;
 
+    /// `trials` homogeneous trials on a `d`x`d` torus under `root_seed`.
+    fn homogeneous(d: usize, trials: u32, root_seed: u64) -> TrialStats {
+        let (exec, cfg) = (Executor::from_env(), EmulatorConfig::default());
+        run_homogeneous_trials_with(&exec, Topology::torus(d, d), cfg, trials, root_seed)
+    }
+
     #[test]
     fn homogeneous_sweep_converges() {
-        let stats =
-            run_homogeneous_trials(Topology::torus(6, 6), EmulatorConfig::default(), 10, 42);
+        let stats = homogeneous(6, 10, 42);
         assert_eq!(stats.trials, 10);
         assert_eq!(stats.converged_fraction, 1.0);
         assert!(stats.mean_cycles > 0.0);
@@ -230,22 +187,17 @@ mod tests {
 
     #[test]
     fn sweeps_are_reproducible() {
-        let a = run_homogeneous_trials(Topology::torus(5, 5), EmulatorConfig::default(), 5, 7);
-        let b = run_homogeneous_trials(Topology::torus(5, 5), EmulatorConfig::default(), 5, 7);
-        assert_eq!(a.results, b.results);
+        assert_eq!(homogeneous(5, 5, 7).results, homogeneous(5, 5, 7).results);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = run_homogeneous_trials(Topology::torus(5, 5), EmulatorConfig::default(), 5, 1);
-        let b = run_homogeneous_trials(Topology::torus(5, 5), EmulatorConfig::default(), 5, 2);
-        assert_ne!(a.results, b.results);
+        assert_ne!(homogeneous(5, 5, 1).results, homogeneous(5, 5, 2).results);
     }
 
     #[test]
     fn percentiles_and_errors_accessible() {
-        let mut stats =
-            run_homogeneous_trials(Topology::torus(5, 5), EmulatorConfig::default(), 8, 11);
+        let mut stats = homogeneous(5, 8, 11);
         let p50 = stats.cycles_percentile(50.0);
         let p100 = stats.cycles_percentile(100.0);
         assert!(p50 <= p100);
@@ -257,18 +209,19 @@ mod tests {
 
     #[test]
     fn activity_change_protocol_measures_reabsorption() {
-        let stats =
-            run_activity_change_trials(Topology::torus(8, 8), EmulatorConfig::default(), 8, 3, 0.1);
+        let (topo, cfg) = (Topology::torus(8, 8), EmulatorConfig::default());
+        let stats = run_activity_change_trials_with(&Executor::from_env(), topo, cfg, 8, 3, 0.1);
         assert_eq!(stats.converged_fraction, 1.0);
         // a localized change resolves much faster than a full random init
-        let full = run_homogeneous_trials(Topology::torus(8, 8), EmulatorConfig::default(), 8, 3);
+        let full = homogeneous(8, 8, 3);
         assert!(stats.mean_cycles < full.mean_cycles * 1.5);
     }
 
     #[test]
     fn custom_max_fn_is_used() {
         let topo = Topology::torus(4, 4);
-        let stats = run_trials(topo, EmulatorConfig::default(), 3, 5, |_| vec![8; 16]);
+        let cfg = EmulatorConfig::default();
+        let stats = run_trials_with(&Executor::from_env(), topo, cfg, 3, 5, |_| vec![8; 16]);
         assert_eq!(stats.converged_fraction, 1.0);
     }
 

@@ -53,20 +53,22 @@ blitzcoin_sim::json_fields!(DynamicTiming {
 });
 
 impl Default for DynamicTiming {
-    /// The DESIGN.md §5 defaults: base 64, floor 8, λ=2.0, k=256, cap 1024.
     fn default() -> Self {
-        DynamicTiming {
-            base_cycles: 64,
-            min_cycles: 8,
-            lambda: 2.0,
-            k_cycles: 256,
-            max_cycles: 1024,
-            deadband_coins: 1,
-        }
+        Self::DEFAULT
     }
 }
 
 impl DynamicTiming {
+    /// The DESIGN.md §5 defaults: base 64, floor 8, λ=2.0, k=256, cap 1024.
+    pub const DEFAULT: DynamicTiming = DynamicTiming {
+        base_cycles: 64,
+        min_cycles: 8,
+        lambda: 2.0,
+        k_cycles: 256,
+        max_cycles: 1024,
+        deadband_coins: 1,
+    };
+
     /// Whether an exchange that moved `coins_moved` coins counts as
     /// activity (above the deadband).
     pub fn is_significant(&self, coins_moved: i64) -> bool {

@@ -4,7 +4,7 @@
 //!
 //! Every cycle-level manager runs the same sustained (WL-Par) and burst
 //! (WL-Dep) workloads with the RC network integrated *in the loop*
-//! (`SimConfig::thermal`): neighbor heat spreads through the mesh,
+//! (`SimConfig::thermal_limit_c`): neighbor heat spreads through the mesh,
 //! leakage inflates hot tiles' power, and a tile crossing the junction
 //! limit is throttled mid-run. The throttle flip is announced to the
 //! manager as an ordinary activity change, so the existing response-time
@@ -34,10 +34,7 @@ const SCENARIOS: [&str; 2] = ["sustained", "burst"];
 
 fn coupled(ctx: &Ctx, manager: ManagerKind, limit_c: f64) -> SimConfig {
     SimConfig {
-        thermal: Some(ThermalCoupling {
-            throttle_limit_c: limit_c,
-            ..ThermalCoupling::default()
-        }),
+        thermal_limit_c: Some(limit_c),
         ..ctx.sim_config(manager, 240.0)
     }
 }

@@ -12,7 +12,7 @@ use blitzcoin_core::emulator::{Emulator, EmulatorConfig};
 use blitzcoin_core::montecarlo::run_activity_change_trials_with;
 use blitzcoin_core::HotspotCap;
 use blitzcoin_noc::wormhole::{WormholeConfig, WormholeNetwork};
-use blitzcoin_noc::{Network, NetworkConfig, Packet, PacketKind, Plane, TileId, Topology};
+use blitzcoin_noc::{Network, Packet, PacketKind, Plane, TileId, Topology};
 use blitzcoin_sim::csv::CsvTable;
 use blitzcoin_sim::{SimRng, SimTime, StepTrace};
 use blitzcoin_soc::prelude::*;
@@ -301,7 +301,7 @@ pub fn noc_validation(ctx: &Ctx) -> FigResult {
     let mut rng = blitzcoin_sim::SimRng::seed(ctx.seed);
 
     // zero load: per-pair agreement
-    let analytic = Network::new(topo, NetworkConfig::default());
+    let analytic = Network::new(topo);
     let mut max_diff = 0u64;
     for _ in 0..if ctx.quick { 10 } else { 50 } {
         let a = TileId(rng.range_usize(0..64));
@@ -348,7 +348,7 @@ pub fn noc_validation(ctx: &Ctx) -> FigResult {
                 )
             })
             .collect();
-        let mut net = Network::new(topo, NetworkConfig::default());
+        let mut net = Network::new(topo);
         let t0 = SimTime::ZERO;
         let mean_analytic = pkts
             .iter()

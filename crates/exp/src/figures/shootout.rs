@@ -54,10 +54,7 @@ fn run(ctx: &Ctx, manager: ManagerKind, scenario: &str, frames: usize) -> SimRep
             .with_fault_plan(kill(HIERARCHY_TILE)),
         "sustained-thermal" => {
             let cfg = SimConfig {
-                thermal: Some(ThermalCoupling {
-                    throttle_limit_c: ctx.thermal_limit_c.unwrap_or(THERMAL_LIMIT_C),
-                    ..ThermalCoupling::default()
-                }),
+                thermal_limit_c: Some(ctx.thermal_limit_c.unwrap_or(THERMAL_LIMIT_C)),
                 ..ctx.sim_config(manager, 240.0)
             };
             Simulation::new(soc, wl, cfg)

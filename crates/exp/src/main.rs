@@ -33,17 +33,145 @@
 //! byte-identical in both modes — the cache only changes how fast they
 //! regenerate.
 
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use blitzcoin_exp::sweep::FREE_LIMIT_C;
 use blitzcoin_exp::{render_experiments_md, run_experiment, Ctx, ALL_EXPERIMENTS};
 use blitzcoin_sim::CacheMode;
+use blitzcoin_soc::ManagerKind;
+
+/// What the command line asks for beyond the [`Ctx`] settings.
+#[derive(Default)]
+struct Cli {
+    ids: Vec<String>,
+    write_experiments: bool,
+    list: bool,
+    plots: bool,
+}
+
+/// Reads the value after `flag`: `"{flag} needs {need}"` when there is
+/// none, `"bad {what}: {error}"` when it does not parse, and
+/// `"{flag} must be {rule}"` when `valid` rejects it.
+fn flag_value<'a, T>(
+    iter: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    need: &str,
+    what: &str,
+    rule: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    let value = iter.next().ok_or_else(|| format!("{flag} needs {need}"))?;
+    let v = value.parse::<T>().map_err(|e| format!("bad {what}: {e}"))?;
+    if valid(&v) {
+        Ok(v)
+    } else {
+        Err(format!("{flag} must be {rule}"))
+    }
+}
+
+/// Applies every flag to `ctx` and collects the rest; the error is the
+/// one line to print before exiting 1.
+fn parse_args(args: &[String], ctx: &mut Ctx) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut iter = args.iter();
+    while let Some(a) = iter.next() {
+        let flag = a.as_str();
+        match flag {
+            "--quick" => ctx.quick = true,
+            "--write-experiments" => cli.write_experiments = true,
+            "--out" => ctx.out_dir = PathBuf::from(iter.next().ok_or("--out needs a directory")?),
+            "--seed" => ctx.seed = flag_value(&mut iter, flag, "a value", "seed", "", |_| true)?,
+            "--tie-break" => {
+                let mode = iter
+                    .next()
+                    .ok_or("--tie-break needs a value (fifo|lifo|permuted:SEED)")?;
+                ctx.tie_break = blitzcoin_sim::TieBreak::parse(mode).ok_or_else(|| {
+                    format!("bad tie-break '{mode}' (want fifo|lifo|permuted:SEED)")
+                })?;
+            }
+            "--thermal-limit" => {
+                let rule = format!(
+                    "a positive temperature below {FREE_LIMIT_C} (the free-running reference limit)"
+                );
+                let valid = |c: &f64| c.is_finite() && *c > 0.0 && *c < FREE_LIMIT_C;
+                let c = flag_value(
+                    &mut iter,
+                    flag,
+                    "a value (deg C)",
+                    "thermal limit",
+                    &rule,
+                    valid,
+                )?;
+                ctx.thermal_limit_c = Some(c);
+            }
+            "--orderings" => {
+                ctx.orderings = flag_value(
+                    &mut iter,
+                    flag,
+                    "a value",
+                    "ordering count",
+                    "at least 1",
+                    |&n| n > 0,
+                )?
+            }
+            "--manager" => {
+                let name = iter
+                    .next()
+                    .ok_or("--manager needs a scheme name (try BC|BC-C|C-RR|TS|PT|Static)")?;
+                ctx.manager = Some(name.parse::<ManagerKind>().map_err(|e| e.to_string())?);
+            }
+            "--mega-d" => {
+                let need = "a mesh side (e.g. 64)";
+                let d = flag_value(
+                    &mut iter,
+                    flag,
+                    need,
+                    "mega-mesh side",
+                    "at least 4",
+                    |&d| d >= 4,
+                )?;
+                ctx.mega_d = Some(d);
+            }
+            "--cache" => {
+                let mode = iter.next().ok_or("--cache needs a mode (on|off)")?;
+                ctx.cache_mode = CacheMode::parse(mode)?;
+            }
+            "--jobs" => {
+                ctx.jobs = flag_value(
+                    &mut iter,
+                    flag,
+                    "a value",
+                    "job count",
+                    "at least 1",
+                    |&j| j > 0,
+                )?
+            }
+            "list" => cli.list = true,
+            "plots" => cli.plots = true,
+            "all" => cli
+                .ids
+                .extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
+            other if ALL_EXPERIMENTS.contains(&other) => cli.ids.push(other.to_string()),
+            other => {
+                return Err(format!(
+                    "unknown experiment '{other}'; try `blitzcoin-exp list`"
+                ))
+            }
+        }
+    }
+    Ok(cli)
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ids: Vec<String> = Vec::new();
     let mut ctx = Ctx::default();
     match CacheMode::from_env() {
         Ok(mode) => ctx.cache_mode = mode.unwrap_or_default(),
@@ -52,154 +180,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let (mut write_experiments, mut list, mut plots) = (false, false, false);
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--quick" => ctx.quick = true,
-            "--write-experiments" => write_experiments = true,
-            "--out" => {
-                let Some(dir) = iter.next() else {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                ctx.out_dir = PathBuf::from(dir);
-            }
-            "--seed" => {
-                let Some(seed) = iter.next() else {
-                    eprintln!("--seed needs a value");
-                    return ExitCode::FAILURE;
-                };
-                match seed.parse() {
-                    Ok(s) => ctx.seed = s,
-                    Err(e) => {
-                        eprintln!("bad seed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--tie-break" => {
-                let Some(mode) = iter.next() else {
-                    eprintln!("--tie-break needs a value (fifo|lifo|permuted:SEED)");
-                    return ExitCode::FAILURE;
-                };
-                match blitzcoin_sim::TieBreak::parse(mode) {
-                    Some(t) => ctx.tie_break = t,
-                    None => {
-                        eprintln!("bad tie-break '{mode}' (want fifo|lifo|permuted:SEED)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--thermal-limit" => {
-                let Some(limit) = iter.next() else {
-                    eprintln!("--thermal-limit needs a value (deg C)");
-                    return ExitCode::FAILURE;
-                };
-                match limit.parse::<f64>() {
-                    Ok(c) if c.is_finite() && c > 0.0 && c < FREE_LIMIT_C => {
-                        ctx.thermal_limit_c = Some(c)
-                    }
-                    Ok(_) => {
-                        eprintln!(
-                            "--thermal-limit must be a positive temperature below \
-                             {FREE_LIMIT_C} (the free-running reference limit)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("bad thermal limit: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--orderings" => {
-                let Some(n) = iter.next() else {
-                    eprintln!("--orderings needs a value");
-                    return ExitCode::FAILURE;
-                };
-                match n.parse::<u32>() {
-                    Ok(n) if n > 0 => ctx.orderings = n,
-                    Ok(_) => {
-                        eprintln!("--orderings must be at least 1");
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("bad ordering count: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--manager" => {
-                let Some(name) = iter.next() else {
-                    eprintln!("--manager needs a scheme name (try BC|BC-C|C-RR|TS|PT|Static)");
-                    return ExitCode::FAILURE;
-                };
-                match name.parse::<blitzcoin_soc::ManagerKind>() {
-                    Ok(m) => ctx.manager = Some(m),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--mega-d" => {
-                let Some(d) = iter.next() else {
-                    eprintln!("--mega-d needs a mesh side (e.g. 64)");
-                    return ExitCode::FAILURE;
-                };
-                match d.parse::<usize>() {
-                    Ok(d) if d >= 4 => ctx.mega_d = Some(d),
-                    Ok(_) => {
-                        eprintln!("--mega-d must be at least 4");
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("bad mega-mesh side: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--cache" => {
-                let Some(mode) = iter.next() else {
-                    eprintln!("--cache needs a mode (on|off)");
-                    return ExitCode::FAILURE;
-                };
-                match CacheMode::parse(mode) {
-                    Ok(m) => ctx.cache_mode = m,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--jobs" => {
-                let Some(jobs) = iter.next() else {
-                    eprintln!("--jobs needs a value");
-                    return ExitCode::FAILURE;
-                };
-                match jobs.parse::<usize>() {
-                    Ok(j) if j > 0 => ctx.jobs = j,
-                    Ok(_) => {
-                        eprintln!("--jobs must be at least 1");
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("bad job count: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "list" => list = true,
-            "plots" => plots = true,
-            "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
-            other if ALL_EXPERIMENTS.contains(&other) => ids.push(other.to_string()),
-            other => {
-                eprintln!("unknown experiment '{other}'; try `blitzcoin-exp list`");
-                return ExitCode::FAILURE;
-            }
+    let Cli {
+        mut ids,
+        write_experiments,
+        list,
+        plots,
+    } = match parse_args(&args, &mut ctx) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     // `list` and `plots` run once every flag is parsed, so a flag after
     // them (`plots --out DIR`) still applies.
     if list {

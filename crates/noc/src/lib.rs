@@ -27,16 +27,16 @@
 //! # Example
 //!
 //! ```
-//! use blitzcoin_noc::{Network, NetworkConfig, Packet, PacketKind, Plane, Topology};
+//! use blitzcoin_noc::{Network, Packet, PacketKind, Plane, Topology};
 //! use blitzcoin_sim::SimTime;
 //!
 //! let topo = Topology::mesh(4, 4);
-//! let mut net = Network::new(topo, NetworkConfig::default());
+//! let mut net = Network::new(topo);
 //! let pkt = Packet::new(topo.tile(0, 0), topo.tile(3, 3), Plane::MmioIrq,
 //!                       PacketKind::CoinRequest);
 //! let arrival = net.send(SimTime::ZERO, &pkt).expect_delivered();
-//! // 6 hops plus injection/ejection overhead
-//! assert!(arrival >= SimTime::from_noc_cycles(6));
+//! // 6 hops plus one cycle each to inject and eject
+//! assert_eq!(arrival, SimTime::from_noc_cycles(8));
 //! ```
 
 #![warn(missing_docs)]
@@ -49,6 +49,6 @@ pub mod topology;
 pub mod wormhole;
 
 pub use arbiter::RoundRobinArbiter;
-pub use network::{Delivery, Network, NetworkConfig, TrafficStats};
+pub use network::{Delivery, Network, TrafficStats};
 pub use packet::{Packet, PacketKind, Plane};
 pub use topology::{Coord, Direction, TileId, Topology};

@@ -18,7 +18,7 @@
 //! payloads and use the returned delivery time to schedule delivery events
 //! in their own event queue.
 
-use blitzcoin_sim::{ClockDomain, ConfigError, FaultPlan, SimTime};
+use blitzcoin_sim::{ClockDomain, FaultPlan, SimTime};
 
 use crate::packet::Packet;
 use crate::topology::{TileId, Topology};
@@ -71,56 +71,15 @@ impl Delivery {
     }
 }
 
-/// Timing parameters of the NoC model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkConfig {
-    /// Cycles for a flit to traverse one router-to-router hop.
-    pub hop_cycles: u64,
-    /// Cycles to inject from the source socket into its local router.
-    pub inject_cycles: u64,
-    /// Cycles to eject from the destination router into its socket.
-    pub eject_cycles: u64,
-    /// Whether to model link contention (per-link serialization). When
-    /// `false` the model returns pure zero-load latency, which is what the
-    /// behavioural emulator of Section III assumes.
-    pub contention: bool,
-}
+/// Cycles for a flit to traverse one router-to-router hop (the ESP NoC's
+/// one-cycle-per-hop guarantee, Section IV-C).
+const HOP_CYCLES: u64 = 1;
 
-impl NetworkConfig {
-    /// Validates the timing parameters: a router cannot forward a flit in
-    /// zero cycles, and socket interface costs must be non-zero too (the
-    /// calibration of DESIGN.md assumes at least one cycle per stage).
-    pub fn validated(self) -> Result<Self, ConfigError> {
-        for (what, v) in [
-            ("hop_cycles", self.hop_cycles),
-            ("inject_cycles", self.inject_cycles),
-            ("eject_cycles", self.eject_cycles),
-        ] {
-            if v == 0 {
-                return Err(ConfigError::NonPositive { what, value: 0.0 });
-            }
-        }
-        Ok(self)
-    }
-}
+/// Cycles to inject from the source socket into its local router.
+const INJECT_CYCLES: u64 = 1;
 
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            hop_cycles: 1,
-            inject_cycles: 1,
-            eject_cycles: 1,
-            contention: true,
-        }
-    }
-}
-
-blitzcoin_sim::json_fields!(NetworkConfig {
-    hop_cycles,
-    inject_cycles,
-    eject_cycles,
-    contention
-});
+/// Cycles to eject from the destination router into its socket.
+const EJECT_CYCLES: u64 = 1;
 
 /// Per-plane traffic accounting.
 #[derive(Debug, Clone, Default)]
@@ -165,11 +124,11 @@ impl TrafficStats {
 /// # Example
 ///
 /// ```
-/// use blitzcoin_noc::{Network, NetworkConfig, Packet, PacketKind, Plane, Topology};
+/// use blitzcoin_noc::{Network, Packet, PacketKind, Plane, Topology};
 /// use blitzcoin_sim::SimTime;
 ///
 /// let topo = Topology::mesh(3, 3);
-/// let mut net = Network::new(topo, NetworkConfig::default());
+/// let mut net = Network::new(topo);
 /// let a = topo.tile(0, 0);
 /// let b = topo.tile(1, 0);
 /// let pkt = Packet::coin(a, b, PacketKind::CoinStatus { has: 3, max: 8 });
@@ -180,7 +139,6 @@ impl TrafficStats {
 #[derive(Debug, Clone)]
 pub struct Network {
     topo: Topology,
-    config: NetworkConfig,
     /// Earliest time each `(link, plane)` is free, as a dense array indexed
     /// by [`Network::link_slot`]. Replaces a `HashMap` keyed on
     /// `(from, to, plane)`: `send` probes this table once per hop, and the
@@ -195,12 +153,10 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network over `topo` with the given timing parameters and
-    /// no fault injection.
-    pub fn new(topo: Topology, config: NetworkConfig) -> Self {
+    /// Creates a network over `topo` with no fault injection.
+    pub fn new(topo: Topology) -> Self {
         Network {
             topo,
-            config,
             link_free: vec![SimTime::ZERO; topo.len() * LINK_DIRS * PLANES],
             clock: ClockDomain::NOC,
             stats: TrafficStats::default(),
@@ -234,11 +190,6 @@ impl Network {
     /// The underlying topology.
     pub fn topology(&self) -> Topology {
         self.topo
-    }
-
-    /// The timing configuration.
-    pub fn config(&self) -> NetworkConfig {
-        self.config
     }
 
     /// Accumulated traffic statistics.
@@ -282,34 +233,20 @@ impl Network {
         self.stats.hops += hops;
         let faults = !self.fault.is_empty();
 
-        let mut cursor = now + self.clock.span(self.config.inject_cycles);
-        if self.config.contention {
-            let mut prev = packet.src;
-            for next in self.topo.xy_hops(packet.src, packet.dst) {
-                let slot = self.link_slot(prev, next, plane);
-                let free_at = self.link_free[slot];
-                let depart = cursor.max(free_at);
-                if faults && self.fault.link_down(prev.0, next.0, depart.as_noc_cycles()) {
-                    self.stats.dropped[plane] += 1;
-                    return Delivery::Dropped;
-                }
-                self.stats.contention_cycles += (depart - cursor).as_noc_cycles();
-                self.link_free[slot] = depart + self.clock.span(flits);
-                cursor = depart + self.clock.span(self.config.hop_cycles);
-                prev = next;
+        let mut cursor = now + self.clock.span(INJECT_CYCLES);
+        let mut prev = packet.src;
+        for next in self.topo.xy_hops(packet.src, packet.dst) {
+            let slot = self.link_slot(prev, next, plane);
+            let free_at = self.link_free[slot];
+            let depart = cursor.max(free_at);
+            if faults && self.fault.link_down(prev.0, next.0, depart.as_noc_cycles()) {
+                self.stats.dropped[plane] += 1;
+                return Delivery::Dropped;
             }
-        } else {
-            if faults {
-                let mut prev = packet.src;
-                for next in self.topo.xy_hops(packet.src, packet.dst) {
-                    if self.fault.link_down(prev.0, next.0, cursor.as_noc_cycles()) {
-                        self.stats.dropped[plane] += 1;
-                        return Delivery::Dropped;
-                    }
-                    prev = next;
-                }
-            }
-            cursor += self.clock.span(self.config.hop_cycles * hops);
+            self.stats.contention_cycles += (depart - cursor).as_noc_cycles();
+            self.link_free[slot] = depart + self.clock.span(flits);
+            cursor = depart + self.clock.span(HOP_CYCLES);
+            prev = next;
         }
         if faults {
             let cycle = now.as_noc_cycles();
@@ -322,16 +259,15 @@ impl Network {
                 + self.fault.msg_jitter(src, dst, cycle);
             cursor += self.clock.span(extra);
         }
-        Delivery::Delivered(cursor + self.clock.span(self.config.eject_cycles))
+        Delivery::Delivered(cursor + self.clock.span(EJECT_CYCLES))
     }
 
     /// Zero-load latency bound for a packet from `src` to `dst` (no
     /// contention, no state change). Useful for analytical comparisons.
     pub fn latency_bound(&self, src: TileId, dst: TileId) -> SimTime {
         let hops = self.topo.hop_distance(src, dst) as u64;
-        self.clock.span(
-            self.config.inject_cycles + self.config.hop_cycles * hops + self.config.eject_cycles,
-        )
+        self.clock
+            .span(INJECT_CYCLES + HOP_CYCLES * hops + EJECT_CYCLES)
     }
 }
 
@@ -351,7 +287,7 @@ mod tests {
     #[test]
     fn zero_load_latency_matches_bound() {
         let topo = Topology::mesh(5, 5);
-        let mut net = Network::new(topo, NetworkConfig::default());
+        let mut net = Network::new(topo);
         let pkt = coin_pkt(&topo, (0, 0), (4, 4));
         let t = net.send(SimTime::ZERO, &pkt).expect_delivered();
         assert_eq!(t, net.latency_bound(pkt.src, pkt.dst));
@@ -361,7 +297,7 @@ mod tests {
     #[test]
     fn loopback_costs_inject_plus_eject() {
         let topo = Topology::mesh(3, 3);
-        let mut net = Network::new(topo, NetworkConfig::default());
+        let mut net = Network::new(topo);
         let a = topo.tile(1, 1);
         let pkt = Packet::new(a, a, Plane::MmioIrq, PacketKind::RegRead);
         assert_eq!(
@@ -373,7 +309,7 @@ mod tests {
     #[test]
     fn contention_serializes_on_shared_link() {
         let topo = Topology::mesh(3, 1);
-        let mut net = Network::new(topo, NetworkConfig::default());
+        let mut net = Network::new(topo);
         let pkt = coin_pkt(&topo, (0, 0), (2, 0));
         let t1 = net.send(SimTime::ZERO, &pkt).expect_delivered();
         let t2 = net.send(SimTime::ZERO, &pkt).expect_delivered(); // same instant, same links
@@ -384,7 +320,7 @@ mod tests {
     #[test]
     fn different_planes_do_not_contend() {
         let topo = Topology::mesh(3, 1);
-        let mut net = Network::new(topo, NetworkConfig::default());
+        let mut net = Network::new(topo);
         let a = topo.tile(0, 0);
         let b = topo.tile(2, 0);
         let p5 = Packet::new(a, b, Plane::MmioIrq, PacketKind::RegRead);
@@ -400,27 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn contention_disabled_gives_zero_load() {
-        let topo = Topology::mesh(3, 1);
-        let mut net = Network::new(
-            topo,
-            NetworkConfig {
-                contention: false,
-                ..NetworkConfig::default()
-            },
-        );
-        let pkt = coin_pkt(&topo, (0, 0), (2, 0));
-        let t1 = net.send(SimTime::ZERO, &pkt);
-        let t2 = net.send(SimTime::ZERO, &pkt);
-        assert_eq!(t1, t2);
-        assert!(!t1.is_dropped());
-        assert_eq!(net.stats().contention_cycles, 0);
-    }
-
-    #[test]
     fn stats_accounting() {
         let topo = Topology::mesh(3, 3);
-        let mut net = Network::new(topo, NetworkConfig::default());
+        let mut net = Network::new(topo);
         let pkt = coin_pkt(&topo, (0, 0), (2, 0));
         net.send(SimTime::ZERO, &pkt);
         net.send(
@@ -442,7 +360,7 @@ mod tests {
     #[test]
     fn later_send_after_link_free_sees_no_contention() {
         let topo = Topology::mesh(2, 1);
-        let mut net = Network::new(topo, NetworkConfig::default());
+        let mut net = Network::new(topo);
         let pkt = coin_pkt(&topo, (0, 0), (1, 0));
         net.send(SimTime::ZERO, &pkt);
         let before = net.stats().contention_cycles;
@@ -453,7 +371,7 @@ mod tests {
     #[test]
     fn link_outage_drops_packets_only_inside_window() {
         let topo = Topology::mesh(3, 1);
-        let mut net = Network::new(topo, NetworkConfig::default());
+        let mut net = Network::new(topo);
         let a = topo.tile(1, 0).0;
         let b = topo.tile(2, 0).0;
         net.set_fault_plan(FaultPlan {
@@ -479,7 +397,7 @@ mod tests {
     fn random_drops_are_deterministic_and_roughly_calibrated() {
         let topo = Topology::mesh(4, 4);
         let run = |seed: u64| {
-            let mut net = Network::new(topo, NetworkConfig::default());
+            let mut net = Network::new(topo);
             net.set_fault_plan(FaultPlan {
                 seed,
                 drop_prob: vec![0.2],
@@ -507,8 +425,8 @@ mod tests {
     #[test]
     fn extra_hop_delay_stretches_latency_within_bound() {
         let topo = Topology::mesh(4, 1);
-        let mut plain = Network::new(topo, NetworkConfig::default());
-        let mut faulty = Network::new(topo, NetworkConfig::default());
+        let mut plain = Network::new(topo);
+        let mut faulty = Network::new(topo);
         faulty.set_fault_plan(FaultPlan {
             seed: 3,
             extra_hop_delay_max_cycles: 5,
@@ -530,8 +448,8 @@ mod tests {
     #[test]
     fn empty_plan_is_free_of_fault_effects() {
         let topo = Topology::mesh(3, 3);
-        let mut plain = Network::new(topo, NetworkConfig::default());
-        let mut with_plan = Network::new(topo, NetworkConfig::default());
+        let mut plain = Network::new(topo);
+        let mut with_plan = Network::new(topo);
         with_plan.set_fault_plan(FaultPlan::none());
         let pkt = coin_pkt(&topo, (0, 0), (2, 2));
         for i in 0..16u64 {

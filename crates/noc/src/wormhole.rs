@@ -512,7 +512,7 @@ impl WormholeNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{Network, NetworkConfig};
+    use crate::network::Network;
     use crate::packet::{PacketKind, Plane};
 
     fn pkt(topo: &Topology, a: (usize, usize), b: (usize, usize)) -> Packet {
@@ -598,7 +598,7 @@ mod tests {
     fn agrees_with_analytic_model_at_zero_load() {
         // the cross-validation behind the noc-validation experiment
         let topo = Topology::mesh(8, 8);
-        let analytic = Network::new(topo, NetworkConfig::default());
+        let analytic = Network::new(topo);
         for (a, b) in [((0, 0), (7, 7)), ((3, 2), (3, 6)), ((5, 5), (0, 5))] {
             let p = pkt(&topo, a, b);
             let t_analytic = analytic.latency_bound(p.src, p.dst).as_noc_cycles();
@@ -743,6 +743,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(any(feature = "oracle", debug_assertions)),
+        ignore = "needs the oracle compiled in"
+    )]
     fn flit_oracle_catches_a_lost_flit() {
         // Sabotage the ledger the way a routing bug would (a flit vanishes
         // from a buffer) and check the oracle fires with full context.

@@ -1,11 +1,11 @@
 //! Typed validation errors for public configuration boundaries.
 //!
-//! Constructors like `Topology::try_mesh`, `NetworkConfig::validated`,
-//! `SocConfig::try_new`, and `SimConfig::try_new` return a [`ConfigError`]
-//! instead of panicking, so callers embedding the simulator (CLIs, future
-//! services) can surface bad inputs as errors. The original panicking
-//! constructors remain as thin wrappers for internal call sites where a
-//! bad config is a programming bug.
+//! Constructors like `Topology::try_mesh`, `SocConfig::try_new`, and
+//! `SimConfig::try_new` return a [`ConfigError`] instead of panicking, so
+//! callers embedding the simulator (CLIs, future services) can surface
+//! bad inputs as errors. The original panicking constructors remain as
+//! thin wrappers for internal call sites where a bad config is a
+//! programming bug.
 //!
 //! This is the hand-rolled equivalent of a `thiserror` derive: the crate
 //! tree builds fully offline, so the enum implements `Display` and

@@ -221,7 +221,7 @@ impl<P> Sweep<P> {
     }
 
     /// The derived sub-seed of sweep point `idx` — hand this to code
-    /// that takes a root seed (e.g. `run_trials`) so each point of a
+    /// that takes a root seed (e.g. `run_trials_with`) so each point of a
     /// hand-rolled sweep gets its own stream.
     pub fn point_seed(&self, idx: usize) -> u64 {
         derive_seed(self.root.root_seed(), idx as u64)

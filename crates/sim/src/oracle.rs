@@ -347,8 +347,15 @@ mod tests {
     use super::*;
 
     #[test]
+    #[cfg_attr(
+        not(any(feature = "oracle", debug_assertions)),
+        ignore = "needs the oracle compiled in"
+    )]
     fn enabled_in_test_builds() {
-        // Tests always carry debug_assertions or the explicit feature.
+        // `cargo test` builds carry debug_assertions and the
+        // `--features oracle` leg carries the feature; a plain release
+        // test build has neither, and there the tests that need the
+        // oracle compiled in are ignored.
         assert!(enabled());
     }
 
@@ -364,6 +371,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(any(feature = "oracle", debug_assertions)),
+        ignore = "needs the oracle compiled in"
+    )]
     fn failing_checks_record_with_context() {
         let before = violations_total();
         let mut o = Oracle::new("sim::oracle::tests", 0xBEEF);
@@ -389,6 +400,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(any(feature = "oracle", debug_assertions)),
+        ignore = "needs the oracle compiled in"
+    )]
     fn tie_break_is_stamped_into_replay_lines() {
         let mut o =
             Oracle::new("sim::oracle::tests", 0xABC).with_tie_break(TieBreak::Permuted(0x55));
@@ -415,6 +430,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(any(feature = "oracle", debug_assertions)),
+        ignore = "needs the oracle compiled in"
+    )]
     fn nan_fails_the_ceiling_check() {
         let mut o = Oracle::new("sim::oracle::tests", 1);
         o.check_le_f64(
@@ -428,6 +447,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(any(feature = "oracle", debug_assertions)),
+        ignore = "needs the oracle compiled in"
+    )]
     fn time_regression_is_caught() {
         let mut o = Oracle::new("sim::oracle::tests", 1);
         o.check_time_monotonic(5, 1000, 999);
@@ -436,6 +459,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(any(feature = "oracle", debug_assertions)),
+        ignore = "needs the oracle compiled in"
+    )]
     fn kept_violations_are_capped_but_count_is_not() {
         let mut o = Oracle::new("sim::oracle::tests", 1);
         for c in 0..(MAX_KEPT as u64 + 10) {

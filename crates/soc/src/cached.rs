@@ -12,13 +12,13 @@
 //!
 //! [`Simulation::unit_json`] is the cache identity: every semantic field
 //! of the unit — floorplan, workload, the entire [`SimConfig`] (manager,
-//! timing, tie-break, thermal coupling, ...), PM clusters, fault plan,
-//! the conservation-bug sabotage switch, and the derived seed. Job
-//! counts, output paths, and anything else that cannot change the result
-//! are deliberately absent. [`SIM_CACHE_SCHEMA`] is hashed into the key,
-//! so changing the serialized report format (or the meaning of any key
-//! field) only requires bumping the constant: old entries simply stop
-//! being addressed.
+//! budget, policy, exchange mode, pool scale, tie-break, thermal limit),
+//! PM clusters, fault plan, the conservation-bug sabotage switch, and the
+//! derived seed. Job counts, output paths, and anything else that cannot
+//! change the result are deliberately absent. [`SIM_CACHE_SCHEMA`] is
+//! hashed into the key, so changing the serialized report format (or the
+//! meaning of any key field) only requires bumping the constant: old
+//! entries simply stop being addressed.
 
 use blitzcoin_sim::cache::{key_of, Cache, CacheKey, Fetch};
 use blitzcoin_sim::json::{FromJson, Json, ToJson};
@@ -29,7 +29,7 @@ use crate::report::SimReport;
 /// Version of the cached-report format and key layout. Bump whenever
 /// [`SimReport`]'s serialization or [`Simulation::unit_json`]'s field
 /// set changes meaning; every bump auto-invalidates all prior entries.
-pub const SIM_CACHE_SCHEMA: u32 = 1;
+pub const SIM_CACHE_SCHEMA: u32 = 2;
 
 impl Simulation {
     /// The canonical JSON identity of running `self` under `seed`:
@@ -175,7 +175,7 @@ mod tests {
         let sim = small_sim(ManagerKind::BlitzCoin, 120.0, TieBreak::Fifo);
         assert_eq!(
             sim.cache_key(7).hex(),
-            "98695715b2b851ef62a6aa06b09cea5420e8a4c83f9e085d251982f49fada2d9",
+            "d188f661cdc0f2be66013e1abae40c47079d1d787b258dcaa98c79951689827d",
             "pinned cache key drifted; bump SIM_CACHE_SCHEMA if intentional"
         );
         // Identity is canonical: the key must not depend on the order in
@@ -192,6 +192,23 @@ mod tests {
         // of the unit at all, so they cannot perturb it.
         let canon = blitzcoin_sim::cache::canonical(&sim.unit_json(7));
         assert!(!canon.contains("jobs"));
+        // The config carries exactly the settings a caller varies.
+        let Json::Obj(config) = sim.cfg.to_json() else {
+            panic!("SimConfig serializes as an object");
+        };
+        let fields: Vec<&str> = config.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            fields,
+            [
+                "manager",
+                "budget_mw",
+                "policy",
+                "exchange_mode",
+                "pool_scale",
+                "tie_break",
+                "thermal_limit_c"
+            ]
+        );
     }
 
     #[test]

@@ -32,8 +32,8 @@
 
 use std::collections::VecDeque;
 
-use blitzcoin_core::{AllocationPolicy, DynamicTiming, ExchangeMode};
-use blitzcoin_noc::{Network, NetworkConfig, TileId, Topology};
+use blitzcoin_core::{AllocationPolicy, ExchangeMode};
+use blitzcoin_noc::{Network, TileId, Topology};
 use blitzcoin_power::{AcceleratorClass, CoinLut, PowerModel};
 use blitzcoin_sim::oracle::Oracle;
 use blitzcoin_sim::{
@@ -42,7 +42,7 @@ use blitzcoin_sim::{
 };
 
 use crate::floorplan::SocConfig;
-use crate::manager::{ManagerKind, ManagerTiming};
+use crate::manager::ManagerKind;
 use crate::report::{ActivityChange, ResponseSample, SimReport};
 use crate::workload::{TaskId, Workload};
 
@@ -52,7 +52,6 @@ pub(crate) mod coupling;
 pub(crate) mod events;
 pub(crate) mod faults;
 
-pub use coupling::ThermalCoupling;
 pub(crate) use events::Ev;
 
 thread_local! {
@@ -93,7 +92,10 @@ pub(crate) fn recycle_queue(q: EventQueue<Ev>) {
     QUEUE_POOL.with(|p| *p.borrow_mut() = Some(q));
 }
 
-/// Simulation configuration.
+/// Simulation configuration: the settings a caller varies. Everything
+/// else the engine runs on (manager timing, the BlitzCoin refresh
+/// dynamics, the NoC latencies, the thermal RC network) is a named
+/// constant next to the code that reads it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// The power manager under test.
@@ -102,63 +104,36 @@ pub struct SimConfig {
     pub budget_mw: f64,
     /// Target-allocation policy (the paper's default is RP).
     pub policy: AllocationPolicy,
-    /// Manager timing calibration.
-    pub timing: ManagerTiming,
-    /// BlitzCoin FSM refresh dynamics.
-    pub exchange_timing: DynamicTiming,
     /// Exchange technique for the BlitzCoin FSMs (the fabricated design
     /// uses 1-way; 4-way is provided for the Fig 3 comparison).
     pub exchange_mode: ExchangeMode,
-    /// Random-pairing period, in base refresh intervals (0 disables).
-    pub pairing_period: u32,
-    /// Response-time convergence tolerance, in coins per tile.
-    pub response_tolerance: f64,
     /// Coin-pool scale: the pool holds `63 * pool_scale` coins (coin value
     /// `budget / (63 * pool_scale)`). The fabricated 6-bit design uses 1;
     /// SoCs with many more than ~16 managed tiles need a finer economy or
     /// the per-tile equilibrium falls below one coin (the hardware analog
     /// is a wider coin register or hierarchical PM clusters).
     pub pool_scale: u32,
-    /// Background accelerator-DMA traffic: every managed tile bursts this
-    /// many flits to the nearest memory tile each `dma_period_cycles`.
-    /// 0 disables. Models the memory traffic of real workloads.
-    pub dma_burst_flits: u32,
-    /// Period between DMA bursts per tile, in NoC cycles.
-    pub dma_period_cycles: u64,
-    /// Ablation: route coin messages on the DMA plane instead of plane 5,
-    /// so they contend with the bursts — quantifies why the BlitzCoin
-    /// integration reserves plane-5 access (Section IV-B).
-    pub share_plane_with_dma: bool,
-    /// Safety horizon: the run aborts (unfinished) past this time.
-    pub horizon: SimTime,
     /// Same-timestamp event ordering. The default [`TieBreak::Fifo`] is
     /// bit-identical to the historical engine; the interleaving fuzzer
     /// re-runs configs under `Permuted` seeds to prove no result depends
     /// on the one ordering FIFO happens to pick.
     pub tie_break: TieBreak,
-    /// In-loop electro-thermal coupling (RC integration on its own slow
-    /// clock, leakage feedback, thermal throttling). `None` — the
+    /// Junction limit (°C) of the in-loop electro-thermal coupling (RC
+    /// integration on its own slow clock, leakage feedback, thermal
+    /// throttling): a managed tile crossing it is throttled. `None` — the
     /// default — schedules nothing and leaves runs byte-identical to the
     /// uncoupled engine.
-    pub thermal: Option<ThermalCoupling>,
+    pub thermal_limit_c: Option<f64>,
 }
 
 blitzcoin_sim::json_fields!(SimConfig {
     manager,
     budget_mw,
     policy,
-    timing,
-    exchange_timing,
     exchange_mode,
-    pairing_period,
-    response_tolerance,
     pool_scale,
-    dma_burst_flits,
-    dma_period_cycles,
-    share_plane_with_dma,
-    horizon,
     tie_break,
-    thermal
+    thermal_limit_c
 });
 
 impl SimConfig {
@@ -172,45 +147,22 @@ impl SimConfig {
     /// comes back as a [`ConfigError`] instead of a panic.
     pub fn try_new(manager: ManagerKind, budget_mw: f64) -> Result<Self, ConfigError> {
         blitzcoin_sim::error::require_positive("budget_mw", budget_mw)?;
-        Ok(Self::with_defaults(manager, budget_mw))
-    }
-
-    fn with_defaults(manager: ManagerKind, budget_mw: f64) -> Self {
-        SimConfig {
+        Ok(SimConfig {
             manager,
             budget_mw,
             policy: AllocationPolicy::RelativeProportional,
-            timing: ManagerTiming::default(),
-            // The SoC FSM uses "fast wake": any significant exchange drops
-            // the interval straight to the floor (k spans the whole range),
-            // so a freed budget propagates at the fast refresh rate.
-            exchange_timing: DynamicTiming {
-                k_cycles: 1024,
-                ..DynamicTiming::default()
-            },
             exchange_mode: ExchangeMode::OneWay,
-            pairing_period: 16,
-            response_tolerance: 1.5,
             pool_scale: 1,
-            dma_burst_flits: 0,
-            dma_period_cycles: 256,
-            share_plane_with_dma: false,
-            horizon: SimTime::from_ms(400),
             tie_break: TieBreak::Fifo,
-            thermal: None,
-        }
+            thermal_limit_c: None,
+        })
     }
 
     /// A configuration sized for a large SoC: the coin economy is scaled
     /// so the average managed tile still holds tens of coins.
     pub fn for_large_soc(manager: ManagerKind, budget_mw: f64, n_managed: usize) -> Self {
-        let pool_scale = (n_managed as u32 / 8).max(1);
         SimConfig {
-            pool_scale,
-            // keep the convergence tolerance constant as a *fraction of the
-            // budget*, not in raw coins, so response times are comparable
-            // across economy scales
-            response_tolerance: 1.5 * pool_scale as f64,
+            pool_scale: (n_managed as u32 / 8).max(1),
             ..SimConfig::new(manager, budget_mw)
         }
     }
@@ -262,9 +214,9 @@ pub(crate) struct TileRt {
 /// base clock, and every delay the engine books is a whole number of
 /// some domain's ticks.
 ///
-/// The NoC domain wakes the manager FSMs, actuation pipelines, DMA
-/// engines, and fault injectors — in the fabricated SoC they all live
-/// in the always-on NoC power domain — while each tile's core clock has
+/// The NoC domain wakes the manager FSMs, actuation pipelines, and
+/// fault injectors — in the fabricated SoC they all live in the
+/// always-on NoC power domain — while each tile's core clock has
 /// its own divider, retuned whenever a DVFS actuation settles. The
 /// dividers reproduce the historical cadence exactly (the NoC divider
 /// *is* [`blitzcoin_sim::time::NOC_CYCLE_PS`]), so migrating a call
@@ -480,7 +432,6 @@ impl Simulation {
             ("tile_clocks", core.clocks.tile.len()),
             ("managed", core.managed.len()),
             ("managed_slot", core.managed_slot.len()),
-            ("nearest_mem", core.nearest_mem.len()),
             ("cluster_of", core.cluster_of.len()),
             (
                 "cluster_members_total",
@@ -530,7 +481,8 @@ pub(crate) struct Core<'a> {
     pub(crate) net: Network,
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) clocks: EngineClocks,
-    /// In-loop thermal state; `Some` exactly when `cfg.thermal` is set.
+    /// In-loop thermal state; `Some` exactly when `cfg.thermal_limit_c`
+    /// is set.
     pub(crate) thermal: Option<coupling::ThermalRt>,
     pub(crate) tiles: Vec<TileRt>,
     pub(crate) managed: Vec<usize>,
@@ -538,10 +490,6 @@ pub(crate) struct Core<'a> {
     /// tiles) — the trace arrays are indexed per managed slot, and the
     /// recording paths run on every power/coin/frequency change.
     pub(crate) managed_slot: Vec<usize>,
-    /// Nearest memory tile per tile id (ties broken toward the lowest
-    /// id), precomputed for the background-DMA path. Empty when the
-    /// workload runs without DMA bursts.
-    pub(crate) nearest_mem: Vec<Option<TileId>>,
     /// Cluster index per tile id (managed tiles only; usize::MAX elsewhere).
     pub(crate) cluster_of: Vec<usize>,
     /// Managed tile ids per PM cluster (the exchange / ring domains).
@@ -704,28 +652,13 @@ impl<'a> Core<'a> {
             .collect();
         let oracle = Oracle::new("blitzcoin-soc Simulation::run", rng.root_seed())
             .with_tie_break(sim.cfg.tie_break);
-        let mut net = Network::new(soc.topology, NetworkConfig::default());
+        let mut net = Network::new(soc.topology);
         net.set_fault_plan(sim.fault.clone());
         let n_tasks = sim.wl.len();
         let mut managed_slot = vec![usize::MAX; soc.topology.len()];
         for (slot, &ti) in managed.iter().enumerate() {
             managed_slot[ti] = slot;
         }
-        let nearest_mem: Vec<Option<TileId>> = if sim.cfg.dma_burst_flits > 0 {
-            soc.topology
-                .tiles()
-                .map(|me| {
-                    soc.topology
-                        .tiles()
-                        .filter(|t| {
-                            matches!(soc.tiles[t.index()], crate::floorplan::TileKind::Memory)
-                        })
-                        .min_by_key(|&t| soc.topology.hop_distance(me, t))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let clocks = EngineClocks {
             noc: ClockDomain::NOC,
             tile: tiles
@@ -741,12 +674,11 @@ impl<'a> Core<'a> {
             clocks,
             thermal: sim
                 .cfg
-                .thermal
-                .map(|cc| coupling::ThermalRt::new(soc.topology, cc)),
+                .thermal_limit_c
+                .map(|limit_c| coupling::ThermalRt::new(soc.topology, limit_c)),
             tiles,
             managed,
             managed_slot,
-            nearest_mem,
             cluster_of,
             cluster_members: cluster_list,
             now: SimTime::ZERO,
@@ -777,16 +709,6 @@ impl<'a> Core<'a> {
 
     pub(crate) fn cfg(&self) -> &SimConfig {
         &self.sim.cfg
-    }
-
-    /// The plane coin messages travel on: plane 5 normally, or the DMA
-    /// plane under the plane-sharing ablation.
-    pub(crate) fn coin_plane(&self) -> blitzcoin_noc::Plane {
-        if self.cfg().share_plane_with_dma {
-            blitzcoin_noc::Plane::Dma1
-        } else {
-            blitzcoin_noc::Plane::MmioIrq
-        }
     }
 
     pub(crate) fn plan(&self) -> &FaultPlan {

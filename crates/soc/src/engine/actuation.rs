@@ -7,7 +7,12 @@
 
 use blitzcoin_sim::{SimTime, TileFaultKind};
 
-use crate::engine::{Core, EngineClocks, Ev};
+use crate::engine::{coupling, Core, EngineClocks, Ev};
+
+/// UVFR actuation delay from a frequency-target write to the tile clock
+/// settling (LDO slew + TDC windows), in NoC cycles (~160 ns); constant
+/// and parallel across tiles.
+pub(crate) const ACTUATION_CYCLES: u64 = 128;
 
 impl Core<'_> {
     /// kcycles of work per microsecond at the tile's current clock.
@@ -92,7 +97,7 @@ impl Core<'_> {
         self.tiles[ti].target = f_mhz;
         self.tiles[ti].actuate_gen += 1;
         let gen = self.tiles[ti].actuate_gen;
-        let delay = self.clocks.noc.span(self.cfg().timing.actuation_cycles);
+        let delay = self.clocks.noc.span(ACTUATION_CYCLES);
         self.queue
             .schedule(self.now + delay, Ev::Actuate { tile: ti, gen });
     }
@@ -109,7 +114,7 @@ impl Core<'_> {
         // a thermally throttled tile's target is cut until it cools
         match &self.thermal {
             Some(th) if th.throttled[ti] => {
-                ((base as f64 * th.cc.throttle_max_frac).round() as u64).max(1)
+                ((base as f64 * coupling::THROTTLE_MAX_FRAC).round() as u64).max(1)
             }
             _ => base,
         }

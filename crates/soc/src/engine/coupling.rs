@@ -1,19 +1,20 @@
 //! In-loop electro-thermal coupling and thermal throttling.
 //!
-//! With [`SimConfig::thermal`](crate::engine::SimConfig) set, the engine
-//! ticks a [`ThermalComponent`] on its own slow clock (one
+//! With [`SimConfig::thermal_limit_c`](crate::engine::SimConfig) set, the
+//! engine ticks a [`ThermalComponent`] on its own slow clock (one
 //! [`Ev::ThermalTick`] per integration step): each tick samples the
 //! *live* instantaneous tile powers, advances the RC network one step
 //! (leakage inflating hot tiles' dissipation), and runs the throttle
 //! policy. A tile crossing the junction limit has its allocation target
-//! cut to `throttle_max_frac` of its policy max — announced to the
+//! cut to [`THROTTLE_MAX_FRAC`] of its policy max — announced to the
 //! active manager as an ordinary activity change, so the reallocation
 //! that follows is measured by the same response-time machinery as any
 //! workload transition. Hysteresis releases the throttle once the tile
-//! has cooled.
+//! has cooled. The RC network is `ThermalConfig::default()`; the limit
+//! is the only thermal setting a caller chooses.
 //!
-//! The default `thermal: None` schedules nothing, consumes no RNG, and
-//! leaves runs byte-identical to the uncoupled engine.
+//! The default `thermal_limit_c: None` schedules nothing, consumes no
+//! RNG, and leaves runs byte-identical to the uncoupled engine.
 
 use blitzcoin_sim::SimTime;
 use blitzcoin_thermal::{ThermalComponent, ThermalConfig, ThermalModel};
@@ -21,49 +22,24 @@ use blitzcoin_thermal::{ThermalComponent, ThermalConfig, ThermalModel};
 use crate::engine::{events, Core, Ev};
 use crate::managers::ManagerPolicy;
 
-/// In-loop electro-thermal coupling parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThermalCoupling {
-    /// The RC network (ambient, conductances, capacitance, step).
-    pub rc: ThermalConfig,
-    /// Leakage growth per °C above ambient (see
-    /// [`ThermalModel::simulate_coupled`]).
-    pub leak_per_c: f64,
-    /// Junction limit (°C): a managed tile crossing it is throttled.
-    pub throttle_limit_c: f64,
-    /// A throttled tile is released once it cools this far below the
-    /// limit.
-    pub throttle_hysteresis_c: f64,
-    /// A throttled tile's allocation target as a fraction of its policy
-    /// max (floored at one coin).
-    pub throttle_max_frac: f64,
-}
+/// Leakage growth per °C above ambient (see
+/// [`ThermalModel::simulate_coupled`]).
+const LEAK_PER_C: f64 = 0.01;
 
-blitzcoin_sim::json_fields!(ThermalCoupling {
-    rc,
-    leak_per_c,
-    throttle_limit_c,
-    throttle_hysteresis_c,
-    throttle_max_frac
-});
+/// A throttled tile is released once it cools this far (°C) below the
+/// limit.
+const THROTTLE_HYSTERESIS_C: f64 = 3.0;
 
-impl Default for ThermalCoupling {
-    fn default() -> Self {
-        ThermalCoupling {
-            rc: ThermalConfig::default(),
-            leak_per_c: 0.01,
-            throttle_limit_c: 85.0,
-            throttle_hysteresis_c: 3.0,
-            throttle_max_frac: 0.5,
-        }
-    }
-}
+/// A throttled tile's allocation target as a fraction of its policy max
+/// (floored at one coin).
+pub(crate) const THROTTLE_MAX_FRAC: f64 = 0.5;
 
 /// Engine-side thermal runtime: the clocked component plus throttle
 /// bookkeeping.
 pub(crate) struct ThermalRt {
     pub(crate) comp: ThermalComponent,
-    pub(crate) cc: ThermalCoupling,
+    /// Junction limit (°C): a managed tile crossing it is throttled.
+    limit_c: f64,
     /// Scratch: instantaneous per-tile power (mW), refilled every tick.
     p_buf: Vec<f64>,
     /// Per-tile throttle latches (tile id indexed).
@@ -73,12 +49,12 @@ pub(crate) struct ThermalRt {
 }
 
 impl ThermalRt {
-    pub(crate) fn new(topo: blitzcoin_noc::Topology, cc: ThermalCoupling) -> Self {
-        let model = ThermalModel::new(topo, cc.rc);
+    pub(crate) fn new(topo: blitzcoin_noc::Topology, limit_c: f64) -> Self {
+        let model = ThermalModel::new(topo, ThermalConfig::default());
         let n = model.tiles();
         ThermalRt {
-            comp: ThermalComponent::new(model, cc.leak_per_c),
-            cc,
+            comp: ThermalComponent::new(model, LEAK_PER_C),
+            limit_c,
             p_buf: vec![0.0; n],
             throttled: vec![false; n],
             throttle_events: 0,
@@ -103,14 +79,14 @@ pub(crate) fn on_thermal_tick(core: &mut Core, policy: &mut dyn ManagerPolicy) {
             continue;
         }
         let t = th.comp.temps()[ti];
-        if !th.throttled[ti] && t > th.cc.throttle_limit_c {
+        if !th.throttled[ti] && t > th.limit_c {
             th.throttled[ti] = true;
             th.throttle_events += 1;
             if th.first_throttle.is_none() {
                 th.first_throttle = Some(core.now);
             }
             flips.push(ti);
-        } else if th.throttled[ti] && t < th.cc.throttle_limit_c - th.cc.throttle_hysteresis_c {
+        } else if th.throttled[ti] && t < th.limit_c - THROTTLE_HYSTERESIS_C {
             th.throttled[ti] = false;
             flips.push(ti);
         }
@@ -132,17 +108,13 @@ pub(crate) fn on_thermal_tick(core: &mut Core, policy: &mut dyn ManagerPolicy) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::engine::{SimConfig, Simulation};
     use crate::manager::ManagerKind;
     use crate::{floorplan, workload};
 
     fn coupled(limit_c: f64) -> SimConfig {
         SimConfig {
-            thermal: Some(ThermalCoupling {
-                throttle_limit_c: limit_c,
-                ..ThermalCoupling::default()
-            }),
+            thermal_limit_c: Some(limit_c),
             ..SimConfig::new(ManagerKind::BlitzCoin, 240.0)
         }
     }

@@ -5,7 +5,7 @@
 //! [`ManagerPolicy`](crate::managers::ManagerPolicy) untouched, so the
 //! loop neither knows nor cares which scheme is running.
 
-use blitzcoin_noc::{Packet, PacketKind, TileId};
+use blitzcoin_sim::SimTime;
 
 use crate::engine::{Core, Running};
 use crate::managers::ManagerPolicy;
@@ -23,12 +23,11 @@ pub(crate) enum Ev {
     Manager(ManagerEv),
     /// Tile `tile`'s UVFR settles on its commanded frequency target.
     Actuate { tile: usize, gen: u64 },
-    /// Tile `tile` emits its next background DMA burst.
-    DmaBurst { tile: usize },
     /// Tile `tile`'s planned fault fires.
     TileFault { tile: usize },
     /// The in-loop thermal integrator's slow clock edges (only scheduled
-    /// when [`SimConfig::thermal`](crate::engine::SimConfig) is set).
+    /// when [`SimConfig::thermal_limit_c`](crate::engine::SimConfig) is
+    /// set).
     ThermalTick,
 }
 
@@ -94,11 +93,13 @@ pub(crate) enum PtMsg {
     Watchdog,
 }
 
+/// Safety horizon: a run still going past this time aborts unfinished.
+const HORIZON: SimTime = SimTime::from_ms(400);
+
 /// Boots the run and drives the event loop to completion. Order matters
 /// and is part of the determinism contract: workload roots first (their
 /// activity changes reach the policy before its boot init), then the
-/// policy's boot init (which may consume RNG), then DMA phases (RNG),
-/// then planned faults.
+/// policy's boot init (which may consume RNG), then planned faults.
 pub(crate) fn run(core: &mut Core, policy: &mut dyn ManagerPolicy) {
     // kick off the workload
     let roots = core.sim.wl.roots();
@@ -106,16 +107,6 @@ pub(crate) fn run(core: &mut Core, policy: &mut dyn ManagerPolicy) {
         enqueue_task(core, policy, t);
     }
     policy.init(core);
-
-    if core.cfg().dma_burst_flits > 0 {
-        for k in 0..core.managed.len() {
-            let ti = core.managed[k];
-            let phase = core.rng.range_u64(0..core.cfg().dma_period_cycles.max(1));
-            core.queue
-                .schedule(core.clocks.noc.span(phase), Ev::DmaBurst { tile: ti });
-        }
-    }
-
     core.schedule_planned_faults();
 
     if let Some(th) = &core.thermal {
@@ -135,14 +126,13 @@ pub(crate) fn run(core: &mut Core, policy: &mut dyn ManagerPolicy) {
         }
         core.now = ev.time;
         core.events += 1;
-        if core.now > core.cfg().horizon {
+        if core.now > HORIZON {
             break;
         }
         match ev.payload {
             Ev::TaskDone { tile, gen } => on_task_done(core, policy, tile, gen),
             Ev::Manager(me) => policy.on_event(core, me),
             Ev::Actuate { tile, gen } => core.on_actuate(tile, gen),
-            Ev::DmaBurst { tile } => core.on_dma_burst(tile),
             Ev::TileFault { tile } => core.on_tile_fault(tile),
             Ev::ThermalTick => crate::engine::coupling::on_thermal_tick(core, policy),
         }
@@ -248,29 +238,4 @@ pub(crate) fn activity_changed(core: &mut Core, policy: &mut dyn ManagerPolicy, 
     });
     core.pending_changes.push(core.now);
     policy.on_activity_change(core, ti);
-}
-
-impl Core<'_> {
-    /// Sends one DMA burst from `ti` to its nearest memory tile and
-    /// schedules the next.
-    fn on_dma_burst(&mut self, ti: usize) {
-        if self.tiles[ti].faulted.is_some() {
-            return; // a faulted engine issues no more bursts
-        }
-        let me = TileId(ti);
-        if let Some(mem) = self.nearest_mem[ti] {
-            let burst = Packet::new(
-                me,
-                mem,
-                blitzcoin_noc::Plane::Dma1,
-                PacketKind::DmaBurst {
-                    flits: self.cfg().dma_burst_flits,
-                },
-            );
-            // fire-and-forget: a dropped burst is simply lost traffic
-            let _ = self.net.send(self.now, &burst);
-        }
-        let at = self.now + self.clocks.noc.span(self.cfg().dma_period_cycles.max(1));
-        self.queue.schedule(at, Ev::DmaBurst { tile: ti });
-    }
 }

@@ -401,7 +401,7 @@ pub fn try_mega_mesh(d: usize) -> Result<MegaMesh, ConfigError> {
         };
     }
     // A single-region mesh (d <= MEGA_LEAF_SIDE) has only the CPU corner;
-    // give it the memory and IO tiles the engine's DMA path expects.
+    // give it the memory and IO tiles every multi-region mesh has.
     if regions.len() == 1 {
         tiles[topo.tile(1, 0).index()] = TileKind::Memory;
         tiles[topo.tile(2, 0).index()] = TileKind::Io;

@@ -59,7 +59,7 @@ pub mod report;
 pub mod thermal;
 pub mod workload;
 
-pub use engine::{SimConfig, Simulation, ThermalCoupling};
+pub use engine::{SimConfig, Simulation};
 pub use floorplan::{SocConfig, TileKind};
 pub use manager::ManagerKind;
 pub use report::SimReport;
@@ -67,7 +67,7 @@ pub use workload::{Task, TaskId, Workload};
 
 /// Convenient glob import for examples and the experiment harness.
 pub mod prelude {
-    pub use crate::engine::{SimConfig, Simulation, ThermalCoupling};
+    pub use crate::engine::{SimConfig, Simulation};
     pub use crate::floorplan::{self, SocConfig, TileKind};
     pub use crate::manager::ManagerKind;
     pub use crate::report::SimReport;

@@ -10,13 +10,14 @@
 //! | `CentralizedRoundRobin` | central FW controller | greedy max/min rotation | O(N) |
 //! | `TokenSmart` | decentralized token ring | greedy/fair ring targets | O(N) |
 //! | `PriceTheory` | hierarchical supervisors | market clearing (tâtonnement) | O(iterations · N) |
-//! | `Static` | none | fixed equal shares | — |
+//! | `Static` | none | P_max-proportional shares fixed at boot | — |
 //!
-//! The timing constants below are the DESIGN.md §5 calibration: they are
-//! chosen once so the simulated N=7 response times land near the
-//! silicon-measured 15.3 µs (C-RR) and 1.4 µs (BC-C) of Fig 20, and are
-//! then *validated* against the independent Fig 17/18 ratios rather than
-//! re-tuned.
+//! The centralized schemes' per-tile service times (`SERVICE_CYCLES` of
+//! each `SweepScheme` in `crate::managers`) are the DESIGN.md §5
+//! calibration: they are chosen once so the simulated N=7 response times
+//! land near the silicon-measured 15.3 µs (C-RR) and 1.4 µs (BC-C) of
+//! Fig 20, and are then *validated* against the independent Fig 17/18
+//! ratios rather than re-tuned.
 
 /// Which power manager governs the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,7 +36,8 @@ pub enum ManagerKind {
     /// over the NoC until the market clears (promoted from the
     /// behavioural baseline to a cycle-level manager, like TokenSmart).
     PriceTheory,
-    /// Fixed equal power shares (the Fig 19 silicon baseline).
+    /// Fixed shares proportional to each tile's P_max, set once at boot
+    /// (the Fig 19 silicon baseline).
     Static,
 }
 
@@ -81,15 +83,6 @@ impl blitzcoin_sim::json::FromJson for ManagerKind {
     }
 }
 
-blitzcoin_sim::json_fields!(ManagerTiming {
-    crr_service_cycles,
-    crr_rotation_cycles,
-    bcc_service_cycles,
-    actuation_cycles,
-    ts_visit_cycles,
-    pt_round_cycles
-});
-
 /// Error from parsing a [`ManagerKind`] name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseManagerError(String);
@@ -129,62 +122,6 @@ impl std::fmt::Display for ManagerKind {
     }
 }
 
-/// Manager timing constants (NoC cycles at 800 MHz).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ManagerTiming {
-    /// C-RR: firmware service time per tile during a sweep (poll the
-    /// tile, run the policy step, write the DVFS register). 1750 cycles x
-    /// 1.25 ns x 7 tiles ≈ 15.3 µs, the Fig 20 silicon measurement.
-    pub crr_service_cycles: u64,
-    /// C-RR: interval between fairness-rotation sweeps.
-    pub crr_rotation_cycles: u64,
-    /// BC-C: central hardware FSM service time per tile during an update
-    /// sweep. 160 cycles x 1.25 ns x 7 ≈ 1.4 µs (Fig 20).
-    pub bcc_service_cycles: u64,
-    /// UVFR actuation delay from a frequency-target write to the tile
-    /// clock settling (LDO slew + TDC windows); constant and parallel
-    /// across tiles.
-    pub actuation_cycles: u64,
-    /// TokenSmart: FSM service time per ring visit (examine the pool,
-    /// take/deposit, forward the token). The ring hop itself travels as a
-    /// real NoC packet on top of this.
-    pub ts_visit_cycles: u64,
-    /// Price Theory: supervisor service time per member per tâtonnement
-    /// round (serialize the quote, ingest the bid, step the price).
-    /// Calibrated like BC-C's central FSM — a hardware market unit, so
-    /// the scheme's O(iterations) messaging, not the arithmetic,
-    /// dominates its response time.
-    pub pt_round_cycles: u64,
-}
-
-impl ManagerTiming {
-    /// Per-tile service time of one manager step: a sweep write for the
-    /// centralized schemes, a ring visit for TokenSmart. C-RR's firmware
-    /// service time is the conservative default for any future scheme
-    /// without its own calibration.
-    pub fn service_cycles(&self, kind: ManagerKind) -> u64 {
-        match kind {
-            ManagerKind::BcCentralized => self.bcc_service_cycles,
-            ManagerKind::TokenSmart => self.ts_visit_cycles,
-            ManagerKind::PriceTheory => self.pt_round_cycles,
-            _ => self.crr_service_cycles,
-        }
-    }
-}
-
-impl Default for ManagerTiming {
-    fn default() -> Self {
-        ManagerTiming {
-            crr_service_cycles: 1750,
-            crr_rotation_cycles: 16_384, // ~20.5 us between rotations
-            bcc_service_cycles: 160,
-            actuation_cycles: 128, // ~160 ns
-            ts_visit_cycles: 6,    // matches the behavioural model's TsConfig
-            pt_round_cycles: 160,  // BC-C-class hardware service per member
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,29 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn service_cycle_lookup_matches_per_scheme_calibration() {
-        let t = ManagerTiming::default();
-        assert_eq!(
-            t.service_cycles(ManagerKind::BcCentralized),
-            t.bcc_service_cycles
-        );
-        assert_eq!(
-            t.service_cycles(ManagerKind::CentralizedRoundRobin),
-            t.crr_service_cycles
-        );
-        assert_eq!(t.service_cycles(ManagerKind::TokenSmart), t.ts_visit_cycles);
-        assert_eq!(
-            t.service_cycles(ManagerKind::PriceTheory),
-            t.pt_round_cycles
-        );
-    }
-
-    #[test]
     fn calibration_matches_fig20_targets() {
-        let t = ManagerTiming::default();
+        use crate::managers::{bcc::Bcc, centralized::SweepScheme, crr::Crr};
         // 7 active accelerators, as in the silicon workload
-        let crr_us = 7.0 * t.crr_service_cycles as f64 * 1.25e-3;
-        let bcc_us = 7.0 * t.bcc_service_cycles as f64 * 1.25e-3;
+        let crr_us = 7.0 * Crr::SERVICE_CYCLES as f64 * 1.25e-3;
+        let bcc_us = 7.0 * Bcc::SERVICE_CYCLES as f64 * 1.25e-3;
         assert!((crr_us - 15.3).abs() < 1.0, "C-RR calibration: {crr_us}");
         assert!((bcc_us - 1.4).abs() < 0.2, "BC-C calibration: {bcc_us}");
     }

@@ -5,7 +5,6 @@
 use blitzcoin_baselines::BccController;
 
 use crate::engine::Core;
-use crate::manager::ManagerKind;
 use crate::managers::centralized::SweepScheme;
 
 /// The BC-C sweep scheme: proportional coin allocation, computed by the
@@ -13,7 +12,9 @@ use crate::managers::centralized::SweepScheme;
 pub(crate) struct Bcc;
 
 impl SweepScheme for Bcc {
-    const KIND: ManagerKind = ManagerKind::BcCentralized;
+    /// Central hardware FSM service time per tile: 160 cycles x 1.25 ns
+    /// x 7 tiles ≈ 1.4 µs (Fig 20).
+    const SERVICE_CYCLES: u64 = 160;
     const WRITES_COINS: bool = true;
 
     fn boot(&mut self, _core: &mut Core) {}

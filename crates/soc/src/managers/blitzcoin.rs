@@ -10,14 +10,31 @@
 use blitzcoin_core::exchange::{
     four_way_allocation, pairwise_exchange, pairwise_exchange_stochastic,
 };
-use blitzcoin_core::{ExchangeMode, TileState};
-use blitzcoin_noc::{Packet, PacketKind, TileId};
+use blitzcoin_core::{DynamicTiming, ExchangeMode, TileState};
+use blitzcoin_noc::{Packet, PacketKind, Plane, TileId};
 use blitzcoin_sim::TileFaultKind;
 
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
 use crate::managers::ManagerPolicy;
 use crate::report::ResponseSample;
+
+/// The SoC FSM's refresh dynamics. It uses "fast wake": any significant
+/// exchange drops the interval straight to the floor (k spans the whole
+/// range), so a freed budget propagates at the fast refresh rate.
+pub(crate) const EXCHANGE_TIMING: DynamicTiming = DynamicTiming {
+    k_cycles: 1024,
+    ..DynamicTiming::DEFAULT
+};
+
+/// Random-pairing period, in base refresh intervals: once per period a
+/// tile exchanges with a random partner instead of its next ring partner.
+const PAIRING_PERIOD: u64 = 16;
+
+/// Response-time convergence tolerance, in coins per tile per unit of
+/// `pool_scale`, so it stays the same fraction of the budget and
+/// response times compare across economy scales.
+const RESPONSE_TOLERANCE_COINS: f64 = 1.5;
 
 /// Consecutive failed exchanges with the same ring partner before a tile
 /// concludes the partner is gone and triggers recovery (reclaim the
@@ -33,8 +50,8 @@ pub(crate) struct BlitzCoinPolicy;
 impl ManagerPolicy for BlitzCoinPolicy {
     fn init(&mut self, core: &mut Core) {
         // stagger the per-tile FSM boot phases across one base interval
-        let base = core.cfg().exchange_timing.base_cycles;
-        let pairing_iv = core.cfg().pairing_period as u64 * base;
+        let base = EXCHANGE_TIMING.base_cycles;
+        let pairing_iv = PAIRING_PERIOD * base;
         for k in 0..core.managed.len() {
             let ti = core.managed[k];
             let phase = core.rng.range_u64(0..base);
@@ -52,9 +69,8 @@ impl ManagerPolicy for BlitzCoinPolicy {
 
     fn on_activity_change(&mut self, core: &mut Core, ti: usize) {
         // the local FSM reacts immediately at the fast refresh rate
-        let min_cycles = core.cfg().exchange_timing.min_cycles;
         let rt = &mut core.tiles[ti];
-        rt.interval = min_cycles;
+        rt.interval = EXCHANGE_TIMING.min_cycles;
         rt.zero_rot = 0;
         rt.fire_gen += 1;
         let gen = rt.fire_gen;
@@ -90,15 +106,10 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
         four_way_fire(core, ti);
         return;
     }
-    let dt = core.cfg().exchange_timing;
+    let dt = EXCHANGE_TIMING;
     // partner selection: time-based random pairing, else round-robin
-    let pairing_iv = core
-        .clocks
-        .noc
-        .span(core.cfg().pairing_period as u64 * dt.base_cycles);
-    let use_pairing = core.cfg().pairing_period > 0
-        && core.now >= core.tiles[ti].next_pairing
-        && core.managed.len() > 2;
+    let pairing_iv = core.clocks.noc.span(PAIRING_PERIOD * dt.base_cycles);
+    let use_pairing = core.now >= core.tiles[ti].next_pairing && core.managed.len() > 2;
     let partner = if use_pairing {
         core.tiles[ti].next_pairing = core.now + pairing_iv;
         select_pairing_partner(core, ti)
@@ -129,7 +140,7 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
     let status = Packet::new(
         me,
         other,
-        core.coin_plane(),
+        Plane::MmioIrq,
         PacketKind::CoinStatus {
             has: core.tiles[ti].has as i32,
             max: core.tiles[ti].max as u32,
@@ -149,7 +160,7 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
     let update = Packet::new(
         other,
         me,
-        core.coin_plane(),
+        Plane::MmioIrq,
         PacketKind::CoinUpdate {
             delta: out.moved as i32,
         },
@@ -220,7 +231,7 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
 /// [`HEARTBEAT_TIMEOUTS`] consecutive silences run the recovery path.
 fn on_exchange_timeout(core: &mut Core, ti: usize, pj: usize) {
     note_partner_silent(core, ti, pj);
-    let dt = core.cfg().exchange_timing;
+    let dt = EXCHANGE_TIMING;
     // timeout budget: a zero-load round trip plus a base interval of
     // slack before the FSM declares the exchange lost
     let rtt = core.net.latency_bound(TileId(ti), TileId(pj))
@@ -297,7 +308,7 @@ fn give_up_on_partner(core: &mut Core, ti: usize, pj: usize, idx: usize) {
 /// the 5-tile fair redistribution, and pushes updates — 12 messages
 /// serialized through its injection port (Algorithm 1).
 fn four_way_fire(core: &mut Core, ti: usize) {
-    let dt = core.cfg().exchange_timing;
+    let dt = EXCHANGE_TIMING;
     // Snapshot the partner list onto the stack (at most 4 by
     // construction): recovery inside the loop may shrink `partners`, and
     // the group exchange must keep addressing the set it started with.
@@ -471,6 +482,7 @@ fn check_bc_response(core: &mut Core) {
 /// quarantined coins shrink the live slice and the survivors
 /// equalize over what remains.
 fn bc_converged(core: &Core) -> bool {
+    let tolerance = RESPONSE_TOLERANCE_COINS * core.cfg().pool_scale as f64;
     // called on every coin fire — walk each cluster's members twice rather
     // than collecting the live ones
     core.cluster_members.iter().all(|members| {
@@ -491,7 +503,7 @@ fn bc_converged(core: &Core) -> bool {
             .filter(|&&t| core.tiles[t].faulted.is_none())
             .all(|&t| {
                 let target = alpha * core.tiles[t].max as f64;
-                (core.tiles[t].has as f64 - target).abs() <= core.cfg().response_tolerance
+                (core.tiles[t].has as f64 - target).abs() <= tolerance
             })
     })
 }

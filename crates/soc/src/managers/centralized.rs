@@ -11,17 +11,21 @@
 use blitzcoin_noc::{Packet, PacketKind, TileId};
 use blitzcoin_sim::SimTime;
 
+use crate::engine::actuation::ACTUATION_CYCLES;
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
-use crate::manager::ManagerKind;
 use crate::managers::ManagerPolicy;
 use crate::report::ResponseSample;
 
+/// Interval between C-RR's fairness-rotation sweeps, in NoC cycles
+/// (~20.5 µs).
+pub(crate) const ROTATION_CYCLES: u64 = 16_384;
+
 /// What one centralized scheme contributes to the shared sweep loop.
 pub(crate) trait SweepScheme {
-    /// The [`ManagerKind`] this scheme implements (selects its calibrated
-    /// per-tile service time).
-    const KIND: ManagerKind;
+    /// The controller's calibrated service time per tile during a sweep,
+    /// in NoC cycles (DESIGN.md §5).
+    const SERVICE_CYCLES: u64;
     /// Whether a sweep's register writes also rewrite tile coin ledgers
     /// (BC-C redistributes the pool every sweep; C-RR keeps no coins).
     const WRITES_COINS: bool;
@@ -78,8 +82,7 @@ impl<S: SweepScheme> Centralized<S> {
         order_writes(&mut self.sweep_plan, &core.managed, &plan, |t| {
             (core.tiles[t].target * 100.0).round() as u64
         });
-        let service = core.cfg().timing.service_cycles(S::KIND);
-        let at = core.now + core.clocks.noc.span(service);
+        let at = core.now + core.clocks.noc.span(S::SERVICE_CYCLES);
         core.queue.schedule(
             at,
             Ev::Manager(ManagerEv::SweepWrite {
@@ -118,8 +121,7 @@ impl<S: SweepScheme> Centralized<S> {
             );
         }
         if !last {
-            let service = core.cfg().timing.service_cycles(S::KIND);
-            let at = core.now + core.clocks.noc.span(service);
+            let at = core.now + core.clocks.noc.span(S::SERVICE_CYCLES);
             core.queue.schedule(
                 at,
                 Ev::Manager(ManagerEv::SweepWrite {
@@ -165,7 +167,7 @@ impl<S: SweepScheme> Centralized<S> {
 
     fn on_rotate(&mut self, core: &mut Core) {
         self.rotation_step += 1;
-        let rotation = core.clocks.noc.span(core.cfg().timing.crr_rotation_cycles);
+        let rotation = core.clocks.noc.span(ROTATION_CYCLES);
         // A pending change normally means a notify-sweep is in
         // flight or about to be. One that is a whole rotation
         // old *and* has seen no sweep start since it arrived
@@ -215,7 +217,7 @@ fn order_writes(
 /// A sweep's last write arrived: every pending activity change is
 /// answered once the actuation delay elapses.
 fn drain_sweep_responses(core: &mut Core) {
-    let done = core.now + core.clocks.noc.span(core.cfg().timing.actuation_cycles);
+    let done = core.now + core.clocks.noc.span(ACTUATION_CYCLES);
     // take the list whole (the response push borrows `core` too), then
     // hand its cleared allocation back for the next batch of changes
     let mut drained = std::mem::take(&mut core.pending_changes);

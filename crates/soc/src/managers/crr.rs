@@ -6,19 +6,21 @@ use blitzcoin_baselines::{CrrController, CrrLevel};
 
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
-use crate::manager::ManagerKind;
-use crate::managers::centralized::SweepScheme;
+use crate::managers::centralized::{SweepScheme, ROTATION_CYCLES};
 
 /// The C-RR sweep scheme: the behavioural [`CrrController`]'s rotating
 /// Max/Min/Off levels, advanced by the periodic `Rotate` event.
 pub(crate) struct Crr;
 
 impl SweepScheme for Crr {
-    const KIND: ManagerKind = ManagerKind::CentralizedRoundRobin;
+    /// Firmware service time per tile (poll the tile, run the policy
+    /// step, write the DVFS register): 1750 cycles x 1.25 ns x 7 tiles
+    /// ≈ 15.3 µs, the Fig 20 silicon measurement.
+    const SERVICE_CYCLES: u64 = 1750;
     const WRITES_COINS: bool = false;
 
     fn boot(&mut self, core: &mut Core) {
-        let at = core.clocks.noc.span(core.cfg().timing.crr_rotation_cycles);
+        let at = core.clocks.noc.span(ROTATION_CYCLES);
         core.queue.schedule(at, Ev::Manager(ManagerEv::Rotate));
     }
 

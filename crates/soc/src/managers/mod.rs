@@ -36,7 +36,7 @@ pub(crate) mod tokensmart;
 /// Contract (the DESIGN.md §3f version is normative):
 /// - `init` runs at boot *after* the workload roots are enqueued (so
 ///   boot-time activity changes reach the policy first) and *before*
-///   DMA phases are drawn — any RNG it consumes is part of the
+///   planned faults are scheduled — any RNG it consumes is part of the
 ///   deterministic schedule.
 /// - `on_activity_change` fires after the engine has logged the change
 ///   and started the pending-response clock; a policy that will never

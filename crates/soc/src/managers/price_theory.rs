@@ -33,13 +33,21 @@
 //! while half the grants are still travelling.
 
 use blitzcoin_baselines::{PtMarket, PtStep};
-use blitzcoin_noc::{Packet, PacketKind, TileId};
+use blitzcoin_noc::{Packet, PacketKind, Plane, TileId};
 use blitzcoin_sim::{SimTime, TileFaultKind};
 
 use crate::engine::events::{ManagerEv, PtMsg};
 use crate::engine::{Core, Ev};
+use crate::managers::blitzcoin::EXCHANGE_TIMING;
 use crate::managers::ManagerPolicy;
 use crate::report::{ResponseSample, SimReport};
+
+/// Supervisor service time per member per tâtonnement round (serialize
+/// the quote, ingest the bid, step the price), in NoC cycles. Calibrated
+/// like BC-C's central FSM — a hardware market unit, so the scheme's
+/// O(iterations) messaging, not the arithmetic, dominates its response
+/// time.
+const ROUND_CYCLES: u64 = 160;
 
 /// Consecutive bid timeouts before the supervisor concludes a member is
 /// gone and triggers recovery (same threshold as BlitzCoin's partner
@@ -270,7 +278,6 @@ impl PriceTheoryPolicy {
         let m = &mut self.markets[mi];
         m.phase = Phase::Quoting;
         m.bid_in = vec![false; m.bidders.len()];
-        let round = core.cfg().timing.pt_round_cycles;
         let gen = m.gen;
         let mut seq = 0u64;
         for bi in 0..self.markets[mi].bidders.len() {
@@ -285,7 +292,7 @@ impl PriceTheoryPolicy {
                 continue;
             }
             seq += 1;
-            let depart = core.now + core.clocks.noc.span(round * seq);
+            let depart = core.now + core.clocks.noc.span(ROUND_CYCLES * seq);
             self.send_quote(core, mi, slot, gen, price, depart);
             self.arm_bid_timeout(core, mi, slot, gen, depart);
         }
@@ -314,7 +321,7 @@ impl PriceTheoryPolicy {
         let pkt = Packet::new(
             TileId(m.members[m.supervisor]),
             TileId(m.members[slot]),
-            core.coin_plane(),
+            Plane::MmioIrq,
             PacketKind::RegWrite {
                 value: price.to_bits(),
             },
@@ -324,7 +331,7 @@ impl PriceTheoryPolicy {
                 .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::QuoteArrive));
         } else {
             self.bid_retries += 1;
-            let at = depart + core.clocks.noc.span(core.cfg().exchange_timing.base_cycles);
+            let at = depart + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
             core.queue
                 .schedule(at, Self::ev(mi, slot, gen, PtMsg::QuoteResend));
         }
@@ -338,9 +345,10 @@ impl PriceTheoryPolicy {
         let sup = TileId(m.members[m.supervisor]);
         let mem = TileId(m.members[slot]);
         let rtt = core.net.latency_bound(sup, mem) + core.net.latency_bound(mem, sup);
-        let slack = core.clocks.noc.span(
-            2 * core.cfg().exchange_timing.base_cycles + 2 * core.cfg().timing.pt_round_cycles,
-        );
+        let slack = core
+            .clocks
+            .noc
+            .span(2 * EXCHANGE_TIMING.base_cycles + 2 * ROUND_CYCLES);
         core.queue.schedule(
             depart + rtt + slack,
             Self::ev(mi, slot, gen, PtMsg::BidTimeout),
@@ -368,7 +376,7 @@ impl PriceTheoryPolicy {
         let pkt = Packet::new(
             TileId(ti),
             TileId(m.members[m.supervisor]),
-            core.coin_plane(),
+            Plane::MmioIrq,
             PacketKind::CoinStatus {
                 has: core.tiles[ti].has as i32,
                 max: core.tiles[ti].max as u32,
@@ -379,7 +387,7 @@ impl PriceTheoryPolicy {
                 .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::BidArrive));
         } else {
             self.bid_retries += 1;
-            let at = core.now + core.clocks.noc.span(core.cfg().exchange_timing.base_cycles);
+            let at = core.now + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
             core.queue
                 .schedule(at, Self::ev(mi, slot, gen, PtMsg::BidResend));
         }
@@ -448,7 +456,6 @@ impl PriceTheoryPolicy {
         }
         m.grant_needed = vec![false; m.members.len()];
         m.grants_out = 0;
-        let round = core.cfg().timing.pt_round_cycles;
         let gen = m.gen;
         let mut seq = 0u64;
         for slot in 0..self.markets[mi].members.len() {
@@ -468,7 +475,7 @@ impl PriceTheoryPolicy {
             m.grant_needed[slot] = true;
             m.grants_out += 1;
             seq += 1;
-            let depart = core.now + core.clocks.noc.span(round * seq);
+            let depart = core.now + core.clocks.noc.span(ROUND_CYCLES * seq);
             self.send_grant(core, mi, slot, gen, depart);
         }
         if self.markets[mi].grants_out == 0 {
@@ -489,7 +496,6 @@ impl PriceTheoryPolicy {
         }
         let m = &mut self.markets[mi];
         m.granting_up = true;
-        let round = core.cfg().timing.pt_round_cycles;
         let gen = m.gen;
         let mut seq = 0u64;
         for slot in 0..self.markets[mi].members.len() {
@@ -509,7 +515,7 @@ impl PriceTheoryPolicy {
             m.grant_needed[slot] = true;
             m.grants_out += 1;
             seq += 1;
-            let depart = core.now + core.clocks.noc.span(round * seq);
+            let depart = core.now + core.clocks.noc.span(ROUND_CYCLES * seq);
             self.send_grant(core, mi, slot, gen, depart);
         }
         if self.markets[mi].grants_out == 0 {
@@ -524,7 +530,7 @@ impl PriceTheoryPolicy {
         let pkt = Packet::new(
             TileId(m.members[m.supervisor]),
             TileId(m.members[slot]),
-            core.coin_plane(),
+            Plane::MmioIrq,
             PacketKind::RegWrite {
                 value: m.grants[slot].max(0) as u64,
             },
@@ -534,7 +540,7 @@ impl PriceTheoryPolicy {
                 .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::GrantArrive));
         } else {
             self.grant_retries += 1;
-            let at = depart + core.clocks.noc.span(core.cfg().exchange_timing.base_cycles);
+            let at = depart + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
             core.queue
                 .schedule(at, Self::ev(mi, slot, gen, PtMsg::GrantResend));
         }

@@ -10,11 +10,12 @@
 //! pool and break the ring.
 
 use blitzcoin_baselines::{TokenSmart, TsConfig};
-use blitzcoin_noc::{Packet, PacketKind, TileId};
+use blitzcoin_noc::{Packet, PacketKind, Plane, TileId};
 use blitzcoin_sim::SimTime;
 
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
+use crate::managers::blitzcoin::EXCHANGE_TIMING;
 use crate::managers::ManagerPolicy;
 use crate::report::{ResponseSample, SimReport};
 
@@ -93,7 +94,7 @@ impl TokenSmartPolicy {
         let ring = &self.rings[ri];
         let n = ring.stops.len();
         let next = (stop + 1) % n;
-        let depart = core.now + core.clocks.noc.span(core.cfg().timing.ts_visit_cycles);
+        let depart = core.now + core.clocks.noc.span(TsConfig::default().visit_cycles);
         if n == 1 {
             // a single-stop ring hands the token to itself; no NoC hop
             core.queue.schedule(
@@ -108,7 +109,7 @@ impl TokenSmartPolicy {
         let pkt = Packet::new(
             TileId(ring.stops[stop]),
             TileId(ring.stops[next]),
-            core.coin_plane(),
+            Plane::MmioIrq,
             PacketKind::CoinUpdate {
                 delta: ring.machine.pool() as i32,
             },
@@ -125,7 +126,7 @@ impl TokenSmartPolicy {
             // the handoff was dropped; the holder retransmits after a
             // base-interval timeout — the token is delayed, never lost
             self.hop_retries += 1;
-            let at = depart + core.clocks.noc.span(core.cfg().exchange_timing.base_cycles);
+            let at = depart + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
             core.queue.schedule(
                 at,
                 Ev::Manager(ManagerEv::TokenResend {
@@ -152,7 +153,7 @@ impl TokenSmartPolicy {
         let pkt = Packet::new(
             TileId(self.rings[ri].stops[prev]),
             TileId(dest),
-            core.coin_plane(),
+            Plane::MmioIrq,
             PacketKind::CoinUpdate {
                 delta: self.rings[ri].machine.pool() as i32,
             },
@@ -162,7 +163,7 @@ impl TokenSmartPolicy {
                 .schedule(arrive, Ev::Manager(ManagerEv::TokenHop { ring: ri, stop }));
         } else {
             self.hop_retries += 1;
-            let at = core.now + core.clocks.noc.span(core.cfg().exchange_timing.base_cycles);
+            let at = core.now + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
             core.queue
                 .schedule(at, Ev::Manager(ManagerEv::TokenResend { ring: ri, stop }));
         }
@@ -196,16 +197,12 @@ impl ManagerPolicy for TokenSmartPolicy {
     fn init(&mut self, core: &mut Core) {
         // one ring per PM cluster, seeded from the cluster's coin split;
         // the pool starts empty (all coins held) and no RNG is consumed
-        let visit = TsConfig {
-            visit_cycles: core.cfg().timing.ts_visit_cycles,
-            ..TsConfig::default()
-        };
         for (ri, members) in core.cluster_members.iter().enumerate() {
             let stops = members.clone();
             let max: Vec<u64> = stops.iter().map(|&t| core.tiles[t].max).collect();
             let has: Vec<i64> = stops.iter().map(|&t| core.tiles[t].has).collect();
             self.rings.push(Ring {
-                machine: TokenSmart::with_holdings(max, has, 0, visit),
+                machine: TokenSmart::with_holdings(max, has, 0, TsConfig::default()),
                 stops,
                 zero_streak: 0,
                 broken: false,

@@ -129,7 +129,7 @@ pub struct SimReport {
     pub scheme_stats: Vec<(String, f64)>,
     /// Hottest in-loop junction temperature any tile reached (°C).
     /// `None` unless the run coupled the thermal network in
-    /// (`SimConfig::thermal`).
+    /// (`SimConfig::thermal_limit_c`).
     pub thermal_peak_c: Option<f64>,
     /// Thermal throttle engagements over the run (0 without coupling).
     pub throttle_events: u64,

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use blitzcoin_noc::wormhole::{WormholeConfig, WormholeNetwork};
-use blitzcoin_noc::{Network, NetworkConfig};
+use blitzcoin_noc::Network;
 use blitzcoin_soc::prelude::*;
 
 /// Structure lengths of everything a `d`x`d` mega-mesh instantiates:
@@ -37,7 +37,7 @@ fn lens_at(d: usize) -> BTreeMap<&'static str, usize> {
     // The engine's own Network is already in `structure_lens()`; audit a
     // fresh one too so the wormhole and analytic NoCs are both covered
     // even if the engine switches transports.
-    let net = Network::new(topo, NetworkConfig::default());
+    let net = Network::new(topo);
     for (name, len) in net.structure_lens() {
         lens.entry(name).or_insert(len);
     }

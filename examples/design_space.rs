@@ -8,15 +8,17 @@
 //! ```
 
 use blitzcoin_core::emulator::EmulatorConfig;
-use blitzcoin_core::montecarlo::run_homogeneous_trials;
+use blitzcoin_core::montecarlo::run_homogeneous_trials_with;
 use blitzcoin_core::{DynamicTiming, PairingMode};
 use blitzcoin_noc::Topology;
+use blitzcoin_sim::Executor;
 
 const D: usize = 12;
 const TRIALS: u32 = 40;
 
 fn main() {
     let topo = Topology::torus(D, D);
+    let exec = Executor::from_env();
     println!("design-space exploration on a {D}x{D} torus ({TRIALS} trials/point)\n");
 
     println!("-- back-off factor lambda (dynamic timing)");
@@ -29,7 +31,7 @@ fn main() {
             }),
             ..EmulatorConfig::default()
         };
-        let s = run_homogeneous_trials(topo, cfg, TRIALS, 99);
+        let s = run_homogeneous_trials_with(&exec, topo, cfg, TRIALS, 99);
         println!(
             "{lambda:>8.1} {:>14.0} {:>14.0}",
             s.mean_cycles, s.mean_packets
@@ -46,7 +48,7 @@ fn main() {
             pairing: PairingMode::ShiftRegister { period },
             ..EmulatorConfig::default()
         };
-        let s = run_homogeneous_trials(topo, cfg, TRIALS, 99);
+        let s = run_homogeneous_trials_with(&exec, topo, cfg, TRIALS, 99);
         println!(
             "{period:>8} {:>14.0} {:>14.0} {:>9.0}%",
             s.mean_cycles,
@@ -67,7 +69,7 @@ fn main() {
             }),
             ..EmulatorConfig::default()
         };
-        let s = run_homogeneous_trials(topo, cfg, TRIALS, 99);
+        let s = run_homogeneous_trials_with(&exec, topo, cfg, TRIALS, 99);
         println!(
             "{refresh:>8} {:>14.0} {:>14.0}",
             s.mean_cycles, s.mean_packets

@@ -38,6 +38,13 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 # builds and stays silent too).
 cargo test -q --release --offline -p blitzcoin-exp --features oracle
 
+# Plain release gate: every workspace test in the configuration that
+# perfbench and the regeneration gate below build (release, no oracle
+# feature). The eight tests that need the oracle compiled in show as
+# ignored here; the debug `cargo test` leg above runs all of them, and
+# the `--features oracle` leg the one in tests/oracle_invariants.rs.
+cargo test -q --release --offline --workspace
+
 # Sweep-engine smoke gate: a quick full run must succeed offline at
 # jobs=2, and its CSVs must be byte-identical to a jobs=1 run — the
 # executor's determinism contract, end to end. manifest.json is

@@ -333,3 +333,31 @@ fn thermal_limit_at_or_above_the_free_reference_is_rejected() {
         assert!(!out.exists(), "a rejected run must not start");
     }
 }
+
+#[test]
+fn bad_flag_values_exit_1_with_their_message() {
+    // A missing, unparsable or out-of-range value stops the CLI with one
+    // stderr line and exit code 1 before any experiment runs.
+    let out = std::env::temp_dir().join(format!("blitzcoin_cli_flags_{}", std::process::id()));
+    let cases: [(&[&str], &str); 5] = [
+        (&["--jobs", "0"], "--jobs must be at least 1\n"),
+        (
+            &["--seed", "x"],
+            "bad seed: invalid digit found in string\n",
+        ),
+        (&["--mega-d", "3"], "--mega-d must be at least 4\n"),
+        (&["--orderings", "0"], "--orderings must be at least 1\n"),
+        (&["--jobs"], "--jobs needs a value\n"),
+    ];
+    for (flags, want) in cases {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
+            .args(["fig1", "--out", out.to_str().expect("utf-8 temp dir")])
+            .args(flags)
+            .env_remove("BLITZCOIN_CACHE")
+            .output()
+            .expect("spawn blitzcoin-exp");
+        assert_eq!(run.status.code(), Some(1), "{flags:?}");
+        assert_eq!(String::from_utf8_lossy(&run.stderr), want, "{flags:?}");
+        assert!(!out.exists(), "{flags:?}: a rejected run must not start");
+    }
+}

@@ -7,7 +7,7 @@ use blitzcoin_baselines::tokensmart::TsConfig;
 use blitzcoin_core::emulator::{ConvergenceResult, EmulatorConfig, ExchangeMode};
 use blitzcoin_core::{AllocationPolicy, DynamicTiming, HotspotCap, PairingMode, TileState};
 use blitzcoin_exp::{Claim, FigResult};
-use blitzcoin_noc::{NetworkConfig, TileId, Topology};
+use blitzcoin_noc::{TileId, Topology};
 use blitzcoin_sim::fault::{FaultPlan, LinkOutage, TileFault, TileFaultKind};
 use blitzcoin_sim::json::{FromJson, Json, ToJson};
 use blitzcoin_sim::{SimTime, StepTrace};
@@ -124,21 +124,6 @@ fn topology_round_trips() {
         assert_eq!(round_trip(&t), t);
     }
     assert_eq!(round_trip(&TileId(42)), TileId(42));
-}
-
-#[test]
-fn network_config_round_trips() {
-    let cfg = NetworkConfig {
-        hop_cycles: 2,
-        inject_cycles: 3,
-        eject_cycles: 1,
-        contention: false,
-    };
-    assert_eq!(round_trip(&cfg), cfg);
-    assert_eq!(
-        round_trip(&NetworkConfig::default()),
-        NetworkConfig::default()
-    );
 }
 
 #[test]

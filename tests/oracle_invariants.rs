@@ -298,6 +298,10 @@ fn emulator_oracle_conserves_for_both_exchange_modes() {
 }
 
 #[test]
+#[cfg_attr(
+    not(any(feature = "oracle", debug_assertions)),
+    ignore = "needs the oracle compiled in"
+)]
 fn injected_conservation_bug_is_caught_with_replay_line() {
     // The proof the auditing is *continuous*: mint one coin mid-run and
     // burn it on the next commit. The end-of-run ledger balances — the

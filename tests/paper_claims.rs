@@ -4,10 +4,10 @@
 
 use blitzcoin_baselines::tokensmart::{TokenSmart, TsConfig};
 use blitzcoin_core::emulator::EmulatorConfig;
-use blitzcoin_core::montecarlo::run_homogeneous_trials;
+use blitzcoin_core::montecarlo::run_homogeneous_trials_with;
 use blitzcoin_noc::Topology;
 use blitzcoin_scaling::paper;
-use blitzcoin_sim::SimRng;
+use blitzcoin_sim::{Executor, SimRng};
 use blitzcoin_soc::prelude::*;
 
 /// Abstract (§I): "8x to 12x lower response times ... compared to
@@ -50,8 +50,10 @@ fn headline_throughput_improvement() {
 /// §III-B/Fig 3: decentralized convergence scales ~sqrt(N).
 #[test]
 fn convergence_scales_sublinearly() {
+    let exec = Executor::from_env();
     let t = |d: usize| {
-        run_homogeneous_trials(Topology::torus(d, d), EmulatorConfig::default(), 10, 77).mean_cycles
+        let topo = Topology::torus(d, d);
+        run_homogeneous_trials_with(&exec, topo, EmulatorConfig::default(), 10, 77).mean_cycles
     };
     let (t6, t12) = (t(6), t(12));
     // N grows 4x; sqrt(N) scaling predicts ~2x; O(N) would be 4x.
@@ -66,7 +68,8 @@ fn convergence_scales_sublinearly() {
 #[test]
 fn bc_beats_tokensmart() {
     let d = 12;
-    let bc = run_homogeneous_trials(
+    let bc = run_homogeneous_trials_with(
+        &Executor::from_env(),
         Topology::torus(d, d),
         EmulatorConfig {
             err_threshold: 1.5,
