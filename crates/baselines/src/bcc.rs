@@ -83,14 +83,6 @@ impl BccController {
         }
         alloc
     }
-
-    /// Response time of an activity change, in NoC cycles: the tile's
-    /// notification reaches the controller (`notify_cycles`), the
-    /// controller recomputes, then sequentially pushes one register write
-    /// per active tile at `per_tile_cycles` each (Equation 5.2's O(N)).
-    pub fn response_cycles(n_active: usize, notify_cycles: u64, per_tile_cycles: u64) -> u64 {
-        notify_cycles + n_active as u64 * per_tile_cycles
-    }
 }
 
 #[cfg(test)]
@@ -136,14 +128,6 @@ mod tests {
                 alpha * m as f64
             );
         }
-    }
-
-    #[test]
-    fn response_is_linear_in_n() {
-        let r7 = BccController::response_cycles(7, 10, 160);
-        let r14 = BccController::response_cycles(14, 10, 160);
-        assert_eq!(r7, 1130);
-        assert!(r14 > 2 * r7 - 20);
     }
 
     #[test]

@@ -125,14 +125,6 @@ impl CrrController {
             })
             .sum()
     }
-
-    /// Response time of the centralized service loop, in NoC cycles:
-    /// the controller services each of the `n_active` tiles sequentially
-    /// at `per_tile_cycles` each (firmware work + register round trip)
-    /// before the new assignment is fully applied.
-    pub fn response_cycles(n_active: usize, per_tile_cycles: u64) -> u64 {
-        n_active as u64 * per_tile_cycles
-    }
 }
 
 #[cfg(test)]
@@ -196,12 +188,6 @@ mod tests {
         let crr = CrrController::new(vec![100.0; 3], vec![20.0; 3], 61.0);
         let levels = crr.allocation(&[true; 3], 0);
         assert!(levels.iter().all(|&l| l == CrrLevel::Min));
-    }
-
-    #[test]
-    fn response_scales_with_n() {
-        assert_eq!(CrrController::response_cycles(7, 1750), 12_250);
-        assert_eq!(CrrController::response_cycles(0, 1750), 0);
     }
 
     #[test]

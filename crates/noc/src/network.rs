@@ -31,6 +31,12 @@ const PLANES: usize = 6;
 /// mesh link is uniquely `(source tile, one of 4 directions)`.
 const LINK_DIRS: usize = 4;
 
+/// Direction codes of the reservation table's `(plane, direction)` rows.
+const EAST: usize = 0;
+const SOUTH: usize = 1;
+const WEST: usize = 2;
+const NORTH: usize = 3;
+
 /// The outcome of offering a packet to the NoC.
 ///
 /// With no fault plan installed every send is [`Delivery::Delivered`];
@@ -82,7 +88,7 @@ const INJECT_CYCLES: u64 = 1;
 const EJECT_CYCLES: u64 = 1;
 
 /// Per-plane traffic accounting.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Packets sent per plane (indexed by `Plane::index`).
     pub packets: [u64; 6],
@@ -139,10 +145,12 @@ impl TrafficStats {
 #[derive(Debug, Clone)]
 pub struct Network {
     topo: Topology,
-    /// Earliest time each `(link, plane)` is free, as a dense array indexed
-    /// by [`Network::link_slot`]. Replaces a `HashMap` keyed on
-    /// `(from, to, plane)`: `send` probes this table once per hop, and the
-    /// hash+probe dominated the analytic model's profile.
+    /// Earliest time each `(link, plane)` is free, plane-major: the link
+    /// leaving tile `src` in direction `dir` on `plane` is slot
+    /// `(plane * LINK_DIRS + dir) * tiles + src`. Each `(plane, dir)` row
+    /// is indexed by tile, so consecutive hops of one XY leg step through
+    /// a row with the same stride as the tile id, and the PM plane's
+    /// traffic stays in its own `4 * tiles` slots (32 KiB at 32x32).
     link_free: Vec<SimTime>,
     /// The routers' clock domain — every latency the model books is a
     /// whole number of this domain's ticks (the fabric runs entirely in
@@ -164,32 +172,10 @@ impl Network {
         }
     }
 
-    /// Dense index of the `(prev -> next, plane)` reservation slot.
-    ///
-    /// The direction code only has to be injective per source tile, not
-    /// meaningful: `+1`/`-1`/`+width`/`-width` id deltas map to the four
-    /// slots. (On a 1-wide mesh `+1 == +width`, but then east links don't
-    /// exist, so the shared slot still names a unique physical link.)
-    #[inline]
-    fn link_slot(&self, prev: TileId, next: TileId, plane: usize) -> usize {
-        let dir = match next.0.wrapping_sub(prev.0) {
-            1 => 0,
-            d if d == self.topo.width() => 1,
-            d if d == usize::MAX => 2, // -1: westbound
-            _ => 3,                    // -width: northbound
-        };
-        (prev.0 * LINK_DIRS + dir) * PLANES + plane
-    }
-
     /// Installs a fault plan; subsequent sends are subject to its drops,
     /// outages, and delays.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = plan;
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> Topology {
-        self.topo
     }
 
     /// Accumulated traffic statistics.
@@ -229,28 +215,57 @@ impl Network {
             self.stats.coin_packets += 1;
         }
 
-        let hops = self.topo.hop_distance(packet.src, packet.dst) as u64;
+        let (src, dst) = (packet.src.0, packet.dst.0);
+        let width = self.topo.width();
+        let (sx, sy, dx, dy) = (src % width, src / width, dst % width, dst / width);
+        let (x_hops, y_hops) = (sx.abs_diff(dx), sy.abs_diff(dy));
+        let hops = (x_hops + y_hops) as u64;
         self.stats.hops += hops;
         let faults = !self.fault.is_empty();
 
+        // XY routing: the X leg along the source's row, then the Y leg down
+        // the destination's column from the corner tile (dx, sy). Within a
+        // leg the tile id, and so the slot in its `(plane, dir)` row, moves
+        // by a constant step; -1 and -width are their wrapping two's
+        // complements. Per hop, in order: the departure is the later of
+        // the head flit's arrival and the link's free time, an outage at
+        // the departure cycle loses the packet, and otherwise the wait
+        // counts as contention and the link stays busy one cycle per flit.
+        let (x_dir, x_step) = if dx > sx {
+            (EAST, 1)
+        } else {
+            (WEST, usize::MAX)
+        };
+        let (y_dir, y_step) = if dy > sy {
+            (SOUTH, width)
+        } else {
+            (NORTH, width.wrapping_neg())
+        };
+        let tiles = self.topo.len();
+        let busy = self.clock.span(flits);
+        let hop = self.clock.span(HOP_CYCLES);
         let mut cursor = now + self.clock.span(INJECT_CYCLES);
-        let mut prev = packet.src;
-        for next in self.topo.xy_hops(packet.src, packet.dst) {
-            let slot = self.link_slot(prev, next, plane);
-            let free_at = self.link_free[slot];
-            let depart = cursor.max(free_at);
-            if faults && self.fault.link_down(prev.0, next.0, depart.as_noc_cycles()) {
-                self.stats.dropped[plane] += 1;
-                return Delivery::Dropped;
+        for (mut tile, dir, step, count) in [
+            (src, x_dir, x_step, x_hops),
+            (sy * width + dx, y_dir, y_step, y_hops),
+        ] {
+            let row = (plane * LINK_DIRS + dir) * tiles;
+            let links = &mut self.link_free[row..row + tiles];
+            for _ in 0..count {
+                let next = tile.wrapping_add(step);
+                let depart = cursor.max(links[tile]);
+                if faults && self.fault.link_down(tile, next, depart.as_noc_cycles()) {
+                    self.stats.dropped[plane] += 1;
+                    return Delivery::Dropped;
+                }
+                self.stats.contention_cycles += (depart - cursor).as_noc_cycles();
+                links[tile] = depart + busy;
+                cursor = depart + hop;
+                tile = next;
             }
-            self.stats.contention_cycles += (depart - cursor).as_noc_cycles();
-            self.link_free[slot] = depart + self.clock.span(flits);
-            cursor = depart + self.clock.span(HOP_CYCLES);
-            prev = next;
         }
         if faults {
             let cycle = now.as_noc_cycles();
-            let (src, dst) = (packet.src.0, packet.dst.0);
             if self.fault.drops_packet(plane, src, dst, cycle) {
                 self.stats.dropped[plane] += 1;
                 return Delivery::Dropped;
@@ -275,6 +290,149 @@ impl Network {
 mod tests {
     use super::*;
     use crate::packet::{PacketKind, Plane};
+    use blitzcoin_sim::{LinkOutage, SimRng};
+
+    /// The per-hop `send` the leg walk replaced, kept as its reference
+    /// model: it follows `Topology::xy_route` and names each link's slot
+    /// by matching the hop's tile-id delta, in a tile-major table.
+    impl Network {
+        fn link_slot(&self, prev: TileId, next: TileId, plane: usize) -> usize {
+            let dir = match next.0.wrapping_sub(prev.0) {
+                1 => 0,
+                d if d == self.topo.width() => 1,
+                d if d == usize::MAX => 2, // -1: westbound
+                _ => 3,                    // -width: northbound
+            };
+            (prev.0 * LINK_DIRS + dir) * PLANES + plane
+        }
+
+        fn send_per_hop(&mut self, now: SimTime, packet: &Packet) -> Delivery {
+            let plane = packet.plane.index();
+            let flits = packet.flits() as u64;
+            self.stats.packets[plane] += 1;
+            self.stats.flits[plane] += flits;
+            if packet.kind.is_coin_message() {
+                self.stats.coin_packets += 1;
+            }
+            let hops = self.topo.hop_distance(packet.src, packet.dst) as u64;
+            self.stats.hops += hops;
+            let faults = !self.fault.is_empty();
+            let mut cursor = now + self.clock.span(INJECT_CYCLES);
+            let mut prev = packet.src;
+            for next in self.topo.xy_route(packet.src, packet.dst) {
+                let slot = self.link_slot(prev, next, plane);
+                let depart = cursor.max(self.link_free[slot]);
+                if faults && self.fault.link_down(prev.0, next.0, depart.as_noc_cycles()) {
+                    self.stats.dropped[plane] += 1;
+                    return Delivery::Dropped;
+                }
+                self.stats.contention_cycles += (depart - cursor).as_noc_cycles();
+                self.link_free[slot] = depart + self.clock.span(flits);
+                cursor = depart + self.clock.span(HOP_CYCLES);
+                prev = next;
+            }
+            if faults {
+                let cycle = now.as_noc_cycles();
+                let (src, dst) = (packet.src.0, packet.dst.0);
+                if self.fault.drops_packet(plane, src, dst, cycle) {
+                    self.stats.dropped[plane] += 1;
+                    return Delivery::Dropped;
+                }
+                let extra = self.fault.extra_hop_delay_cycles(src, dst, cycle, hops)
+                    + self.fault.msg_jitter(src, dst, cycle);
+                cursor += self.clock.span(extra);
+            }
+            Delivery::Delivered(cursor + self.clock.span(EJECT_CYCLES))
+        }
+    }
+
+    /// A random fault plan for `topo`: none, or any mix of drops, link
+    /// outages (between mesh neighbours, over a window the sends hit),
+    /// per-hop delay and jitter.
+    fn random_plan(rng: &mut SimRng, topo: &Topology) -> FaultPlan {
+        let mut plan = FaultPlan {
+            seed: rng.next_u64(),
+            ..FaultPlan::default()
+        };
+        if rng.chance(0.2) {
+            return plan;
+        }
+        if rng.chance(0.5) {
+            plan.drop_prob = (0..rng.range_usize(1..7))
+                .map(|_| rng.unit_f64() * 0.3)
+                .collect();
+        }
+        if rng.chance(0.5) {
+            for _ in 0..rng.range_usize(1..6) {
+                let a = rng.range_usize(0..topo.len());
+                let Some(&b) = topo.neighbors(TileId(a)).first() else {
+                    continue;
+                };
+                let from_cycle = rng.range_u64(0..400);
+                plan.outages.push(LinkOutage {
+                    a,
+                    b: b.0,
+                    from_cycle,
+                    until_cycle: from_cycle + rng.range_u64(1..200),
+                });
+            }
+        }
+        if rng.chance(0.5) {
+            plan.extra_hop_delay_max_cycles = rng.range_u64(1..6);
+        }
+        if rng.chance(0.5) {
+            plan.msg_jitter_cycles = rng.range_u64(1..9);
+        }
+        plan
+    }
+
+    #[test]
+    fn leg_walk_matches_per_hop_reference() {
+        blitzcoin_sim::check::forall_seeded("leg_walk_vs_per_hop", 0x1E6_3A1C, 0..400, |rng| {
+            let topo = Topology::mesh(rng.range_usize(1..10), rng.range_usize(1..10));
+            let plan = random_plan(rng, &topo);
+            let mut net = Network::new(topo);
+            let mut reference = Network::new(topo);
+            net.set_fault_plan(plan.clone());
+            reference.set_fault_plan(plan);
+            let mut now = rng.range_u64(0..5_000);
+            for i in 0..rng.range_usize(1..300) {
+                // unaligned to the cycle, and often repeated so that
+                // back-to-back packets contend for the same links
+                if rng.chance(0.6) {
+                    now += rng.range_u64(0..3 * blitzcoin_sim::time::NOC_CYCLE_PS);
+                }
+                let src = TileId(rng.range_usize(0..topo.len()));
+                let dst = TileId(rng.range_usize(0..topo.len()));
+                let plane = *rng.choose(&Plane::ALL);
+                let kind = match rng.range_u64(0..3) {
+                    0 => PacketKind::RegRead,
+                    1 => PacketKind::CoinStatus { has: 1, max: 2 },
+                    _ => PacketKind::DmaBurst {
+                        flits: rng.range_u64(0..17) as u32,
+                    },
+                };
+                let pkt = Packet::new(src, dst, plane, kind);
+                let t = SimTime::from_ps(now);
+                let (got, want) = (net.send(t, &pkt), reference.send_per_hop(t, &pkt));
+                blitzcoin_sim::ensure!(
+                    got == want,
+                    "send {i} ({src} -> {dst}, {plane:?}, {} flits at {now} ps) on {}x{}: \
+                     {got:?}, reference {want:?}",
+                    pkt.flits(),
+                    topo.width(),
+                    topo.height()
+                );
+            }
+            blitzcoin_sim::ensure!(
+                net.stats() == reference.stats(),
+                "stats {:?}, reference {:?}",
+                net.stats(),
+                reference.stats()
+            );
+            Ok(())
+        });
+    }
 
     fn coin_pkt(topo: &Topology, a: (usize, usize), b: (usize, usize)) -> Packet {
         Packet::coin(

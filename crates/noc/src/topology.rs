@@ -361,22 +361,18 @@ impl Topology {
     /// routing does. Returns the sequence of tiles visited, excluding `a`,
     /// including `b`. Empty when `a == b`.
     pub fn xy_route(&self, a: TileId, b: TileId) -> Vec<TileId> {
-        self.xy_hops(a, b).collect()
-    }
-
-    /// Iterator form of [`Topology::xy_route`]: yields the same tile
-    /// sequence hop by hop without allocating, for the per-packet routing
-    /// walk in the timing model's hot path.
-    pub fn xy_hops(&self, a: TileId, b: TileId) -> XyHops {
-        let ca = self.coord(a);
-        let cb = self.coord(b);
-        XyHops {
-            width: self.width,
-            x: ca.x,
-            y: ca.y,
-            tx: cb.x,
-            ty: cb.y,
+        let (ca, cb) = (self.coord(a), self.coord(b));
+        let mut route = Vec::with_capacity(self.hop_distance(a, b));
+        let (mut x, mut y) = (ca.x, ca.y);
+        while x != cb.x {
+            x = if cb.x > x { x + 1 } else { x - 1 };
+            route.push(self.tile(x, y));
         }
+        while y != cb.y {
+            y = if cb.y > y { y + 1 } else { y - 1 };
+            route.push(self.tile(x, y));
+        }
+        route
     }
 
     /// The mesh diameter (max hop distance between any two tiles).
@@ -384,46 +380,6 @@ impl Topology {
         (self.width - 1) + (self.height - 1)
     }
 }
-
-/// Allocation-free XY-route iterator; see [`Topology::xy_hops`].
-#[derive(Debug, Clone)]
-pub struct XyHops {
-    width: usize,
-    x: usize,
-    y: usize,
-    tx: usize,
-    ty: usize,
-}
-
-impl Iterator for XyHops {
-    type Item = TileId;
-
-    fn next(&mut self) -> Option<TileId> {
-        if self.x != self.tx {
-            self.x = if self.tx > self.x {
-                self.x + 1
-            } else {
-                self.x - 1
-            };
-        } else if self.y != self.ty {
-            self.y = if self.ty > self.y {
-                self.y + 1
-            } else {
-                self.y - 1
-            };
-        } else {
-            return None;
-        }
-        Some(TileId(self.y * self.width + self.x))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.x.abs_diff(self.tx) + self.y.abs_diff(self.ty);
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for XyHops {}
 
 #[cfg(test)]
 mod tests {
@@ -550,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn xy_hops_matches_xy_route_everywhere() {
+    fn xy_route_walks_x_then_y_everywhere() {
         for topo in [
             Topology::mesh(5, 3),
             Topology::mesh(1, 6),
@@ -559,9 +515,17 @@ mod tests {
             for a in topo.tiles() {
                 for b in topo.tiles() {
                     let route = topo.xy_route(a, b);
-                    let hops: Vec<TileId> = topo.xy_hops(a, b).collect();
-                    assert_eq!(hops, route, "{a} -> {b}");
-                    assert_eq!(topo.xy_hops(a, b).len(), topo.hop_distance(a, b));
+                    assert_eq!(route.len(), topo.hop_distance(a, b), "{a} -> {b}");
+                    let mut at = a;
+                    let mut turned = false;
+                    for &next in &route {
+                        assert!(topo.are_neighbors(at, next), "{a} -> {b}: {at} to {next}");
+                        let vertical = topo.coord(next).x == topo.coord(at).x;
+                        assert!(vertical || !turned, "{a} -> {b}: X hop after a Y hop");
+                        turned |= vertical;
+                        at = next;
+                    }
+                    assert_eq!(at, b);
                 }
             }
         }

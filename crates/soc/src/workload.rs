@@ -135,23 +135,31 @@ impl Workload {
             .collect()
     }
 
-    /// Whether all task dependencies form a DAG (Kahn's algorithm).
+    /// Whether all task dependencies form a DAG: Kahn's algorithm over
+    /// each task's dependents, listed once per dependent as `Core::new`
+    /// lists them, so it runs in time linear in tasks plus deps. A task
+    /// naming one dependency twice counts it twice in its in-degree but is
+    /// released once, so it never becomes ready and the graph reads as
+    /// cyclic.
     fn is_acyclic(&self) -> bool {
         let n = self.tasks.len();
-        let mut indeg = vec![0usize; n];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for t in &self.tasks {
-            indeg[t.id.0] = t.deps.len();
+            for d in &t.deps {
+                if dependents[d.0].last() != Some(&t.id.0) {
+                    dependents[d.0].push(t.id.0);
+                }
+            }
         }
+        let mut indeg: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut seen = 0;
         while let Some(i) = queue.pop() {
             seen += 1;
-            for t in &self.tasks {
-                if t.deps.contains(&TaskId(i)) {
-                    indeg[t.id.0] -= 1;
-                    if indeg[t.id.0] == 0 {
-                        queue.push(t.id.0);
-                    }
+            for &t in &dependents[i] {
+                indeg[t] -= 1;
+                if indeg[t] == 0 {
+                    queue.push(t);
                 }
             }
         }
@@ -433,6 +441,73 @@ fn tiles_of(soc: &SocConfig, class: blitzcoin_power::AcceleratorClass) -> Vec<Ti
 mod tests {
     use super::*;
     use crate::floorplan::{soc_3x3, soc_4x4, soc_6x6};
+
+    /// The quadratic check `is_acyclic` replaced, kept as its reference:
+    /// each task Kahn's algorithm pops rescans every task's `deps`.
+    fn is_acyclic_by_rescan(wl: &Workload) -> bool {
+        let n = wl.tasks.len();
+        let mut indeg = vec![0usize; n];
+        for t in &wl.tasks {
+            indeg[t.id.0] = t.deps.len();
+        }
+        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut seen = 0;
+        while let Some(i) = queue.pop() {
+            seen += 1;
+            for t in &wl.tasks {
+                if t.deps.contains(&TaskId(i)) {
+                    indeg[t.id.0] -= 1;
+                    if indeg[t.id.0] == 0 {
+                        queue.push(t.id.0);
+                    }
+                }
+            }
+        }
+        seen == n
+    }
+
+    #[test]
+    fn linear_acyclic_check_matches_the_rescan_reference() {
+        blitzcoin_sim::check::forall_seeded("is_acyclic_vs_rescan", 0xDA6, 0..500, |rng| {
+            // a random DAG: every dep points at an earlier task, with an
+            // occasional repeated dep
+            let n = rng.range_usize(1..80);
+            let mut tasks: Vec<Task> = (0..n)
+                .map(|i| {
+                    let mut deps = Vec::new();
+                    if i > 0 {
+                        for _ in 0..rng.range_usize(0..5) {
+                            deps.push(TaskId(rng.range_usize(0..i)));
+                        }
+                        if !rng.chance(0.1) {
+                            deps.sort_unstable();
+                            deps.dedup();
+                        }
+                    }
+                    Task {
+                        id: TaskId(i),
+                        tile: TileId(0),
+                        work_kcycles: 1.0,
+                        deps,
+                    }
+                })
+                .collect();
+            // half the graphs get a back edge, which closes a cycle
+            // through any path from `to` to `from` (or a self-loop)
+            if rng.chance(0.5) {
+                let from = rng.range_usize(0..n);
+                let to = rng.range_usize(from..n);
+                tasks[from].deps.push(TaskId(to));
+            }
+            let wl = Workload {
+                name: "random".into(),
+                tasks,
+            };
+            let (fast, slow) = (wl.is_acyclic(), is_acyclic_by_rescan(&wl));
+            blitzcoin_sim::ensure!(fast == slow, "is_acyclic {fast}, reference {slow}");
+            Ok(())
+        });
+    }
 
     #[test]
     fn av_parallel_shape() {

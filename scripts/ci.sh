@@ -98,6 +98,18 @@ cargo run --release --offline -q -p blitzcoin-exp --features oracle -- \
 cargo run --release --offline -q -p blitzcoin-exp --features oracle -- \
     mega-mesh --quick --jobs 2 --out "$smoke_dir/megamesh" > /dev/null
 
+# Mega-mesh tie-break gate: the same 256-tile point under the two
+# non-FIFO orderings. Its same-cycle bursts of hundreds of events reach
+# the event queue's head-insert (lifo) and mid-chain (permuted) paths,
+# which neither the FIFO leg above nor the small-SoC interleave leg below
+# does at this scale. The binary exits nonzero on any oracle violation,
+# time going backwards included.
+for tie in lifo permuted:0x2a; do
+    cargo run --release --offline -q -p blitzcoin-exp --features oracle -- \
+        mega-mesh --quick --jobs 2 --cache off --tie-break "$tie" \
+        --out "$smoke_dir/megamesh-$tie" > /dev/null
+done
+
 # Cache gate: the content-addressed sweep cache, timed over only the
 # experiments that use it (cache_hits + cache_misses > 0 in the jobs-1
 # smoke manifest above), so uncached work such as the emulator figures
