@@ -52,22 +52,44 @@ impl BccController {
     /// least the active count (floating-point shares can round that
     /// far) gives every active tile one coin.
     pub fn allocate(&self, max: &[u64]) -> Vec<i64> {
+        let mut alloc = Vec::with_capacity(max.len());
+        self.allocate_into(max, &mut alloc, &mut Vec::with_capacity(max.len()));
+        alloc
+    }
+
+    /// [`BccController::allocate`] into the caller's buffers: `alloc` is
+    /// overwritten with the allocation and `fracs` is scratch space, so a
+    /// caller that allocates on every sweep reuses both.
+    pub fn allocate_into(&self, max: &[u64], alloc: &mut Vec<i64>, fracs: &mut Vec<(usize, f64)>) {
+        alloc.clear();
+        fracs.clear();
         let weight_sum: u64 = max.iter().sum();
         if weight_sum == 0 {
-            return vec![0; max.len()];
+            alloc.resize(max.len(), 0);
+            return;
         }
         let total = self.pool as i64;
-        let mut alloc: Vec<i64> = Vec::with_capacity(max.len());
-        let mut fracs: Vec<(usize, f64)> = Vec::with_capacity(max.len());
+        // A non-negative share floors by truncation, which needs no libm
+        // call; only a pool past i64::MAX (negative here) makes shares
+        // negative, where truncation would round toward zero.
+        let floor = |share: f64| {
+            if total >= 0 {
+                share as i64
+            } else {
+                share.floor() as i64
+            }
+        };
+        let mut assigned: i64 = 0;
         for (k, &m) in max.iter().enumerate() {
             let share = total as f64 * m as f64 / weight_sum as f64;
-            let base = share.floor() as i64;
+            let base = floor(share);
             alloc.push(base);
+            assigned += base;
             if m > 0 {
                 fracs.push((k, share - base as f64));
             }
         }
-        let remainder = total - alloc.iter().sum::<i64>();
+        let remainder = total - assigned;
         let largest_first =
             |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
         let winners = match usize::try_from(remainder) {
@@ -81,7 +103,6 @@ impl BccController {
         for &(k, _) in &fracs[..winners] {
             alloc[k] += 1;
         }
-        alloc
     }
 }
 
@@ -172,6 +193,9 @@ mod tests {
     fn allocation_matches_the_sorted_reference() {
         use blitzcoin_sim::check::forall_seeded;
         use blitzcoin_sim::ensure;
+        // the in-place form reuses one pair of buffers across all cases,
+        // so each call starts from the previous case's leftovers
+        let (mut alloc, mut fracs) = (Vec::new(), Vec::new());
         forall_seeded("bcc_allocate_reference", 0xBCC, 0..400, |rng| {
             let n = rng.range_usize(1..24);
             let shape = rng.range_u64(0..4);
@@ -187,15 +211,19 @@ mod tests {
                 })
                 .collect();
             // pools past 2^53 round in `as f64`, which drives the
-            // remainder to the active count or below zero
-            let pool = if rng.chance(0.2) {
-                (1u64 << 53) + rng.range_u64(0..1 << 12)
-            } else {
-                rng.range_u64(0..5000)
+            // remainder to the active count or below zero; past i64::MAX
+            // the pool reads negative, so the shares floor below zero
+            let pool = match rng.range_u64(0..10) {
+                0 | 1 => (1u64 << 53) + rng.range_u64(0..1 << 12),
+                2 => u64::MAX - rng.range_u64(0..5000),
+                _ => rng.range_u64(0..5000),
             };
-            let fast = BccController::new(pool).allocate(&max);
+            let bcc = BccController::new(pool);
             let reference = allocate_by_sort(pool, &max);
+            let fast = bcc.allocate(&max);
             ensure!(fast == reference, "pool {pool}, max {max:?}");
+            bcc.allocate_into(&max, &mut alloc, &mut fracs);
+            ensure!(alloc == reference, "in place: pool {pool}, max {max:?}");
             Ok(())
         });
     }

@@ -303,7 +303,7 @@ impl TokenSmart {
     /// tokens still in the pool count as undelivered error.
     ///
     /// The error is checked after a visit only once the tokens moved since
-    /// the last check exceed what [`TokenSmart::skip_budget`] allows, so
+    /// the last check exceed what `TokenSmart::skip_budget` allows, so
     /// a revolution that moves nothing costs no O(N) pass. Every visit it
     /// skips provably has an error at or above the threshold, so the run
     /// stops at the same visit as checking after every one.

@@ -12,7 +12,7 @@
 //! 6 (dynamic timing), 7 (random pairing) and 8 (heterogeneity).
 //!
 //! Every emulator time is a whole NoC cycle, so the run loop keeps its
-//! pending exchanges on a private [`CycleWheel`] (one FIFO chain per
+//! pending exchanges on a private `CycleWheel` (one FIFO chain per
 //! cycle) rather than on the SoC engine's picosecond `EventQueue`; it pops
 //! in the same `(time, sequence)` order.
 

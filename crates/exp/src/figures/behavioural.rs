@@ -1,6 +1,6 @@
 //! Emulator-level experiments: Figs 2-8.
 //!
-//! Every Monte-Carlo grid here is a declarative [`sweep`] over
+//! Every Monte-Carlo grid here is a declarative [`sweep`](crate::sweep) over
 //! (point × trial) units on the shared executor: seeds derive
 //! `ctx.seed → point → trial`, so sweep points are decorrelated and the
 //! CSVs are byte-identical at any `--jobs` value. Where one runner

@@ -1,18 +1,20 @@
 //! Content-addressed caching of [`Simulation`] runs.
 //!
 //! A [`Simulation`] is a pure function of its full configuration and the
-//! run seed: the engine draws every random decision from a [`SimRng`]
-//! derived from that seed, pops same-timestamp events under the
-//! configured [`TieBreak`](blitzcoin_sim::TieBreak), and touches no
-//! ambient state — so `(unit, seed)` provably determines the
-//! [`SimReport`] bit for bit. That is what makes memoization *sound*:
-//! [`run_cached`] can substitute a stored report for a re-run and no
-//! downstream consumer (CSV emission, claim checks, the interleaving
-//! fuzzer's fact comparison) can tell the difference.
+//! run seed: the engine draws every random decision from a
+//! [`SimRng`](blitzcoin_sim::SimRng) derived from that seed, pops
+//! same-timestamp events under the configured
+//! [`TieBreak`](blitzcoin_sim::TieBreak), and touches no ambient state —
+//! so `(unit, seed)` provably determines the [`SimReport`] bit for bit.
+//! That is what makes memoization *sound*: [`run_cached`] can substitute
+//! a stored report for a re-run and no downstream consumer (CSV
+//! emission, claim checks, the interleaving fuzzer's fact comparison)
+//! can tell the difference.
 //!
 //! [`Simulation::unit_json`] is the cache identity: every semantic field
-//! of the unit — floorplan, workload, the entire [`SimConfig`] (manager,
-//! budget, policy, exchange mode, pool scale, tie-break, thermal limit),
+//! of the unit — floorplan, workload, the entire
+//! [`SimConfig`](crate::SimConfig) (manager, budget, policy, exchange
+//! mode, pool scale, tie-break, thermal limit),
 //! PM clusters, fault plan, the conservation-bug sabotage switch, and the
 //! derived seed. Job counts, output paths, and anything else that cannot
 //! change the result are deliberately absent. [`SIM_CACHE_SCHEMA`] is

@@ -22,13 +22,12 @@
 //! `crate::managers` behind the `ManagerPolicy` trait, and this module
 //! tree only runs the clockwork around it —
 //!
-//! - [`events`](self::events): the event vocabulary, boot sequence, main
-//!   loop, and task lifecycle;
-//! - [`actuation`](self::actuation): DVFS targets, task progress, and
-//!   trace recording;
-//! - [`accounting`](self::accounting): continuous invariant audits and
-//!   end-of-run report assembly;
-//! - [`faults`](self::faults): injected tile faults and task abandonment.
+//! - `events`: the event vocabulary, boot sequence, main loop, and task
+//!   lifecycle;
+//! - `actuation`: DVFS targets, task progress, and trace recording;
+//! - `accounting`: continuous invariant audits and end-of-run report
+//!   assembly;
+//! - `faults`: injected tile faults and task abandonment.
 
 use std::collections::VecDeque;
 
@@ -190,6 +189,10 @@ pub(crate) struct TileRt {
     // frequency state
     pub(crate) freq: f64,
     pub(crate) target: f64,
+    /// `target` in whole centi-MHz, `(target * 100).round()`, written
+    /// wherever `target` is, so a centralized sweep compares each tile's
+    /// new command against it with no float rounding.
+    pub(crate) target_centi: u64,
     pub(crate) actuate_gen: u64,
     // task state
     pub(crate) running: Option<Running>,
@@ -562,6 +565,7 @@ impl<'a> Core<'a> {
                     max: 0,
                     freq: 0.0,
                     target: 0.0,
+                    target_centi: 0,
                     actuate_gen: 0,
                     running: None,
                     queue: VecDeque::new(),
@@ -634,15 +638,12 @@ impl<'a> Core<'a> {
             .map(|&ti| StepTrace::new(format!("power_t{ti}")))
             .collect();
         let deps_left = sim.wl.tasks().iter().map(|t| t.deps.len()).collect();
-        // each task's dependents in task order; a task naming the same
-        // dependency twice is listed once, so one completion decrements
-        // its `deps_left` once
+        // each task's dependents in task order (`Workload::new` keeps no
+        // repeated dependency, so one completion decrements `deps_left` once)
         let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); sim.wl.len()];
         for t in sim.wl.tasks() {
             for d in &t.deps {
-                if dependents[d.0].last() != Some(&t.id) {
-                    dependents[d.0].push(t.id);
-                }
+                dependents[d.0].push(t.id);
             }
         }
         let initial_coins: i64 = tiles.iter().map(|t| t.has).sum();

@@ -95,6 +95,7 @@ impl Core<'_> {
             return;
         }
         self.tiles[ti].target = f_mhz;
+        self.tiles[ti].target_centi = (f_mhz * 100.0).round() as u64;
         self.tiles[ti].actuate_gen += 1;
         let gen = self.tiles[ti].actuate_gen;
         let delay = self.clocks.noc.span(ACTUATION_CYCLES);

@@ -57,6 +57,7 @@ impl Core<'_> {
                 rt.running = None;
                 rt.freq = 0.0;
                 rt.target = 0.0;
+                rt.target_centi = 0;
                 rt.max = 0;
             }
         }

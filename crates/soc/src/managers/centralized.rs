@@ -30,13 +30,49 @@ pub(crate) trait SweepScheme {
     /// (BC-C redistributes the pool every sweep; C-RR keeps no coins).
     const WRITES_COINS: bool;
 
-    /// One-time boot work (C-RR arms its fairness rotation here).
+    /// One-time boot work (C-RR arms its fairness rotation here, BC-C
+    /// builds its coin-to-frequency tables).
     fn boot(&mut self, core: &mut Core);
 
-    /// The plan of one sweep: per managed tile, the commanded frequency
-    /// (centi-MHz, kept integral so events stay `Eq`) and coin
-    /// bookkeeping.
-    fn compute_plan(&self, core: &Core, rotation_step: usize) -> Vec<(u64, i64)>;
+    /// The plan of one sweep: pushes every managed tile's write, in
+    /// `managed` order, with its commanded frequency (centi-MHz, kept
+    /// integral so events stay `Eq`) and coin bookkeeping.
+    fn compute_plan(&mut self, core: &Core, rotation_step: usize, writes: &mut SweepWrites);
+}
+
+/// One sweep's register writes `(tile, centi-MHz, coins)` in issue order:
+/// every hold or downgrade first, then every upgrade over the tile's
+/// commanded target, so the cap is never transiently exceeded by a
+/// newly-granted tile actuating before a revoked one. Writes pushed in
+/// ascending tile order come out in `(upgrade, tile)` order without a
+/// sort. Both lists are reused sweep to sweep.
+#[derive(Default)]
+pub(crate) struct SweepWrites {
+    pub(super) order: Vec<(usize, u64, i64)>,
+    upgrades: Vec<(usize, u64, i64)>,
+}
+
+impl SweepWrites {
+    /// Queues `tile`'s write; `commanded_centi` is its current target in
+    /// centi-MHz, which decides whether the write is an upgrade.
+    pub(super) fn push(&mut self, tile: usize, centi: u64, coins: i64, commanded_centi: u64) {
+        let write = (tile, centi, coins);
+        if centi > commanded_centi {
+            self.upgrades.push(write);
+        } else {
+            self.order.push(write);
+        }
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.order.clear();
+        self.upgrades.clear();
+    }
+
+    /// Queues the upgrades behind every other write once all are pushed.
+    pub(super) fn finish(&mut self) {
+        self.order.append(&mut self.upgrades);
+    }
 }
 
 /// Whether the centralized controller tile has faulted — after which no
@@ -54,7 +90,7 @@ pub(crate) fn controller_down(core: &Core) -> bool {
 pub(crate) struct Centralized<S> {
     scheme: S,
     sweep_gen: u64,
-    sweep_plan: Vec<(usize, u64, i64)>,
+    writes: SweepWrites,
     last_sweep_start: SimTime,
     rotation_step: usize,
 }
@@ -64,7 +100,7 @@ impl<S: SweepScheme> Centralized<S> {
         Centralized {
             scheme,
             sweep_gen: 0,
-            sweep_plan: Vec::new(),
+            writes: SweepWrites::default(),
             last_sweep_start: SimTime::ZERO,
             rotation_step: 0,
         }
@@ -77,11 +113,10 @@ impl<S: SweepScheme> Centralized<S> {
         self.last_sweep_start = core.now;
         self.sweep_gen += 1;
         // Plan once per sweep (a per-step recompute could change mid-sweep).
-        // The plan buffer is reused sweep to sweep.
-        let plan = self.scheme.compute_plan(core, self.rotation_step);
-        order_writes(&mut self.sweep_plan, &core.managed, &plan, |t| {
-            (core.tiles[t].target * 100.0).round() as u64
-        });
+        self.writes.clear();
+        self.scheme
+            .compute_plan(core, self.rotation_step, &mut self.writes);
+        self.writes.finish();
         let at = core.now + core.clocks.noc.span(S::SERVICE_CYCLES);
         core.queue.schedule(
             at,
@@ -96,7 +131,7 @@ impl<S: SweepScheme> Centralized<S> {
         if sweep != self.sweep_gen || controller_down(core) {
             return; // superseded by a newer sweep, or the controller died
         }
-        let (ti, freq_centi_mhz, coins) = self.sweep_plan[step];
+        let (ti, freq_centi_mhz, coins) = self.writes.order[step];
         let pkt = Packet::new(
             core.sim.soc.controller_tile(),
             TileId(ti),
@@ -105,7 +140,7 @@ impl<S: SweepScheme> Centralized<S> {
                 value: freq_centi_mhz,
             },
         );
-        let last = step + 1 == self.sweep_plan.len();
+        let last = step + 1 == self.writes.order.len();
         // a dropped register write silently loses this tile's command;
         // the rest of the sweep proceeds (MMIO writes are posted)
         if let Some(arrive) = core.net.send(core.now, &pkt).time() {
@@ -189,13 +224,13 @@ impl<S: SweepScheme> Centralized<S> {
     }
 }
 
-/// Fills `out` with one sweep's register writes `(tile, centi-MHz,
-/// coins)`: every downgrade or hold first, then every upgrade over the
-/// tile's current target (`current_centi`), so the cap is never
-/// transiently exceeded by a newly-granted tile actuating before a
-/// revoked one. `managed` is in ascending tile order, so two in-order
-/// passes give the `(upgrade, tile)` order without sorting.
-fn order_writes(
+/// The write ordering [`SweepWrites`] replaced, kept as the reference the
+/// BC-C planner is checked against: fills `out` with one sweep's writes,
+/// every downgrade or hold first, then every upgrade over the tile's
+/// current target (`current_centi`), in two in-order passes over
+/// `managed`.
+#[cfg(test)]
+pub(crate) fn order_writes(
     out: &mut Vec<(usize, u64, i64)>,
     managed: &[usize],
     plan: &[(u64, i64)],
@@ -274,12 +309,14 @@ impl<S: SweepScheme> ManagerPolicy for Centralized<S> {
 
 #[cfg(test)]
 mod tests {
-    use super::order_writes;
+    use super::{order_writes, SweepWrites};
     use blitzcoin_sim::check::forall_seeded;
     use blitzcoin_sim::ensure;
 
     #[test]
     fn write_order_matches_the_sorted_reference() {
+        // one buffer serves every case, as one serves every sweep of a run
+        let mut writes = SweepWrites::default();
         forall_seeded("sweep_write_order", 0x5EE9, 0..300, |rng| {
             let managed: Vec<usize> = (0..rng.range_usize(0..40))
                 .filter(|_| rng.chance(0.7))
@@ -289,16 +326,26 @@ mod tests {
                 .map(|_| (rng.range_u64(0..8) * 2500, rng.range_i64(-3..64)))
                 .collect();
             let current: Vec<u64> = (0..40).map(|_| rng.range_u64(0..8) * 2500).collect();
-            let mut fast = Vec::new();
-            order_writes(&mut fast, &managed, &plan, |t| current[t]);
-            // the pre-change planner: sort by (upgrade, tile)
+            writes.clear();
+            for (&t, &(f, c)) in managed.iter().zip(&plan) {
+                writes.push(t, f, c, current[t]);
+            }
+            writes.finish();
+            let mut two_pass = Vec::new();
+            order_writes(&mut two_pass, &managed, &plan, |t| current[t]);
+            // the first planner: sort by (upgrade, tile)
             let mut reference: Vec<(usize, u64, i64)> = managed
                 .iter()
                 .zip(&plan)
                 .map(|(&t, &(f, c))| (t, f, c))
                 .collect();
             reference.sort_by_key(|&(t, f, _)| (f > current[t], t));
-            ensure!(fast == reference, "{fast:?} != {reference:?}");
+            ensure!(
+                writes.order == reference,
+                "{:?} != {reference:?}",
+                writes.order
+            );
+            ensure!(two_pass == reference, "{two_pass:?} != {reference:?}");
             Ok(())
         });
     }

@@ -6,7 +6,7 @@ use blitzcoin_baselines::{CrrController, CrrLevel};
 
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
-use crate::managers::centralized::{SweepScheme, ROTATION_CYCLES};
+use crate::managers::centralized::{SweepScheme, SweepWrites, ROTATION_CYCLES};
 
 /// The C-RR sweep scheme: the behavioural [`CrrController`]'s rotating
 /// Max/Min/Off levels, advanced by the periodic `Rotate` event.
@@ -24,7 +24,7 @@ impl SweepScheme for Crr {
         core.queue.schedule(at, Ev::Manager(ManagerEv::Rotate));
     }
 
-    fn compute_plan(&self, core: &Core, rotation_step: usize) -> Vec<(u64, i64)> {
+    fn compute_plan(&mut self, core: &Core, rotation_step: usize, writes: &mut SweepWrites) {
         let p_max: Vec<f64> = core
             .managed
             .iter()
@@ -42,18 +42,15 @@ impl SweepScheme for Crr {
             .collect();
         let crr = CrrController::new(p_max, p_min, core.cfg().budget_mw);
         let levels = crr.allocation(&active, rotation_step);
-        core.managed
-            .iter()
-            .zip(&levels)
-            .map(|(&t, level)| {
-                let m = core.tiles[t].model.as_ref().expect("acc");
-                let f = match level {
-                    CrrLevel::Max => m.f_max(),
-                    CrrLevel::Min => m.f_min(),
-                    CrrLevel::Off => 0.0,
-                };
-                ((f * 100.0).round() as u64, 0)
-            })
-            .collect()
+        for (&t, level) in core.managed.iter().zip(&levels) {
+            let rt = &core.tiles[t];
+            let m = rt.model.as_ref().expect("acc");
+            let f = match level {
+                CrrLevel::Max => m.f_max(),
+                CrrLevel::Min => m.f_min(),
+                CrrLevel::Off => 0.0,
+            };
+            writes.push(t, (f * 100.0).round() as u64, 0, rt.target_centi);
+        }
     }
 }

@@ -85,7 +85,7 @@ pub(crate) trait ManagerPolicy {
 pub(crate) fn policy_for(kind: ManagerKind) -> Box<dyn ManagerPolicy> {
     match kind {
         ManagerKind::BlitzCoin => Box::new(blitzcoin::BlitzCoinPolicy),
-        ManagerKind::BcCentralized => Box::new(centralized::Centralized::new(bcc::Bcc)),
+        ManagerKind::BcCentralized => Box::new(centralized::Centralized::new(bcc::Bcc::default())),
         ManagerKind::CentralizedRoundRobin => Box::new(centralized::Centralized::new(crr::Crr)),
         ManagerKind::TokenSmart => Box::new(tokensmart::TokenSmartPolicy::new()),
         ManagerKind::PriceTheory => Box::new(price_theory::PriceTheoryPolicy::new()),

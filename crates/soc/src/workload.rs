@@ -79,13 +79,15 @@ impl blitzcoin_sim::json::ToJson for Workload {
 }
 
 impl Workload {
-    /// Creates a workload from tasks.
+    /// Creates a workload from tasks. A task that names one dependency
+    /// more than once waits for it once: only the first occurrence stays
+    /// in its `deps`.
     ///
     /// # Panics
     /// Panics if task ids are not densely 0..n in order, dependencies
     /// dangle or the graph has a cycle, any work amount is non-positive,
     /// or a task targets a non-accelerator tile of `soc`.
-    pub fn new(name: impl Into<String>, tasks: Vec<Task>, soc: &SocConfig) -> Self {
+    pub fn new(name: impl Into<String>, mut tasks: Vec<Task>, soc: &SocConfig) -> Self {
         for (i, t) in tasks.iter().enumerate() {
             assert_eq!(t.id.0, i, "task ids must be dense and in order");
             assert!(t.work_kcycles > 0.0, "task {i} has non-positive work");
@@ -103,6 +105,7 @@ impl Workload {
                 assert_ne!(d.0, i, "task {i} depends on itself");
             }
         }
+        dedup_deps(&mut tasks);
         let wl = Workload {
             name: name.into(),
             tasks,
@@ -136,19 +139,14 @@ impl Workload {
     }
 
     /// Whether all task dependencies form a DAG: Kahn's algorithm over
-    /// each task's dependents, listed once per dependent as `Core::new`
-    /// lists them, so it runs in time linear in tasks plus deps. A task
-    /// naming one dependency twice counts it twice in its in-degree but is
-    /// released once, so it never becomes ready and the graph reads as
-    /// cyclic.
+    /// each task's dependents, as `Core::new` lists them, so it runs in
+    /// time linear in tasks plus deps.
     fn is_acyclic(&self) -> bool {
         let n = self.tasks.len();
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for t in &self.tasks {
             for d in &t.deps {
-                if dependents[d.0].last() != Some(&t.id.0) {
-                    dependents[d.0].push(t.id.0);
-                }
+                dependents[d.0].push(t.id.0);
             }
         }
         let mut indeg: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
@@ -164,6 +162,18 @@ impl Workload {
             }
         }
         seen == n
+    }
+}
+
+/// Drops every repeat of a dependency within each task's `deps`, keeping
+/// first occurrences, so a task's in-degree counts each dependency once.
+/// Every dependency must name a task in `tasks`.
+fn dedup_deps(tasks: &mut [Task]) {
+    // the last task seen naming each task as a dependency
+    let mut named_by = vec![usize::MAX; tasks.len()];
+    for (i, t) in tasks.iter_mut().enumerate() {
+        t.deps
+            .retain(|d| std::mem::replace(&mut named_by[d.0], i) != i);
     }
 }
 
@@ -470,7 +480,7 @@ mod tests {
     fn linear_acyclic_check_matches_the_rescan_reference() {
         blitzcoin_sim::check::forall_seeded("is_acyclic_vs_rescan", 0xDA6, 0..500, |rng| {
             // a random DAG: every dep points at an earlier task, with an
-            // occasional repeated dep
+            // occasional repeated dep that `Workload::new` drops
             let n = rng.range_usize(1..80);
             let mut tasks: Vec<Task> = (0..n)
                 .map(|i| {
@@ -499,6 +509,7 @@ mod tests {
                 let to = rng.range_usize(from..n);
                 tasks[from].deps.push(TaskId(to));
             }
+            dedup_deps(&mut tasks);
             let wl = Workload {
                 name: "random".into(),
                 tasks,

@@ -100,6 +100,21 @@ fn controller_death_collapses_centralized_managers() {
 }
 
 #[test]
+fn centralized_sweeps_write_past_a_dead_accelerator() {
+    // a fail-stop that spares the controller: later sweeps still plan the
+    // corpse (commanded to 0, its writes landing on nothing), the
+    // survivors finish their work, and only the corpse's tasks are lost
+    for m in [
+        ManagerKind::BcCentralized,
+        ManagerKind::CentralizedRoundRobin,
+    ] {
+        let r = fault_run(m, kill_plan(4, TileFaultKind::FailStop), 7);
+        assert_eq!(r.tasks_abandoned, 2, "{m}");
+        assert_eq!(r.coins_leaked, 0, "{m}");
+    }
+}
+
+#[test]
 fn packet_loss_never_deadlocks_or_leaks() {
     // 20% loss on every plane: exchanges abort transactionally and
     // retry with back-off, so the run still finishes and conserves
@@ -149,6 +164,24 @@ fn all_managers_finish_the_workload() {
         let r = run(m, 120.0, 1);
         assert!(r.finished, "{m} did not finish");
         assert!(r.exec_time_us() > 100.0, "{m}: {}", r.exec_time_us());
+    }
+}
+
+#[test]
+fn a_repeated_dependency_is_waited_for_once() {
+    // a task naming one dependency twice builds, and its one completion
+    // releases it under every manager
+    let soc = soc_3x3();
+    let mut b = WorkloadBuilder::new();
+    let t0 = b.task(soc.managed_tiles()[0], 50.0, vec![]);
+    let t1 = b.task(soc.managed_tiles()[1], 50.0, vec![t0, t0]);
+    let wl = b.build("repeated dependency", &soc);
+    assert_eq!(wl.tasks()[t1.0].deps, vec![t0]);
+    for m in ManagerKind::ALL {
+        let sim = Simulation::new(soc.clone(), wl.clone(), SimConfig::new(m, 120.0));
+        let r = sim.run(7);
+        assert!(r.finished, "{m} did not finish");
+        assert_eq!(r.tasks_abandoned, 0, "{m}");
     }
 }
 

@@ -12,6 +12,10 @@ cargo test -q --offline
 cargo fmt --all -- --check
 cargo clippy --all-targets --offline -- -D warnings
 
+# Docs gate: rustdoc must document the workspace without a warning, so an
+# intra-doc link that dangles or points at a private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # Architecture gate: the engine stays a scheme-agnostic event loop. The
 # hub file must not regrow (the pre-split engine was 2,240 lines), and no
 # scheme dispatch may creep back into the engine tree — every
