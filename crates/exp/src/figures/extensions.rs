@@ -18,7 +18,7 @@ use blitzcoin_sim::{SimRng, SimTime, StepTrace};
 use blitzcoin_soc::prelude::*;
 use blitzcoin_thermal::{coin_cap_for_limit, ThermalConfig, ThermalModel};
 
-use crate::sweep::{par_units, write_csv};
+use crate::sweep::{par_units, replica, write_csv};
 use crate::{Ctx, FigResult};
 
 /// The thermal-management extension.
@@ -36,7 +36,8 @@ pub fn thermal_ext(ctx: &Ctx) -> FigResult {
             soc.clone(),
             wl,
             ctx.sim_config(ManagerKind::BlitzCoin, 120.0),
-        ),
+        )
+        .with_tile_traces(),
         ctx.seed,
     );
     let envelope = thermal::analyze(&soc, &run, ThermalConfig::default());
@@ -488,14 +489,16 @@ pub fn scaling_sim(ctx: &Ctx) -> FigResult {
     // the full d x manager x seed grid is one flattened work queue: the
     // costly d=10 runs load-balance against the cheap d=4 ones. Each d
     // owns a sub-seed; seed replicas derive from it, and the managers at
-    // one (d, replica) share the draw (paired comparison).
+    // one (d, replica) share the draw (paired comparison). The
+    // centralized managers do not draw from the seed, so their replicas
+    // are one unit that runs once.
     let units: Vec<(u64, usize, ManagerKind, u64)> = ds
         .iter()
         .enumerate()
         .flat_map(|(i, &d)| {
             managers
                 .into_iter()
-                .flat_map(move |m| (0..seeds).map(move |s| (i as u64, d, m, s)))
+                .flat_map(move |m| (0..seeds).map(move |s| (i as u64, d, m, replica(m, s))))
         })
         .collect();
     let responses = par_units(ctx, &units, |&(i, d, m, s)| {

@@ -27,7 +27,7 @@ use blitzcoin_sim::csv::CsvTable;
 use blitzcoin_soc::prelude::*;
 
 use crate::figures::analytical;
-use crate::sweep::{par_units, write_csv};
+use crate::sweep::{par_units, replica, write_csv};
 use crate::{Ctx, FigResult};
 
 /// One measured point: mean response, coin packets per activity change,
@@ -65,14 +65,16 @@ pub fn mega_mesh(ctx: &Ctx) -> FigResult {
     // One flattened work queue: a 1024-tile BC-C run load-balances
     // against the cheap 256-tile ones. Each d owns a sub-seed; the
     // managers and domain shapes at one (d, replica) share the draw
-    // (paired comparison).
+    // (paired comparison). BC-C and TokenSmart do not draw from the
+    // seed, so their replicas are one unit that runs once.
     let units: Vec<(u64, usize, ManagerKind, usize, u64)> = ds
         .iter()
         .enumerate()
         .flat_map(|(i, &d)| {
             managers.into_iter().flat_map(move |m| {
-                (0..domains.len())
-                    .flat_map(move |dom| (0..seeds).map(move |s| (i as u64, d, m, dom, s)))
+                (0..domains.len()).flat_map(move |dom| {
+                    (0..seeds).map(move |s| (i as u64, d, m, dom, replica(m, s)))
+                })
             })
         })
         .collect();

@@ -20,7 +20,7 @@ use blitzcoin_sim::SimTime;
 use blitzcoin_soc::prelude::*;
 use blitzcoin_soc::report::ActivityChange;
 
-use crate::sweep::{par_units, write_csv};
+use crate::sweep::{par_units, replica, write_csv};
 use crate::{Ctx, FigResult};
 
 /// The Fig-4 agreement bound: average |BC − BC-C| coins per managed tile
@@ -38,7 +38,7 @@ fn run(ctx: &Ctx, manager: ManagerKind, frames: usize, seed: u64) -> SimReport {
     let soc = floorplan::soc_3x3();
     let wl = workload::av_parallel(&soc, frames);
     ctx.run_sim(
-        &Simulation::new(soc, wl, ctx.sim_config(manager, 120.0)),
+        &Simulation::new(soc, wl, ctx.sim_config(manager, 120.0)).with_tile_traces(),
         seed,
     )
 }
@@ -86,9 +86,12 @@ pub fn oracle_diff(ctx: &Ctx) -> FigResult {
     let n_seeds = ctx.trials(8, 3) as u64;
 
     // Every (seed, manager) run is independent: fan the whole grid out.
+    // BC-C does not draw from the seed, so every seed's BC-C run is the
+    // one unit at seed 0 and runs once.
     let grid: Vec<(u64, ManagerKind)> = (0..n_seeds)
         .flat_map(|i| {
-            [ManagerKind::BlitzCoin, ManagerKind::BcCentralized].map(|m| (ctx.subseed(i), m))
+            [ManagerKind::BlitzCoin, ManagerKind::BcCentralized]
+                .map(|m| (ctx.subseed(replica(m, i)), m))
         })
         .collect();
     let reports = par_units(ctx, &grid, |(seed, m)| run(ctx, *m, frames, *seed));
@@ -113,6 +116,7 @@ pub fn oracle_diff(ctx: &Ctx) -> FigResult {
             "differential runs must manage the same tiles"
         );
         let n = bc.managed_tiles.len() as f64;
+        let (bc_coins, bcc_coins) = (&bc.tile_traces().coins, &bcc.tile_traces().coins);
         // `SimConfig::new` uses pool_scale 1 on this floorplan, so the
         // bound is the paper's raw 1.5 coins/tile.
         let bound = FIG4_COINS_PER_TILE;
@@ -128,7 +132,7 @@ pub fn oracle_diff(ctx: &Ctx) -> FigResult {
             let (mut sum, mut max) = (0.0f64, 0.0f64);
             for k in 0..bc.managed_tiles.len() {
                 let at = SimTime::from_us_f64(t);
-                let d = (bc.coin_traces[k].value_at(at) - bcc.coin_traces[k].value_at(at)).abs();
+                let d = (bc_coins[k].value_at(at) - bcc_coins[k].value_at(at)).abs();
                 sum += d;
                 max = max.max(d);
             }

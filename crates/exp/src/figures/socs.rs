@@ -384,7 +384,7 @@ pub fn fig19(ctx: &Ctx) -> FigResult {
     let reports = par_units(ctx, &units, |&(i, n, m)| {
         let wl = workload::pm_cluster(&soc, f, n);
         ctx.run_sim(
-            &Simulation::new(soc.clone(), wl, ctx.sim_config(m, budget)),
+            &Simulation::new(soc.clone(), wl, ctx.sim_config(m, budget)).with_tile_traces(),
             ctx.subseed(i),
         )
     });
@@ -398,7 +398,7 @@ pub fn fig19(ctx: &Ctx) -> FigResult {
         .first()
         .map(|r| SimTime::from_us_f64(r.at_us + r.response_us + 1.0))
         .unwrap_or(SimTime::from_us(50));
-    for (slot, trace) in bc.coin_traces.iter().enumerate() {
+    for (slot, trace) in bc.tile_traces().coins.iter().enumerate() {
         csv.row_values([
             bc.managed_tiles[slot] as f64,
             trace.value_at(SimTime::ZERO),
@@ -484,7 +484,7 @@ pub fn fig20(ctx: &Ctx) -> FigResult {
     let reports = par_units(ctx, &MANAGERS, |&m| {
         let wl = workload::pm_cluster(&soc, f, 7);
         ctx.run_sim(
-            &Simulation::new(soc.clone(), wl, ctx.sim_config(m, budget)),
+            &Simulation::new(soc.clone(), wl, ctx.sim_config(m, budget)).with_tile_traces(),
             ctx.seed,
         )
     });
@@ -510,7 +510,7 @@ pub fn fig20(ctx: &Ctx) -> FigResult {
     let mut csv = CsvTable::new(["t_us", "tile", "coins"]);
     let from = SimTime::from_us_f64((t_end - 2.0).max(0.0));
     let to = SimTime::from_us_f64(t_end + 6.0);
-    for (slot, trace) in bc.coin_traces.iter().enumerate() {
+    for (slot, trace) in bc.tile_traces().coins.iter().enumerate() {
         for p in trace.resample(from, to, SimTime::from_ns(100)) {
             csv.row_values([p.time.as_us_f64(), bc.managed_tiles[slot] as f64, p.value]);
         }

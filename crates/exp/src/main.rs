@@ -41,6 +41,7 @@ use std::time::Instant;
 
 use blitzcoin_exp::sweep::FREE_LIMIT_C;
 use blitzcoin_exp::{render_experiments_md, run_experiment, Ctx, ALL_EXPERIMENTS};
+use blitzcoin_noc::Topology;
 use blitzcoin_sim::CacheMode;
 use blitzcoin_soc::ManagerKind;
 
@@ -138,6 +139,9 @@ fn parse_args(args: &[String], ctx: &mut Ctx) -> Result<Cli, String> {
                     "at least 4",
                     |&d| d >= 4,
                 )?;
+                // a side whose tile count overflows fails here, not in a
+                // sweep worker (the check allocates no per-tile state)
+                Topology::try_mesh(d, d).map_err(|e| e.to_string())?;
                 ctx.mega_d = Some(d);
             }
             "--cache" => {

@@ -60,18 +60,51 @@ pub fn value_sweep<P: Sync, R: Send>(
     sweep.into_points().into_iter().zip(values).collect()
 }
 
-/// Runs one independent unit per item concurrently (full-SoC scheme
-/// comparisons, analytic per-class tables), results in item order.
+/// Runs one independent unit per distinct item concurrently (full-SoC
+/// scheme comparisons, analytic per-class tables), results in item
+/// order. An item equal to an earlier one is not run again: it gets a
+/// clone of that item's result, so a sweep that maps a seed-independent
+/// unit's replicas onto one item (see `replica`) runs it once.
 ///
 /// Seeding is the caller's contract: derive per-point sub-seeds with
 /// [`Ctx::subseed`]; reusing one seed across the *schemes of a single
 /// point* is intentional (paired comparisons share the workload draw).
-pub fn par_units<T: Sync, R: Send>(
+pub fn par_units<T: PartialEq + Sync, R: Clone + Send>(
     ctx: &Ctx,
     items: &[T],
     body: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    ctx.exec().map(items, |_, item| body(item))
+    // Grids hold at most a few hundred items, so a linear scan finds
+    // each item's first occurrence.
+    let mut distinct: Vec<&T> = Vec::new();
+    let slots: Vec<usize> = items
+        .iter()
+        .map(|item| {
+            distinct.iter().position(|d| *d == item).unwrap_or_else(|| {
+                distinct.push(item);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let results = ctx.exec().map(&distinct, |_, item| body(item));
+    if distinct.len() == items.len() {
+        return results;
+    }
+    slots.into_iter().map(|s| results[s].clone()).collect()
+}
+
+/// The seed replica a sweep runs for replica `s` of a `manager` unit:
+/// `s` itself for a manager that draws from the run seed, else 0, so
+/// every replica of a seed-independent unit is the same item and
+/// [`par_units`] runs it once. The replicas' reductions see the same
+/// values in the same order as before, because such a unit's report is
+/// the same at every seed ([`ManagerKind::draws_from_seed`]).
+pub(crate) fn replica(manager: ManagerKind, s: u64) -> u64 {
+    if manager.draws_from_seed() {
+        s
+    } else {
+        0
+    }
 }
 
 /// The result of one (scheme, point) cell of a comparison grid: `grid`

@@ -15,12 +15,24 @@
 //! of the unit — floorplan, workload, the entire
 //! [`SimConfig`](crate::SimConfig) (manager, budget, policy, exchange
 //! mode, pool scale, tie-break, thermal limit),
-//! PM clusters, fault plan, the conservation-bug sabotage switch, and the
-//! derived seed. Job counts, output paths, and anything else that cannot
+//! PM clusters, fault plan, the conservation-bug sabotage switch, the
+//! report shape ([`Simulation::with_tile_traces`]), and the derived seed.
+//! The shape is in the key because it changes the stored value: a
+//! scalar-only report must never answer a unit that reads per-tile
+//! traces. Job counts, output paths, and anything else that cannot
 //! change the result are deliberately absent. [`SIM_CACHE_SCHEMA`] is
 //! hashed into the key, so changing the serialized report format (or the
 //! meaning of any key field) only requires bumping the constant: old
 //! entries simply stop being addressed.
+//!
+//! The seed stays in the key even for managers whose report does not
+//! depend on it
+//! ([`ManagerKind::draws_from_seed`](crate::ManagerKind::draws_from_seed)).
+//! A sweep that wants one run of such a unit maps its replicas onto one
+//! item before the fan-out, where the experiment harness's `par_units`
+//! runs each distinct item once. Keying the replicas alike instead would
+//! leave concurrent duplicate misses in one fan-out to race, and a
+//! figure's hit and miss counts would then depend on thread timing.
 
 use blitzcoin_sim::cache::{key_of, Cache, CacheKey, Fetch};
 use blitzcoin_sim::json::{FromJson, Json, ToJson};
@@ -31,7 +43,7 @@ use crate::report::SimReport;
 /// Version of the cached-report format and key layout. Bump whenever
 /// [`SimReport`]'s serialization or [`Simulation::unit_json`]'s field
 /// set changes meaning; every bump auto-invalidates all prior entries.
-pub const SIM_CACHE_SCHEMA: u32 = 2;
+pub const SIM_CACHE_SCHEMA: u32 = 3;
 
 impl Simulation {
     /// The canonical JSON identity of running `self` under `seed`:
@@ -48,6 +60,7 @@ impl Simulation {
                 "conservation_bug_at".to_string(),
                 self.conservation_bug_at.to_json(),
             ),
+            ("tile_traces".to_string(), self.tile_traces.to_json()),
             ("seed".to_string(), seed.to_json()),
         ])
     }
@@ -108,17 +121,37 @@ mod tests {
 
     #[test]
     fn report_round_trips_exactly_through_json() {
-        let sim = small_sim(ManagerKind::BlitzCoin, 120.0, TieBreak::Fifo);
-        let report = sim.run(7);
-        let text = report.to_json().to_string();
-        let back = SimReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        // Exactness matters: the cache replays reports into CSVs that
-        // must be byte-identical to a cold run's.
-        assert_eq!(back.to_json().to_string(), text);
-        assert_eq!(back.exec_time, report.exec_time);
-        assert_eq!(back.responses.len(), report.responses.len());
-        assert_eq!(back.noc.packets, report.noc.packets);
-        assert_eq!(back.events, report.events);
+        // Both report shapes: scalar-only and with per-tile traces.
+        let scalar = small_sim(ManagerKind::BlitzCoin, 120.0, TieBreak::Fifo);
+        for sim in [scalar.clone(), scalar.with_tile_traces()] {
+            let report = sim.run(7);
+            assert_eq!(report.tiles.is_some(), sim.tile_traces);
+            let text = report.to_json().to_string();
+            let back = SimReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+            // Exactness matters: the cache replays reports into CSVs that
+            // must be byte-identical to a cold run's.
+            assert_eq!(back.to_json().to_string(), text);
+            assert_eq!(back.exec_time, report.exec_time);
+            assert_eq!(back.responses.len(), report.responses.len());
+            assert_eq!(back.noc.packets, report.noc.packets);
+            assert_eq!(back.events, report.events);
+        }
+    }
+
+    #[test]
+    fn the_declared_shape_changes_only_the_traces() {
+        // The declaration adds the per-tile traces and nothing else: the
+        // two shapes agree on every other field, bit for bit.
+        let scalar = small_sim(ManagerKind::BlitzCoin, 120.0, TieBreak::Fifo);
+        let mut full = scalar.clone().with_tile_traces().run(7);
+        let tiles = full.tiles.take().expect("declared traces");
+        assert_eq!(
+            full.to_json().to_string(),
+            scalar.run(7).to_json().to_string()
+        );
+        assert_eq!(tiles.power.len(), full.managed_tiles.len());
+        assert_eq!(tiles.coins.len(), full.managed_tiles.len());
+        assert_eq!(tiles.freq.len(), full.managed_tiles.len());
     }
 
     #[test]
@@ -156,6 +189,13 @@ mod tests {
                 .cache_key(1),
             "fault plan"
         );
+        assert_ne!(
+            k0,
+            small_sim(ManagerKind::BlitzCoin, 120.0, TieBreak::Fifo)
+                .with_tile_traces()
+                .cache_key(1),
+            "report shape"
+        );
 
         // ... and an identical rebuild must not.
         assert_eq!(
@@ -177,7 +217,7 @@ mod tests {
         let sim = small_sim(ManagerKind::BlitzCoin, 120.0, TieBreak::Fifo);
         assert_eq!(
             sim.cache_key(7).hex(),
-            "d188f661cdc0f2be66013e1abae40c47079d1d787b258dcaa98c79951689827d",
+            "9012266c1626e3df048b39fc6fb2bf298e5551b96205ecd63c7c186605dac60a",
             "pinned cache key drifted; bump SIM_CACHE_SCHEMA if intentional"
         );
         // Identity is canonical: the key must not depend on the order in

@@ -16,7 +16,10 @@
 //!
 //! Every quantity in the paper's SoC evaluation falls out of this loop:
 //! execution time, per-transition response time, power/coin/frequency
-//! traces, utilization, and NoC traffic.
+//! traces, utilization, and NoC traffic. Per-tile coin and frequency
+//! traces are recorded only for a unit that declares them
+//! ([`Simulation::with_tile_traces`]); per-tile power always is, because
+//! the report's total power trace is their sum.
 //!
 //! The engine itself is scheme-agnostic: all manager behavior lives in
 //! `crate::managers` behind the `ManagerPolicy` trait, and this module
@@ -294,6 +297,9 @@ pub struct Simulation {
     /// mints one coin and the one after burns it again. The end-of-run
     /// audit balances perfectly — only the continuous oracle can see it.
     pub(crate) conservation_bug_at: Option<u64>,
+    /// Whether the report carries per-tile traces
+    /// ([`Simulation::with_tile_traces`]).
+    pub(crate) tile_traces: bool,
 }
 
 impl Simulation {
@@ -329,7 +335,21 @@ impl Simulation {
             clusters: None,
             fault: FaultPlan::none(),
             conservation_bug_at: None,
+            tile_traces: false,
         }
+    }
+
+    /// Declares that the unit's reader needs per-tile traces: the run
+    /// records each managed tile's power, coin and frequency
+    /// [`StepTrace`] and returns them in [`SimReport::tiles`]. Without the
+    /// declaration the engine records only the per-tile power that the
+    /// total `power` trace is summed from, and the report carries no
+    /// per-tile traces. The declaration is part of the unit's cache
+    /// identity ([`Simulation::unit_json`]).
+    #[must_use]
+    pub fn with_tile_traces(mut self) -> Self {
+        self.tile_traces = true;
+        self
     }
 
     /// Injects a self-cancelling coin-conservation bug for oracle tests:
@@ -522,7 +542,8 @@ pub(crate) struct Core<'a> {
     pub(crate) pending_changes: Vec<SimTime>,
     pub(crate) responses: Vec<ResponseSample>,
     pub(crate) activity_changes: Vec<ActivityChange>,
-    // traces
+    // traces, indexed by managed slot; `coin_traces` and `freq_traces`
+    // stay empty unless the unit declared tile traces
     pub(crate) coin_traces: Vec<StepTrace>,
     pub(crate) freq_traces: Vec<StepTrace>,
     pub(crate) power_traces: Vec<StepTrace>,
@@ -621,18 +642,23 @@ impl<'a> Core<'a> {
                 tiles[ti].has = (base + extra) as i64;
             }
         }
-        let coin_traces = managed
-            .iter()
-            .map(|&ti| {
-                let mut tr = StepTrace::new(format!("coins_t{ti}"));
-                tr.record(SimTime::ZERO, tiles[ti].has as f64);
-                tr
-            })
-            .collect();
-        let freq_traces = managed
-            .iter()
-            .map(|&ti| StepTrace::new(format!("freq_t{ti}")))
-            .collect();
+        let (coin_traces, freq_traces) = if sim.tile_traces {
+            let coins = managed
+                .iter()
+                .map(|&ti| {
+                    let mut tr = StepTrace::new(format!("coins_t{ti}"));
+                    tr.record(SimTime::ZERO, tiles[ti].has as f64);
+                    tr
+                })
+                .collect();
+            let freq = managed
+                .iter()
+                .map(|&ti| StepTrace::new(format!("freq_t{ti}")))
+                .collect();
+            (coins, freq)
+        } else {
+            (Vec::new(), Vec::new())
+        };
         let power_traces = managed
             .iter()
             .map(|&ti| StepTrace::new(format!("power_t{ti}")))

@@ -11,7 +11,7 @@ use blitzcoin_sim::{StepTrace, TileFaultKind};
 
 use crate::engine::Core;
 use crate::managers::ManagerPolicy;
-use crate::report::SimReport;
+use crate::report::{SimReport, TileTraces};
 
 /// Actuation-transient envelope of the oracle's budget-ceiling check, as
 /// a fraction of the budget. During a reallocation the upgraded tile can
@@ -145,15 +145,18 @@ pub(crate) fn finish(mut core: Core, policy: &mut dyn ManagerPolicy) -> SimRepor
     };
     let refs: Vec<&StepTrace> = core.power_traces.iter().collect();
     let power = StepTrace::sum("power_total_mw", &refs);
+    let tiles = core.sim.tile_traces.then_some(TileTraces {
+        power: core.power_traces,
+        coins: core.coin_traces,
+        freq: core.freq_traces,
+    });
     let mut report = SimReport {
         finished,
         exec_time: core.exec_end,
         responses: core.responses,
         activity_changes: core.activity_changes,
         power,
-        tile_power: core.power_traces,
-        coin_traces: core.coin_traces,
-        freq_traces: core.freq_traces,
+        tiles,
         managed_tiles: core.managed,
         budget_mw: core.sim.cfg.budget_mw,
         noc: core.net.stats().clone(),

@@ -3,7 +3,8 @@
 //! Power, coin, and frequency state changes flow through here for every
 //! scheme: a policy decides *what* to command, this module models *when*
 //! it takes effect (the UVFR actuation delay) and keeps the traces the
-//! paper's figures are built from.
+//! paper's figures are built from: per-tile power on every run, coin and
+//! frequency traces only for a unit that declared tile traces.
 
 use blitzcoin_sim::{SimTime, TileFaultKind};
 
@@ -47,11 +48,18 @@ impl Core<'_> {
         }
     }
 
+    // `coin_traces` and `freq_traces` are empty unless the unit declared
+    // tile traces, and an unmanaged tile's slot is out of range, so one
+    // bounds check covers both cases.
     pub(crate) fn record_coins(&mut self, ti: usize) {
-        let slot = self.managed_slot[ti];
-        if slot != usize::MAX {
-            let h = self.tiles[ti].has as f64;
-            self.coin_traces[slot].record(self.now, h);
+        if let Some(tr) = self.coin_traces.get_mut(self.managed_slot[ti]) {
+            tr.record(self.now, self.tiles[ti].has as f64);
+        }
+    }
+
+    pub(crate) fn record_freq(&mut self, ti: usize) {
+        if let Some(tr) = self.freq_traces.get_mut(self.managed_slot[ti]) {
+            tr.record(self.now, self.tiles[ti].freq);
         }
     }
 
@@ -153,10 +161,7 @@ impl Core<'_> {
             // the domain is pure derived state (divider, no phase), so
             // retuning it cannot perturb any already-scheduled event.
             self.clocks.tile[ti] = EngineClocks::tile_domain(self.tiles[ti].model.as_ref(), f);
-            let slot = self.managed_slot[ti];
-            if slot != usize::MAX {
-                self.freq_traces[slot].record(self.now, f);
-            }
+            self.record_freq(ti);
             self.record_power(ti);
             self.audit_actuation(ti);
             self.schedule_completion(ti);

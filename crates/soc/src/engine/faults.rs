@@ -64,9 +64,7 @@ impl Core<'_> {
         if kind == TileFaultKind::FailStop {
             // the dead tile's clock collapses to its idle-floor divider
             self.clocks.tile[ti] = EngineClocks::tile_domain(self.tiles[ti].model.as_ref(), 0.0);
-            if let Some(slot) = self.managed.iter().position(|&t| t == ti) {
-                self.freq_traces[slot].record(self.now, 0.0);
-            }
+            self.record_freq(ti);
         }
         self.record_power(ti);
         self.abandon_unreachable_tasks();

@@ -62,7 +62,7 @@ pub mod workload;
 pub use engine::{SimConfig, Simulation};
 pub use floorplan::{SocConfig, TileKind};
 pub use manager::ManagerKind;
-pub use report::SimReport;
+pub use report::{SimReport, TileTraces};
 pub use workload::{Task, TaskId, Workload};
 
 /// Convenient glob import for examples and the experiment harness.

@@ -52,6 +52,16 @@ impl ManagerKind {
         ManagerKind::Static,
     ];
 
+    /// Whether a run under this manager draws from the run seed's RNG.
+    /// Only BlitzCoin does, for its exchange FSMs' boot phases and
+    /// stochastic rounding. Every other scheme's report is the same at
+    /// any seed (workloads and fault plans carry their own), so a sweep
+    /// needs one replica of such a unit, not one per seed;
+    /// `tests/oracle_invariants.rs` holds the engine to this.
+    pub fn draws_from_seed(&self) -> bool {
+        matches!(self, ManagerKind::BlitzCoin)
+    }
+
     /// The short name used in the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {

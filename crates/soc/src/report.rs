@@ -2,9 +2,17 @@
 //!
 //! A [`SimReport`] carries everything the paper's SoC-level figures are
 //! built from: execution time (Figs 17-18 left), response times per
-//! activity change (Figs 17-18 right, Fig 20), per-tile and total power
-//! traces (Figs 16, 19), coin traces (Figs 19-20), budget-utilization and
+//! activity change (Figs 17-18 right, Fig 20), the total power trace
+//! (Fig 16, utilization, overshoot and energy), budget-utilization and
 //! enforcement statistics (Fig 19), and NoC traffic accounting.
+//!
+//! The report's shape is declared by its unit. Per-tile power, coin and
+//! frequency traces ([`TileTraces`]: the Fig 19-20 coin plots, the
+//! `oracle-diff` ledgers, `thermal::analyze`'s power inputs) travel only
+//! when the unit was built with
+//! [`Simulation::with_tile_traces`](crate::Simulation::with_tile_traces);
+//! every other report carries scalars and the total power trace alone.
+//! At 32x32 the per-tile traces are about 85% of a full report's JSON.
 
 use blitzcoin_noc::TrafficStats;
 use blitzcoin_sim::{SimTime, StepTrace};
@@ -67,6 +75,20 @@ impl blitzcoin_sim::json::FromJson for ActivityChange {
     }
 }
 
+/// Per-managed-tile traces, each vector index-aligned with
+/// [`SimReport::managed_tiles`].
+#[derive(Debug, Clone)]
+pub struct TileTraces {
+    /// Power (mW).
+    pub power: Vec<StepTrace>,
+    /// Coin holdings.
+    pub coins: Vec<StepTrace>,
+    /// Settled clock frequency (MHz).
+    pub freq: Vec<StepTrace>,
+}
+
+blitzcoin_sim::json_fields!(TileTraces { power, coins, freq });
+
 /// The result of one full-SoC simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -82,13 +104,10 @@ pub struct SimReport {
     pub activity_changes: Vec<ActivityChange>,
     /// Total managed-accelerator power over time (mW).
     pub power: StepTrace,
-    /// Per-managed-tile power traces (mW), index-aligned with
-    /// `managed_tiles`.
-    pub tile_power: Vec<StepTrace>,
-    /// Per-managed-tile coin-count traces.
-    pub coin_traces: Vec<StepTrace>,
-    /// Per-managed-tile frequency traces (MHz).
-    pub freq_traces: Vec<StepTrace>,
+    /// Per-managed-tile traces: `Some` exactly when the unit was built
+    /// with [`Simulation::with_tile_traces`](crate::Simulation::with_tile_traces).
+    /// Read them through [`SimReport::tile_traces`].
+    pub tiles: Option<TileTraces>,
     /// Tile ids of the managed tiles, aligning the trace vectors.
     pub managed_tiles: Vec<usize>,
     /// The enforced budget (mW).
@@ -148,9 +167,7 @@ blitzcoin_sim::json_fields!(SimReport {
     responses,
     activity_changes,
     power,
-    tile_power,
-    coin_traces,
-    freq_traces,
+    tiles,
     managed_tiles,
     budget_mw,
     noc,
@@ -267,6 +284,20 @@ impl SimReport {
         other.exec_time_us() / self.exec_time_us()
     }
 
+    /// The per-tile traces of a unit that declared them.
+    ///
+    /// # Panics
+    /// Panics when the unit was not built with
+    /// [`Simulation::with_tile_traces`](crate::Simulation::with_tile_traces):
+    /// reading traces the unit did not ask for is a bug in the caller,
+    /// not an empty series.
+    pub fn tile_traces(&self) -> &TileTraces {
+        self.tiles.as_ref().expect(
+            "per-tile traces are recorded only for a unit built with \
+             Simulation::with_tile_traces()",
+        )
+    }
+
     /// Looks up a scheme-specific stat by name (see `scheme_stats`).
     pub fn scheme_stat(&self, name: &str) -> Option<f64> {
         self.scheme_stats
@@ -298,9 +329,7 @@ mod tests {
             ],
             activity_changes: vec![],
             power,
-            tile_power: vec![],
-            coin_traces: vec![],
-            freq_traces: vec![],
+            tiles: None,
             managed_tiles: vec![],
             budget_mw: budget,
             noc: TrafficStats::default(),

@@ -268,10 +268,11 @@ fn dependent_workload_runs_under_low_budget() {
 fn coin_conservation_in_bc_runs() {
     let soc = soc_3x3();
     let wl = av_parallel(&soc, 1);
-    let sim = Simulation::new(soc, wl, SimConfig::new(ManagerKind::BlitzCoin, 120.0));
+    let sim =
+        Simulation::new(soc, wl, SimConfig::new(ManagerKind::BlitzCoin, 120.0)).with_tile_traces();
     let pool = sim.pool() as f64;
     let r = sim.run(11);
-    let total_end: f64 = r.coin_traces.iter().map(|t| t.last_value()).sum();
+    let total_end: f64 = r.tile_traces().coins.iter().map(|t| t.last_value()).sum();
     assert!(
         (total_end - pool).abs() < 1e-9,
         "pool {pool} ended as {total_end}"
@@ -318,9 +319,11 @@ fn clusters_partition_the_exchange() {
         wl,
         SimConfig::new(ManagerKind::BlitzCoin, 120.0),
         clusters.clone(),
-    );
+    )
+    .with_tile_traces();
     let r = sim.run(5);
     assert!(r.finished);
+    let coins = &r.tile_traces().coins;
     // coins never cross the cluster boundary: each cluster's total is
     // constant over the whole run
     for members in &clusters {
@@ -328,8 +331,7 @@ fn clusters_partition_the_exchange() {
             .iter()
             .map(|t| r.managed_tiles.iter().position(|&m| m == *t).unwrap())
             .collect();
-        let at =
-            |time: SimTime| -> f64 { slots.iter().map(|&s| r.coin_traces[s].value_at(time)).sum() };
+        let at = |time: SimTime| -> f64 { slots.iter().map(|&s| coins[s].value_at(time)).sum() };
         let start = at(SimTime::ZERO);
         let end = at(r.exec_time);
         assert!(
@@ -363,10 +365,11 @@ fn crr_rotation_shares_the_max_grant_over_time() {
         wl,
         SimConfig::new(ManagerKind::CentralizedRoundRobin, 120.0),
     )
+    .with_tile_traces()
     .run(9);
     assert!(r.finished);
     let mut upgraded = 0;
-    for (slot, trace) in r.freq_traces.iter().enumerate() {
+    for (slot, trace) in r.tile_traces().freq.iter().enumerate() {
         let max_seen = trace.points().iter().fold(0.0f64, |m, p| m.max(p.value));
         // every FFT/Viterbi tile gets at least one Max grant; count them
         let _ = slot;
@@ -402,13 +405,14 @@ fn horizon_aborts_unfinishable_runs() {
 fn bcc_coin_traces_reflect_central_allocations() {
     let soc = soc_3x3();
     let wl = av_parallel(&soc, 1);
-    let sim = Simulation::new(soc, wl, SimConfig::new(ManagerKind::BcCentralized, 120.0));
+    let sim = Simulation::new(soc, wl, SimConfig::new(ManagerKind::BcCentralized, 120.0))
+        .with_tile_traces();
     let pool = sim.pool() as i64;
     let r = sim.run(3);
     // mid-run, the recorded coin counts sum to the pool (the central
     // unit redistributes but conserves)
     let mid = SimTime::from_us_f64(r.exec_time_us() / 2.0);
-    let total: f64 = r.coin_traces.iter().map(|t| t.value_at(mid)).sum();
+    let total: f64 = r.tile_traces().coins.iter().map(|t| t.value_at(mid)).sum();
     assert!(
         (total - pool as f64).abs() <= 1.0,
         "total {total} vs pool {pool}"
@@ -421,12 +425,12 @@ fn four_way_exchange_mode_works_in_engine() {
     let wl = av_parallel(&soc, 1);
     let mut cfg = SimConfig::new(ManagerKind::BlitzCoin, 120.0);
     cfg.exchange_mode = blitzcoin_core::ExchangeMode::FourWay;
-    let sim = Simulation::new(soc, wl, cfg);
+    let sim = Simulation::new(soc, wl, cfg).with_tile_traces();
     let pool = sim.pool() as f64;
     let r = sim.run(13);
     assert!(r.finished);
     assert!(r.mean_response_us().is_some());
-    let total_end: f64 = r.coin_traces.iter().map(|t| t.last_value()).sum();
+    let total_end: f64 = r.tile_traces().coins.iter().map(|t| t.last_value()).sum();
     assert!((total_end - pool).abs() < 1e-9, "conservation under 4-way");
 }
 
@@ -445,7 +449,8 @@ fn tokensmart_runs_end_to_end_and_conserves() {
     // activity changes, and its ring ledger conserves the pool exactly
     let soc = soc_3x3();
     let wl = av_parallel(&soc, 2);
-    let sim = Simulation::new(soc, wl, SimConfig::new(ManagerKind::TokenSmart, 120.0));
+    let sim =
+        Simulation::new(soc, wl, SimConfig::new(ManagerKind::TokenSmart, 120.0)).with_tile_traces();
     let pool = sim.pool() as f64;
     let r = sim.run(7);
     assert!(r.finished, "TS must finish the 2-frame AV workload");
@@ -454,7 +459,7 @@ fn tokensmart_runs_end_to_end_and_conserves() {
         "TS answers activity changes"
     );
     assert_eq!(r.coins_leaked, 0, "ring handoffs must conserve");
-    let total_end: f64 = r.coin_traces.iter().map(|t| t.last_value()).sum();
+    let total_end: f64 = r.tile_traces().coins.iter().map(|t| t.last_value()).sum();
     let in_transit = r.scheme_stat("ts_pool_in_transit").unwrap_or(0.0);
     assert!(
         (total_end + in_transit - pool).abs() < 1e-9,

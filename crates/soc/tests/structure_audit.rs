@@ -24,7 +24,8 @@ fn lens_at(d: usize) -> BTreeMap<&'static str, usize> {
         mm.soc.n_managed(),
     );
     let topo = mm.soc.topology;
-    let sim = Simulation::new(mm.soc, wl, cfg);
+    // with tile traces, so the audit covers the per-tile trace vectors too
+    let sim = Simulation::new(mm.soc, wl, cfg).with_tile_traces();
     let mut lens: BTreeMap<&'static str, usize> = sim.structure_lens().into_iter().collect();
 
     let wh = WormholeNetwork::new(topo, WormholeConfig::default());

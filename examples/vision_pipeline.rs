@@ -19,11 +19,13 @@ fn main() {
         wl.tasks().len()
     );
 
+    // the coin table below reads per-tile traces, so the run records them
     let sim = Simulation::new(
         soc.clone(),
         wl,
         SimConfig::new(ManagerKind::BlitzCoin, 450.0),
-    );
+    )
+    .with_tile_traces();
     println!(
         "coin economy: 1 coin = {:.2} mW, pool = {} coins\n",
         sim.coin_value_mw(),
@@ -41,6 +43,7 @@ fn main() {
     // managed tile's coins at a few checkpoints.
     let checkpoints = [0.1, 0.3, 0.5, 0.7, 0.9];
     println!("coin holdings per tile over the run (tile: class @ checkpoints):");
+    let coins = &report.tile_traces().coins;
     for (slot, &tile) in report.managed_tiles.iter().enumerate() {
         let class = soc.tiles[tile]
             .accel_class()
@@ -49,7 +52,7 @@ fn main() {
             .iter()
             .map(|&f| {
                 let t = SimTime::from_us_f64(report.exec_time_us() * f);
-                format!("{:>4.0}", report.coin_traces[slot].value_at(t))
+                format!("{:>4.0}", coins[slot].value_at(t))
             })
             .collect();
         println!("  tile {tile:>2} {class:>7}: {}", samples.join(" "));

@@ -189,6 +189,27 @@ for f in results/*.csv; do
 done
 echo "ci: regen gate ok ($(ls "$regen"/*.csv | wc -l) CSVs match results/)"
 
+# Cache-count gate: the same run's per-experiment cache hits and misses
+# must equal results/manifest.json's. From an empty store they count
+# exactly which units each figure runs and which it shares with an
+# earlier figure, so a unit added, dropped or re-keyed shows here even
+# when every CSV stays the same. Timing fields (wall_ms, cache_saved_ms)
+# differ from run to run and are not compared.
+cache_counts() {
+    awk '
+        /^    "id": / { id = $2; gsub(/[",]/, "", id) }
+        /^    "cache_hits": / { hits = $2 + 0 }
+        /^    "cache_misses": / { printf "%s %d hits %d misses\n", id, hits, $2 + 0 }
+    ' "$1"
+}
+cache_counts results/manifest.json > "$smoke_dir/counts-committed"
+cache_counts "$regen/manifest.json" > "$smoke_dir/counts-regen"
+if ! diff "$smoke_dir/counts-committed" "$smoke_dir/counts-regen" >&2; then
+    echo "ci: per-experiment cache counts differ from results/manifest.json" >&2
+    exit 1
+fi
+echo "ci: cache-count gate ok ($(wc -l < "$smoke_dir/counts-regen") experiments match results/manifest.json)"
+
 # Plots gate: `plots` over the regenerated CSVs must reproduce
 # results/plots/ byte for byte, and every committed SVG must be one it
 # wrote, so a figure whose renderer or data moved cannot keep a stale SVG.

@@ -137,6 +137,7 @@ fn thermal_envelope_of_paper_workloads() {
         wl,
         SimConfig::new(ManagerKind::BlitzCoin, 120.0),
     )
+    .with_tile_traces()
     .run(2);
     let t = thermal::analyze(&soc, &r, ThermalConfig::default());
     assert!(t.max_celsius() < 105.0);
@@ -339,7 +340,7 @@ fn bad_flag_values_exit_1_with_their_message() {
     // A missing, unparsable or out-of-range value stops the CLI with one
     // stderr line and exit code 1 before any experiment runs.
     let out = std::env::temp_dir().join(format!("blitzcoin_cli_flags_{}", std::process::id()));
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--jobs", "0"], "--jobs must be at least 1\n"),
         (
             &["--seed", "x"],
@@ -348,6 +349,13 @@ fn bad_flag_values_exit_1_with_their_message() {
         (&["--mega-d", "3"], "--mega-d must be at least 4\n"),
         (&["--orderings", "0"], "--orderings must be at least 1\n"),
         (&["--jobs"], "--jobs needs a value\n"),
+        // d * d overflows usize: rejected at parse time, not by a panic
+        // in a sweep worker
+        (
+            &["--mega-d", "4294967296"],
+            "topology 4294967296x4294967296 is too large: the tile count must fit \
+             usize with headroom for dense per-tile structure sizing\n",
+        ),
     ];
     for (flags, want) in cases {
         let run = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))

@@ -15,7 +15,8 @@ use blitzcoin_core::emulator::{Emulator, EmulatorConfig, ExchangeMode};
 use blitzcoin_core::{DynamicTiming, HotspotCap, PairingMode};
 use blitzcoin_noc::Topology;
 use blitzcoin_sim::check::forall;
-use blitzcoin_sim::{ensure, FaultPlan, LinkOutage, SimRng, TileFault, TileFaultKind};
+use blitzcoin_sim::json::ToJson;
+use blitzcoin_sim::{ensure, FaultPlan, LinkOutage, SimRng, TieBreak, TileFault, TileFaultKind};
 use blitzcoin_soc::prelude::*;
 
 /// A random fault plan touching every [`FaultPlan`] dial: lossy planes,
@@ -67,26 +68,33 @@ const MANAGERS: [ManagerKind; 6] = [
     ManagerKind::Static,
 ];
 
+/// A random SoC, workload shape and budget: the 3x3 AV SoC or the 4x4
+/// vision SoC, parallel or dependent tasks, one or two frames.
+fn any_soc(rng: &mut SimRng) -> (SocConfig, Workload, f64) {
+    let four_by_four = rng.chance(0.3);
+    let (soc, budget) = if four_by_four {
+        (floorplan::soc_4x4(), 400.0 + rng.unit_f64() * 500.0)
+    } else {
+        (floorplan::soc_3x3(), 55.0 + rng.unit_f64() * 110.0)
+    };
+    let frames = rng.range_usize(1..3);
+    let dep = rng.chance(0.5);
+    let wl = match (four_by_four, dep) {
+        (false, false) => workload::av_parallel(&soc, frames),
+        (false, true) => workload::av_dependent(&soc, frames),
+        (true, false) => workload::vision_parallel(&soc, frames),
+        (true, true) => workload::vision_dependent(&soc, frames),
+    };
+    (soc, wl, budget)
+}
+
 #[test]
 fn engine_oracle_is_clean_across_random_socs() {
     // Any floorplan, budget, manager, and workload shape: the run's own
     // oracle (conservation at every commit, ceiling at every actuation,
     // VF legality, time monotonicity) must stay silent.
     forall("engine oracle clean on random SoCs", 12, |rng| {
-        let four_by_four = rng.chance(0.3);
-        let (soc, budget) = if four_by_four {
-            (floorplan::soc_4x4(), 400.0 + rng.unit_f64() * 500.0)
-        } else {
-            (floorplan::soc_3x3(), 55.0 + rng.unit_f64() * 110.0)
-        };
-        let frames = rng.range_usize(1..3);
-        let dep = rng.chance(0.5);
-        let wl = match (four_by_four, dep) {
-            (false, false) => workload::av_parallel(&soc, frames),
-            (false, true) => workload::av_dependent(&soc, frames),
-            (true, false) => workload::vision_parallel(&soc, frames),
-            (true, true) => workload::vision_dependent(&soc, frames),
-        };
+        let (soc, wl, budget) = any_soc(rng);
         let manager = *rng.choose(&MANAGERS);
         let seed = rng.next_u64();
         let r = Simulation::new(soc, wl, SimConfig::new(manager, budget)).run(seed);
@@ -97,6 +105,50 @@ fn engine_oracle_is_clean_across_random_socs() {
         );
         Ok(())
     });
+}
+
+#[test]
+fn only_a_seed_drawing_manager_depends_on_the_run_seed() {
+    // The rule that lets a sweep run one replica of a unit whose manager
+    // does not draw from the run seed: over random SoCs, workloads, fault
+    // plans and tie-breaks, two seeds give byte-identical reports, per-tile
+    // traces included. BlitzCoin, which draws, must differ somewhere.
+    let mut bc_differs = 0;
+    forall("non-drawing managers ignore the seed", 12, |rng| {
+        let (soc, wl, budget) = any_soc(rng);
+        let plan = if rng.chance(0.5) {
+            any_plan(rng, soc.topology.len())
+        } else {
+            FaultPlan::none()
+        };
+        let tie_break = match rng.range_u64(0..3) {
+            0 => TieBreak::Fifo,
+            1 => TieBreak::Lifo,
+            _ => TieBreak::Permuted(rng.next_u64()),
+        };
+        let (a, b) = (rng.next_u64(), rng.next_u64());
+        for manager in MANAGERS {
+            let cfg = SimConfig {
+                tie_break,
+                ..SimConfig::new(manager, budget)
+            };
+            let sim = Simulation::new(soc.clone(), wl.clone(), cfg)
+                .with_fault_plan(plan.clone())
+                .with_tile_traces();
+            let [ra, rb] = [a, b].map(|seed| sim.run(seed).to_json().to_string());
+            if manager.draws_from_seed() {
+                bc_differs += usize::from(ra != rb);
+            } else {
+                ensure!(
+                    ra == rb,
+                    "{manager} under {tie_break} and {plan:?}: seeds {a:#x} and {b:#x} \
+                     gave different reports"
+                );
+            }
+        }
+        Ok(())
+    });
+    assert!(bc_differs > 0, "BlitzCoin never depended on the seed");
 }
 
 #[test]
