@@ -33,14 +33,6 @@ pub struct TsConfig {
     pub max_cycles: u64,
 }
 
-blitzcoin_sim::json_fields!(TsConfig {
-    visit_cycles,
-    starvation_visits,
-    fair_hold_visits,
-    err_threshold,
-    max_cycles
-});
-
 impl Default for TsConfig {
     fn default() -> Self {
         TsConfig {

@@ -65,18 +65,6 @@ pub struct EmulatorConfig {
     pub hotspot_cap: Option<HotspotCap>,
 }
 
-blitzcoin_sim::json_fields!(EmulatorConfig {
-    mode,
-    refresh_cycles,
-    dynamic_timing,
-    pairing,
-    err_threshold,
-    max_cycles,
-    stop_at_convergence,
-    quiescence_exchanges,
-    hotspot_cap
-});
-
 impl Default for EmulatorConfig {
     /// The optimized BlitzCoin configuration: 1-way exchange, dynamic
     /// timing, shift-register random pairing every 16 exchanges, Err < 1.
@@ -139,18 +127,6 @@ pub struct ConvergenceResult {
     /// stops at convergence).
     pub total_packets: u64,
 }
-
-blitzcoin_sim::json_fields!(ConvergenceResult {
-    converged,
-    cycles,
-    packets,
-    exchanges,
-    start_error,
-    final_error,
-    worst_error,
-    total_cycles,
-    total_packets
-});
 
 #[derive(Debug, Clone)]
 struct TileRuntime {

@@ -49,41 +49,6 @@ impl Default for PairingMode {
     }
 }
 
-impl blitzcoin_sim::json::ToJson for PairingMode {
-    fn to_json(&self) -> blitzcoin_sim::json::Json {
-        use blitzcoin_sim::json::Json;
-        let (kind, period) = match self {
-            PairingMode::Disabled => ("Disabled", None),
-            PairingMode::Uniform { period } => ("Uniform", Some(*period)),
-            PairingMode::ShiftRegister { period } => ("ShiftRegister", Some(*period)),
-        };
-        let mut pairs = vec![("kind".to_string(), Json::Str(kind.to_string()))];
-        if let Some(p) = period {
-            pairs.push(("period".to_string(), Json::Num(f64::from(p))));
-        }
-        Json::Obj(pairs)
-    }
-}
-
-impl blitzcoin_sim::json::FromJson for PairingMode {
-    fn from_json(v: &blitzcoin_sim::json::Json) -> Result<Self, blitzcoin_sim::json::JsonError> {
-        use blitzcoin_sim::json::JsonError;
-        let kind: String = v.field("kind")?;
-        match kind.as_str() {
-            "Disabled" => Ok(PairingMode::Disabled),
-            "Uniform" => Ok(PairingMode::Uniform {
-                period: v.field("period")?,
-            }),
-            "ShiftRegister" => Ok(PairingMode::ShiftRegister {
-                period: v.field("period")?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown PairingMode variant `{other}`"
-            ))),
-        }
-    }
-}
-
 impl PairingMode {
     /// The pairing period, or `None` when disabled.
     pub fn period(&self) -> Option<u32> {

@@ -20,8 +20,6 @@ pub struct HotspotCap {
     pub neighborhood_coins: i64,
 }
 
-blitzcoin_sim::json_fields!(HotspotCap { neighborhood_coins });
-
 impl HotspotCap {
     /// Creates a cap.
     pub fn new(neighborhood_coins: i64) -> Self {

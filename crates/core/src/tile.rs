@@ -33,8 +33,6 @@ pub struct TileState {
     pub max: u64,
 }
 
-blitzcoin_sim::json_fields!(TileState { has, max });
-
 impl TileState {
     /// Creates a tile state.
     pub fn new(has: i64, max: u64) -> Self {

@@ -43,15 +43,6 @@ pub struct DynamicTiming {
     pub deadband_coins: u64,
 }
 
-blitzcoin_sim::json_fields!(DynamicTiming {
-    base_cycles,
-    min_cycles,
-    lambda,
-    k_cycles,
-    max_cycles,
-    deadband_coins
-});
-
 impl Default for DynamicTiming {
     fn default() -> Self {
         Self::DEFAULT

@@ -6,6 +6,7 @@ use blitzcoin_sim::csv::CsvTable;
 use blitzcoin_sim::SimRng;
 use blitzcoin_soc::prelude::*;
 
+use crate::sweep::write_csv;
 use crate::{Ctx, FigResult};
 
 /// The TokenSmart *hardware* scaling constant: like C-RR and BC-C, the TS
@@ -76,9 +77,7 @@ pub fn fig1(ctx: &Ctx) -> FigResult {
             20_000.0 / n as f64,
         ]);
     }
-    let path = ctx.path("fig01_scaling.csv");
-    csv.write_to(&path).expect("write fig1 csv");
-    fig.output(&path);
+    write_csv(ctx, &mut fig, "fig01_scaling.csv", &csv);
 
     fig.claim(
         "sw-cannot-scale",
@@ -172,9 +171,7 @@ pub fn fig21(ctx: &Ctx) -> FigResult {
         format!("{:.3}", ts_ring.tau_us),
         "-".to_string(),
     ]);
-    let path0 = ctx.path("fig21_tau_fits.csv");
-    csv.write_to(&path0).expect("write tau csv");
-    fig.output(&path0);
+    write_csv(ctx, &mut fig, "fig21_tau_fits.csv", &csv);
 
     // left panel: N_max(T_w)
     let mut left = CsvTable::new(["tw_ms", "bc", "bcc", "crr", "ts", "pt_hw"]);
@@ -193,9 +190,7 @@ pub fn fig21(ctx: &Ctx) -> FigResult {
             pt_hw.n_max(tw_us),
         ]);
     }
-    let path1 = ctx.path("fig21_nmax.csv");
-    left.write_to(&path1).expect("write nmax csv");
-    fig.output(&path1);
+    write_csv(ctx, &mut fig, "fig21_nmax.csv", &left);
 
     // right panel: PM time fraction at T_w = 10 ms
     let mut right = CsvTable::new(["n", "bc_pct", "bcc_pct", "crr_pct", "ts_pct", "pt_hw_pct"]);
@@ -209,9 +204,7 @@ pub fn fig21(ctx: &Ctx) -> FigResult {
             pt_hw.pm_time_fraction(n, 10_000.0) * 100.0,
         ]);
     }
-    let path2 = ctx.path("fig21_pm_overhead.csv");
-    right.write_to(&path2).expect("write overhead csv");
-    fig.output(&path2);
+    write_csv(ctx, &mut fig, "fig21_pm_overhead.csv", &right);
 
     let tau_bc = fits[0].1.tau_us;
     fig.claim(
@@ -332,9 +325,7 @@ pub fn table1(ctx: &Ctx) -> FigResult {
     ] {
         csv.row([name, control, cap, levels, resp, scaling]);
     }
-    let path = ctx.path("table1_comparison.csv");
-    csv.write_to(&path).expect("write table1 csv");
-    fig.output(&path);
+    write_csv(ctx, &mut fig, "table1_comparison.csv", &csv);
 
     let bc13 = fits[0].1.response_us(13);
     fig.claim(

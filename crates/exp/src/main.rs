@@ -9,7 +9,8 @@
 //!
 //! `--jobs N` (or the `BLITZCOIN_JOBS` env var) sets the sweep
 //! executor's worker count; the default is the machine's available
-//! parallelism. Output is byte-identical at every job count.
+//! parallelism, and a count below 1 or not a number in either is an
+//! error. Output is byte-identical at every job count.
 //!
 //! `--tie-break fifo|lifo|permuted:SEED` replays any run under a
 //! different same-timestamp event ordering (the default `fifo` is the
@@ -179,6 +180,13 @@ fn main() -> ExitCode {
     let mut ctx = Ctx::default();
     match CacheMode::from_env() {
         Ok(mode) => ctx.cache_mode = mode.unwrap_or_default(),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    match blitzcoin_sim::exec::jobs_from_env() {
+        Ok(jobs) => ctx.jobs = jobs.unwrap_or(0),
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;

@@ -18,9 +18,6 @@
 //! - [`network`]: a deterministic link-reservation timing model — XY
 //!   dimension-ordered routing, one cycle per hop, per-link serialization
 //!   and contention — that returns delivery times for scheduled packets.
-//! - [`arbiter`]: the round-robin arbiter each tile's NoC-domain socket
-//!   uses to multiplex plane-5 injections (BlitzCoin FSM vs. CSRs vs. the
-//!   tile's register interface).
 //! - [`wormhole`]: a flit-level wormhole router reference model that
 //!   cross-validates the analytic timing model's latencies.
 //!
@@ -42,13 +39,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arbiter;
 pub mod network;
 pub mod packet;
 pub mod topology;
 pub mod wormhole;
 
-pub use arbiter::RoundRobinArbiter;
 pub use network::{Delivery, Network, TrafficStats};
 pub use packet::{Packet, PacketKind, Plane};
 pub use topology::{Coord, Direction, TileId, Topology};

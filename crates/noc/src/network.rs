@@ -18,7 +18,7 @@
 //! payloads and use the returned delivery time to schedule delivery events
 //! in their own event queue.
 
-use blitzcoin_sim::{ClockDomain, FaultPlan, SimTime};
+use blitzcoin_sim::{FaultPlan, SimTime};
 
 use crate::packet::Packet;
 use crate::topology::{TileId, Topology};
@@ -152,10 +152,6 @@ pub struct Network {
     /// a row with the same stride as the tile id, and the PM plane's
     /// traffic stays in its own `4 * tiles` slots (32 KiB at 32x32).
     link_free: Vec<SimTime>,
-    /// The routers' clock domain — every latency the model books is a
-    /// whole number of this domain's ticks (the fabric runs entirely in
-    /// the 800 MHz NoC power domain).
-    clock: ClockDomain,
     stats: TrafficStats,
     fault: FaultPlan,
 }
@@ -166,7 +162,6 @@ impl Network {
         Network {
             topo,
             link_free: vec![SimTime::ZERO; topo.len() * LINK_DIRS * PLANES],
-            clock: ClockDomain::NOC,
             stats: TrafficStats::default(),
             fault: FaultPlan::none(),
         }
@@ -242,9 +237,9 @@ impl Network {
             (NORTH, width.wrapping_neg())
         };
         let tiles = self.topo.len();
-        let busy = self.clock.span(flits);
-        let hop = self.clock.span(HOP_CYCLES);
-        let mut cursor = now + self.clock.span(INJECT_CYCLES);
+        let busy = SimTime::from_noc_cycles(flits);
+        let hop = SimTime::from_noc_cycles(HOP_CYCLES);
+        let mut cursor = now + SimTime::from_noc_cycles(INJECT_CYCLES);
         for (mut tile, dir, step, count) in [
             (src, x_dir, x_step, x_hops),
             (sy * width + dx, y_dir, y_step, y_hops),
@@ -272,17 +267,16 @@ impl Network {
             }
             let extra = self.fault.extra_hop_delay_cycles(src, dst, cycle, hops)
                 + self.fault.msg_jitter(src, dst, cycle);
-            cursor += self.clock.span(extra);
+            cursor += SimTime::from_noc_cycles(extra);
         }
-        Delivery::Delivered(cursor + self.clock.span(EJECT_CYCLES))
+        Delivery::Delivered(cursor + SimTime::from_noc_cycles(EJECT_CYCLES))
     }
 
     /// Zero-load latency bound for a packet from `src` to `dst` (no
     /// contention, no state change). Useful for analytical comparisons.
     pub fn latency_bound(&self, src: TileId, dst: TileId) -> SimTime {
         let hops = self.topo.hop_distance(src, dst) as u64;
-        self.clock
-            .span(INJECT_CYCLES + HOP_CYCLES * hops + EJECT_CYCLES)
+        SimTime::from_noc_cycles(INJECT_CYCLES + HOP_CYCLES * hops + EJECT_CYCLES)
     }
 }
 
@@ -317,7 +311,7 @@ mod tests {
             let hops = self.topo.hop_distance(packet.src, packet.dst) as u64;
             self.stats.hops += hops;
             let faults = !self.fault.is_empty();
-            let mut cursor = now + self.clock.span(INJECT_CYCLES);
+            let mut cursor = now + SimTime::from_noc_cycles(INJECT_CYCLES);
             let mut prev = packet.src;
             for next in self.topo.xy_route(packet.src, packet.dst) {
                 let slot = self.link_slot(prev, next, plane);
@@ -327,8 +321,8 @@ mod tests {
                     return Delivery::Dropped;
                 }
                 self.stats.contention_cycles += (depart - cursor).as_noc_cycles();
-                self.link_free[slot] = depart + self.clock.span(flits);
-                cursor = depart + self.clock.span(HOP_CYCLES);
+                self.link_free[slot] = depart + SimTime::from_noc_cycles(flits);
+                cursor = depart + SimTime::from_noc_cycles(HOP_CYCLES);
                 prev = next;
             }
             if faults {
@@ -340,9 +334,9 @@ mod tests {
                 }
                 let extra = self.fault.extra_hop_delay_cycles(src, dst, cycle, hops)
                     + self.fault.msg_jitter(src, dst, cycle);
-                cursor += self.clock.span(extra);
+                cursor += SimTime::from_noc_cycles(extra);
             }
-            Delivery::Delivered(cursor + self.clock.span(EJECT_CYCLES))
+            Delivery::Delivered(cursor + SimTime::from_noc_cycles(EJECT_CYCLES))
         }
     }
 

@@ -77,22 +77,10 @@ pub enum PacketKind {
     },
     /// Centralized manager: read a tile's activity/CSR state.
     RegRead,
-    /// Response to a [`PacketKind::RegRead`] with an opaque payload word.
-    RegReadReply {
-        /// Register value.
-        value: u64,
-    },
     /// Centralized manager: write a CSR (e.g. a tile's DVFS setting).
     RegWrite {
         /// Register value.
         value: u64,
-    },
-    /// Interrupt delivery (e.g. accelerator completion to the CPU tile).
-    Interrupt,
-    /// TokenSmart baseline: the circulating token pool visiting a tile.
-    TokenPool {
-        /// Tokens currently in the pool.
-        tokens: u32,
     },
     /// Bulk accelerator DMA traffic (modeled only for link contention).
     DmaBurst {
@@ -107,12 +95,10 @@ impl PacketKind {
     /// logic adds negligible NoC load; DMA bursts carry their burst length.
     pub fn flits(self) -> u32 {
         match self {
-            PacketKind::CoinRequest | PacketKind::RegRead | PacketKind::Interrupt => 1,
+            PacketKind::CoinRequest | PacketKind::RegRead => 1,
             PacketKind::CoinStatus { .. }
             | PacketKind::CoinUpdate { .. }
-            | PacketKind::RegReadReply { .. }
-            | PacketKind::RegWrite { .. }
-            | PacketKind::TokenPool { .. } => 2,
+            | PacketKind::RegWrite { .. } => 2,
             PacketKind::DmaBurst { flits } => flits.max(1),
         }
     }
@@ -192,7 +178,7 @@ mod tests {
         assert!(PacketKind::CoinStatus { has: 0, max: 0 }.is_coin_message());
         assert!(PacketKind::CoinUpdate { delta: 0 }.is_coin_message());
         assert!(!PacketKind::RegRead.is_coin_message());
-        assert!(!PacketKind::Interrupt.is_coin_message());
+        assert!(!PacketKind::RegWrite { value: 0 }.is_coin_message());
     }
 
     #[test]

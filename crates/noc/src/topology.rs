@@ -141,16 +141,6 @@ impl blitzcoin_sim::json::ToJson for Topology {
     }
 }
 
-impl blitzcoin_sim::json::FromJson for Topology {
-    fn from_json(v: &blitzcoin_sim::json::Json) -> Result<Self, blitzcoin_sim::json::JsonError> {
-        Ok(Topology {
-            width: v.field("width")?,
-            height: v.field("height")?,
-            wraparound: v.field("wraparound")?,
-        })
-    }
-}
-
 impl Topology {
     /// Creates a plain mesh (no wrap-around).
     ///

@@ -695,6 +695,39 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_entry_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("bc-cache-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = key_of(&Json::Str("deep".into()), 1);
+        Cache::new(Some(dir.clone()), CacheMode::On).get_or_compute(key, || Json::Num(42.0));
+
+        // A well-formed envelope whose value nests 200,000 arrays deep:
+        // parsing it recursively would overflow the stack.
+        let path = Cache::entry_path(&dir, &key);
+        let depth = 200_000;
+        let planted = format!(
+            "{{\"key\": \"{}\", \"compute_ms\": 1, \"value\": {}{}}}",
+            key.hex(),
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        std::fs::write(&path, planted).unwrap();
+
+        let cold = Cache::new(Some(dir.clone()), CacheMode::On);
+        let Fetch::Miss(guard) = cold.fetch(key) else {
+            panic!("a too-deep entry must be a miss");
+        };
+        assert!(!path.exists(), "the bad entry is unlinked");
+        guard.complete(Json::Num(43.0), 1.0);
+        let fresh = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = fresh.get_or_compute(key, || panic!("the recomputed entry must hit"));
+        assert!(hit);
+        assert_eq!(*v, Json::Num(43.0));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn concurrent_misses_on_one_key_store_one_whole_entry() {
         let dir = std::env::temp_dir().join(format!("bc-cache-race-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -61,18 +61,32 @@ pub fn trial_seed(root: u64, point: u64, trial: u64) -> u64 {
     derive_seed(derive_seed(root, point), trial)
 }
 
-/// The job count [`Executor::from_env`] would use right now.
-pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("BLITZCOIN_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+/// The job count named by the `BLITZCOIN_JOBS` environment variable:
+/// `Ok(None)` when it is unset, and the message a CLI prints when it is
+/// not a whole number of at least 1.
+pub fn jobs_from_env() -> Result<Option<usize>, String> {
+    let Some(v) = std::env::var_os("BLITZCOIN_JOBS") else {
+        return Ok(None);
+    };
+    let v = v.to_string_lossy();
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "bad BLITZCOIN_JOBS '{v}' (want a job count of at least 1)"
+        )),
     }
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
+}
+
+/// The job count [`Executor::from_env`] would use right now: a valid
+/// `BLITZCOIN_JOBS`, else the machine's available parallelism. A bad
+/// `BLITZCOIN_JOBS` falls back here too; the CLI rejects it first
+/// through [`jobs_from_env`].
+pub fn default_jobs() -> usize {
+    jobs_from_env().ok().flatten().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    })
 }
 
 /// A deterministic fork-join executor over a fixed number of worker

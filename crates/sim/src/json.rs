@@ -103,6 +103,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
             items: Vec::new(),
         };
         p.skip_ws();
@@ -250,9 +251,18 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so without a bound a corrupt
+/// document of a few hundred kilobytes of `[` overflows the stack and
+/// aborts the process. The deepest document the workspace writes is 7
+/// levels (a traced report inside a cache entry's envelope).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
     /// Elements of the arrays still open, innermost last. A closing
     /// array moves its own elements out in one exact-size allocation, so
     /// no array grows by reallocation (stored reports hold tens of
@@ -305,8 +315,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::new(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if b == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(JsonError::new(format!(
                 "unexpected input at byte {}",
@@ -784,6 +808,25 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("truthy").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_an_error() {
+        let deep = 1_000_000;
+        let arrays = "[".repeat(deep) + &"]".repeat(deep);
+        assert!(Json::parse(&arrays).is_err());
+        let objects = r#"{"k":"#.repeat(deep) + "0" + &"}".repeat(deep);
+        assert!(Json::parse(&objects).is_err());
+
+        let ok = 100;
+        let arrays = "[".repeat(ok) + "1" + &"]".repeat(ok);
+        assert!(Json::parse(&arrays).is_ok());
+        let objects = r#"{"k":"#.repeat(ok) + "1" + &"}".repeat(ok);
+        assert!(Json::parse(&objects).is_ok());
+        let at_bound = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_bound).is_ok());
+        let past = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&past).is_err());
     }
 
     #[test]

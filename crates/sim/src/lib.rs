@@ -23,8 +23,8 @@
 //!   [`Sweep`]) — independent trials fan out across threads with
 //!   index-derived seeds and index-ordered collection, so results are
 //!   bitwise identical at every job count.
-//! - [`stats`]: online statistics, histograms and percentile summaries used
-//!   by every figure of the evaluation.
+//! - [`stats`]: histograms and percentile summaries used by the
+//!   Monte-Carlo figures of the evaluation.
 //! - [`trace`]: time-weighted signal traces (power traces, coin traces,
 //!   frequency traces) with resampling, used by Figs 16, 19 and 20.
 //! - [`csv`]: tiny CSV emission helpers for the experiment harness.
@@ -85,6 +85,6 @@ pub use exec::{Executor, Sweep};
 pub use fault::{AuditReport, CoinAudit, FaultPlan, LinkOutage, TileFault, TileFaultKind};
 pub use oracle::{Invariant, Oracle, Violation};
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, Summary};
-pub use time::{ClockDomain, SimTime};
+pub use stats::{Histogram, Summary};
+pub use time::SimTime;
 pub use trace::{StepTrace, TracePoint};

@@ -147,140 +147,6 @@ impl SimTime {
     }
 }
 
-/// A derived clock domain: an integer divider off the simulator's base
-/// tick of one picosecond.
-///
-/// Every component that evolves over time — a tile, a router, an
-/// actuator, a manager FSM, the thermal integrator — owns a
-/// `ClockDomain` describing how its local clock relates to the base
-/// clock. Because the base tick is 1 ps, the divider *is* the domain's
-/// period in picoseconds, and all conversions between domain ticks and
-/// base time are exact integer arithmetic: two components on dividers
-/// `a` and `b` meet on edges at exact multiples of `lcm(a, b)` ps, with
-/// no accumulated rounding no matter how long the run.
-///
-/// The 800 MHz NoC clock of the fabricated SoC is [`ClockDomain::NOC`]
-/// (divider [`NOC_CYCLE_PS`] = 1250), so `ClockDomain::NOC.span(c)`
-/// equals [`SimTime::from_noc_cycles`]`(c)` bit-for-bit — migrating a
-/// call site between the two provably cannot change behavior.
-///
-/// Retuning (DVFS changing a tile's frequency) replaces the divider.
-/// Edges are anchored at the base-time origin, not at the retune
-/// instant: after a retune at time `t`, the next edge is the first
-/// multiple of the new divider strictly after `t`. Anchoring at the
-/// origin keeps edge times a pure function of (divider, now) — no
-/// hidden phase state — which is what keeps retunes deterministic and
-/// replayable under any event-queue tie-break.
-///
-/// # Example
-///
-/// ```
-/// use blitzcoin_sim::{ClockDomain, SimTime};
-///
-/// let noc = ClockDomain::NOC;
-/// assert_eq!(noc.span(128), SimTime::from_noc_cycles(128));
-/// let tile = ClockDomain::from_frequency_mhz(1333.0); // 750 ps period
-/// assert_eq!(tile.next_edge(SimTime::from_ps(750)), SimTime::from_ps(1500));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClockDomain {
-    /// Base ticks (picoseconds) per domain tick; never zero.
-    divider: u64,
-}
-
-impl ClockDomain {
-    /// The 800 MHz NoC clock domain of the fabricated SoC.
-    pub const NOC: ClockDomain = ClockDomain {
-        divider: NOC_CYCLE_PS,
-    };
-
-    /// A domain whose tick period is `divider` base ticks (picoseconds).
-    ///
-    /// # Panics
-    /// Panics if `divider` is zero.
-    pub const fn from_period_ps(divider: u64) -> Self {
-        assert!(divider > 0, "clock divider must be nonzero");
-        ClockDomain { divider }
-    }
-
-    /// A domain for a clock of `mhz` megahertz, rounding the period to
-    /// the nearest picosecond (and clamping to at least 1 ps). Intended
-    /// for DVFS retunes where the V/F table speaks in MHz.
-    ///
-    /// # Panics
-    /// Panics if `mhz` is not finite and positive.
-    pub fn from_frequency_mhz(mhz: f64) -> Self {
-        assert!(
-            mhz.is_finite() && mhz > 0.0,
-            "clock frequency must be finite and positive"
-        );
-        ClockDomain {
-            divider: ((1e6 / mhz).round() as u64).max(1),
-        }
-    }
-
-    /// The domain's tick period in base ticks (picoseconds).
-    pub const fn period_ps(self) -> u64 {
-        self.divider
-    }
-
-    /// The domain's tick period as a time span.
-    pub const fn period(self) -> SimTime {
-        SimTime(self.divider)
-    }
-
-    /// The domain's frequency in MHz (for reporting; the divider is the
-    /// exact representation).
-    pub fn frequency_mhz(self) -> f64 {
-        1e6 / self.divider as f64
-    }
-
-    /// Converts a whole number of domain ticks to base time.
-    ///
-    /// In debug builds this asserts the conversion fits in u64
-    /// picoseconds — a span that silently wrapped would time-travel the
-    /// event queue.
-    pub fn span(self, ticks: u64) -> SimTime {
-        debug_assert!(
-            ticks.checked_mul(self.divider).is_some(),
-            "domain span overflows u64 ps: {ticks} ticks x {} ps/tick",
-            self.divider
-        );
-        SimTime(ticks.wrapping_mul(self.divider))
-    }
-
-    /// How many whole domain ticks fit in `span`, rounding down.
-    pub const fn ticks_in(self, span: SimTime) -> u64 {
-        span.0 / self.divider
-    }
-
-    /// Whether `t` falls exactly on a tick edge of this domain.
-    pub const fn is_edge(self, t: SimTime) -> bool {
-        t.0.is_multiple_of(self.divider)
-    }
-
-    /// The first tick edge strictly after `now`.
-    ///
-    /// Edges are multiples of the divider from the base-time origin, so
-    /// this is a pure function of `(self, now)` — retuning a domain
-    /// needs no phase bookkeeping to stay deterministic.
-    pub fn next_edge(self, now: SimTime) -> SimTime {
-        let edges = now.0 / self.divider + 1;
-        debug_assert!(
-            edges.checked_mul(self.divider).is_some(),
-            "next edge overflows u64 ps: edge {edges} x {} ps/tick",
-            self.divider
-        );
-        SimTime(edges.wrapping_mul(self.divider))
-    }
-}
-
-impl fmt::Display for ClockDomain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.1}MHz(/{}ps)", self.frequency_mhz(), self.divider)
-    }
-}
-
 impl Add for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimTime) -> SimTime {
@@ -405,91 +271,5 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn from_us_f64_rejects_nan() {
         let _ = SimTime::from_us_f64(f64::NAN);
-    }
-
-    #[test]
-    fn noc_domain_matches_from_noc_cycles() {
-        for cycles in [0, 1, 7, 128, 1750, 16_384, 24_000, 1_000_000] {
-            assert_eq!(
-                ClockDomain::NOC.span(cycles),
-                SimTime::from_noc_cycles(cycles),
-                "NoC domain must reproduce the canonical conversion at {cycles} cycles"
-            );
-        }
-        assert_eq!(ClockDomain::NOC.period_ps(), NOC_CYCLE_PS);
-    }
-
-    #[test]
-    fn non_power_of_two_dividers_are_exact() {
-        // 1250 (NoC), 7 (pathological), 666_667 (~1.5 MHz): none are
-        // powers of two, all conversions must stay exact integers.
-        for divider in [1250u64, 7, 666_667] {
-            let d = ClockDomain::from_period_ps(divider);
-            for ticks in [0u64, 1, 2, 999, 1_000_003] {
-                let span = d.span(ticks);
-                assert_eq!(span.as_ps(), ticks * divider);
-                assert_eq!(d.ticks_in(span), ticks, "round trip at /{divider}");
-                assert!(d.is_edge(span));
-            }
-            // next_edge lands on a multiple and is strictly in the future,
-            // including when `now` is itself an edge.
-            for now_ps in [0u64, 1, divider - 1, divider, divider + 1, 10 * divider] {
-                let e = d.next_edge(SimTime::from_ps(now_ps));
-                assert!(e.as_ps() > now_ps);
-                assert_eq!(e.as_ps() % divider, 0);
-                assert!(e.as_ps() - now_ps <= divider);
-            }
-        }
-    }
-
-    #[test]
-    fn frequency_round_trips_through_period() {
-        assert_eq!(ClockDomain::from_frequency_mhz(800.0).period_ps(), 1250);
-        // 1333 MHz -> 750.19 ps, rounds to 750 ps.
-        assert_eq!(ClockDomain::from_frequency_mhz(1333.0).period_ps(), 750);
-        // Absurdly fast clocks clamp to the 1 ps base tick.
-        assert_eq!(ClockDomain::from_frequency_mhz(5e6).period_ps(), 1);
-        let d = ClockDomain::from_frequency_mhz(800.0);
-        assert!((d.frequency_mhz() - 800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn retune_mid_run_lands_on_exact_boundaries_without_drift() {
-        // Run on an 800 MHz tile clock, retune to a non-power-of-two
-        // divider mid-run, and check that a billion post-retune ticks
-        // land exactly where integer arithmetic says they must.
-        let before = ClockDomain::from_period_ps(1250);
-        let retune_at = before.span(12_345); // an exact edge of the old clock
-        let after = ClockDomain::from_period_ps(1917);
-
-        // Walk a million edges one at a time: iterative stepping and
-        // direct span arithmetic must agree edge-for-edge.
-        let mut t = after.next_edge(retune_at);
-        let first = t;
-        for step in 1..=1_000_000u64 {
-            assert_eq!(t, first + after.span(step - 1), "drift at step {step}");
-            t = after.next_edge(t);
-        }
-
-        // A billion ticks via exact arithmetic: still on an edge, still
-        // the exact integer multiple — no accumulated rounding.
-        let billion = first + after.span(1_000_000_000);
-        assert!(after.is_edge(billion));
-        assert_eq!(billion.as_ps() - first.as_ps(), 1_000_000_000 * 1917);
-        assert_eq!(after.ticks_in(billion - first), 1_000_000_000);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "overflows u64 ps")]
-    fn span_overflow_is_caught_in_debug() {
-        let d = ClockDomain::from_period_ps(NOC_CYCLE_PS);
-        let _ = d.span(u64::MAX / 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_divider_is_rejected() {
-        let _ = ClockDomain::from_period_ps(0);
     }
 }

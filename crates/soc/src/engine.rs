@@ -39,8 +39,8 @@ use blitzcoin_noc::{Network, TileId, Topology};
 use blitzcoin_power::{AcceleratorClass, CoinLut, PowerModel};
 use blitzcoin_sim::oracle::Oracle;
 use blitzcoin_sim::{
-    ClockDomain, CoinAudit, ConfigError, EventQueue, FaultPlan, SimRng, SimTime, StepTrace,
-    TieBreak, TileFaultKind,
+    CoinAudit, ConfigError, EventQueue, FaultPlan, SimRng, SimTime, StepTrace, TieBreak,
+    TileFaultKind,
 };
 
 use crate::floorplan::SocConfig;
@@ -213,42 +213,6 @@ pub(crate) struct TileRt {
     pub(crate) suspect: Vec<u32>,
     /// Set once the tile's scheduled fault fires.
     pub(crate) faulted: Option<TileFaultKind>,
-}
-
-/// The engine's clock tree (DESIGN.md §3h): every scheduled activity
-/// belongs to a [`ClockDomain`] relating its local clock to the 1 ps
-/// base clock, and every delay the engine books is a whole number of
-/// some domain's ticks.
-///
-/// The NoC domain wakes the manager FSMs, actuation pipelines, and
-/// fault injectors — in the fabricated SoC they all live in the
-/// always-on NoC power domain — while each tile's core clock has
-/// its own divider, retuned whenever a DVFS actuation settles. The
-/// dividers reproduce the historical cadence exactly (the NoC divider
-/// *is* [`blitzcoin_sim::time::NOC_CYCLE_PS`]), so migrating a call
-/// site from raw cycle arithmetic onto its domain is provably
-/// behavior-preserving.
-pub(crate) struct EngineClocks {
-    /// The 800 MHz NoC/manager domain.
-    pub(crate) noc: ClockDomain,
-    /// Per-tile core clocks (tile id → domain). Accelerators boot
-    /// clock-gated on their idle-floor clock; infrastructure tiles run
-    /// in the NoC domain.
-    pub(crate) tile: Vec<ClockDomain>,
-}
-
-impl EngineClocks {
-    /// The domain of a tile whose DVFS clock settled at `f_mhz`
-    /// (`0` = clock-gated, which leaves the idle-floor clock of
-    /// F_min / 7.5 at minimum voltage — the same floor task progress
-    /// integrates against).
-    pub(crate) fn tile_domain(model: Option<&PowerModel>, f_mhz: f64) -> ClockDomain {
-        match model {
-            Some(_) if f_mhz > 0.0 => ClockDomain::from_frequency_mhz(f_mhz),
-            Some(m) => ClockDomain::from_frequency_mhz(m.f_min() / 7.5),
-            None => ClockDomain::NOC,
-        }
-    }
 }
 
 /// The BlitzCoin exchange partners of tile `me`: its 4 nearest peers in
@@ -452,7 +416,6 @@ impl Simulation {
         let core = Core::new(self, SimRng::seed(0));
         let mut lens = vec![
             ("tiles", core.tiles.len()),
-            ("tile_clocks", core.clocks.tile.len()),
             ("managed", core.managed.len()),
             ("managed_slot", core.managed_slot.len()),
             ("cluster_of", core.cluster_of.len()),
@@ -503,7 +466,6 @@ pub(crate) struct Core<'a> {
     pub(crate) rng: SimRng,
     pub(crate) net: Network,
     pub(crate) queue: EventQueue<Ev>,
-    pub(crate) clocks: EngineClocks,
     /// In-loop thermal state; `Some` exactly when `cfg.thermal_limit_c`
     /// is set.
     pub(crate) thermal: Option<coupling::ThermalRt>,
@@ -686,19 +648,11 @@ impl<'a> Core<'a> {
         for (slot, &ti) in managed.iter().enumerate() {
             managed_slot[ti] = slot;
         }
-        let clocks = EngineClocks {
-            noc: ClockDomain::NOC,
-            tile: tiles
-                .iter()
-                .map(|t| EngineClocks::tile_domain(t.model.as_ref(), 0.0))
-                .collect(),
-        };
         Core {
             sim,
             rng,
             net,
             queue: take_recycled_queue(sim.cfg.tie_break),
-            clocks,
             thermal: sim
                 .cfg
                 .thermal_limit_c

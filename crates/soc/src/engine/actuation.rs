@@ -8,7 +8,7 @@
 
 use blitzcoin_sim::{SimTime, TileFaultKind};
 
-use crate::engine::{coupling, Core, EngineClocks, Ev};
+use crate::engine::{coupling, Core, Ev};
 
 /// UVFR actuation delay from a frequency-target write to the tile clock
 /// settling (LDO slew + TDC windows), in NoC cycles (~160 ns); constant
@@ -106,7 +106,7 @@ impl Core<'_> {
         self.tiles[ti].target_centi = (f_mhz * 100.0).round() as u64;
         self.tiles[ti].actuate_gen += 1;
         let gen = self.tiles[ti].actuate_gen;
-        let delay = self.clocks.noc.span(ACTUATION_CYCLES);
+        let delay = SimTime::from_noc_cycles(ACTUATION_CYCLES);
         self.queue
             .schedule(self.now + delay, Ev::Actuate { tile: ti, gen });
     }
@@ -156,11 +156,6 @@ impl Core<'_> {
         if gen == self.tiles[ti].actuate_gen {
             self.update_progress(ti);
             self.tiles[ti].freq = self.tiles[ti].target;
-            let f = self.tiles[ti].freq;
-            // The tile's clock divider follows the settled frequency:
-            // the domain is pure derived state (divider, no phase), so
-            // retuning it cannot perturb any already-scheduled event.
-            self.clocks.tile[ti] = EngineClocks::tile_domain(self.tiles[ti].model.as_ref(), f);
             self.record_freq(ti);
             self.record_power(ti);
             self.audit_actuation(ti);

@@ -1,8 +1,8 @@
 //! In-loop electro-thermal coupling and thermal throttling.
 //!
 //! With [`SimConfig::thermal_limit_c`](crate::engine::SimConfig) set, the
-//! engine ticks a [`ThermalComponent`] on its own slow clock (one
-//! [`Ev::ThermalTick`] per integration step): each tick samples the
+//! engine ticks a [`ThermalComponent`] once per integration step (one
+//! [`Ev::ThermalTick`] every `step_us`): each tick samples the
 //! *live* instantaneous tile powers, advances the RC network one step
 //! (leakage inflating hot tiles' dissipation), and runs the throttle
 //! policy. A tile crossing the junction limit has its allocation target
@@ -34,7 +34,7 @@ const THROTTLE_HYSTERESIS_C: f64 = 3.0;
 /// (floored at one coin).
 pub(crate) const THROTTLE_MAX_FRAC: f64 = 0.5;
 
-/// Engine-side thermal runtime: the clocked component plus throttle
+/// Engine-side thermal runtime: the component plus throttle
 /// bookkeeping.
 pub(crate) struct ThermalRt {
     pub(crate) comp: ThermalComponent,
@@ -63,8 +63,8 @@ impl ThermalRt {
     }
 }
 
-/// One edge of the thermal clock: step the network from live powers,
-/// update throttle latches, reschedule.
+/// One thermal tick: step the network from live powers, update throttle
+/// latches, and schedule the next tick one period later.
 pub(crate) fn on_thermal_tick(core: &mut Core, policy: &mut dyn ManagerPolicy) {
     let Some(mut th) = core.thermal.take() else {
         return;
@@ -91,7 +91,7 @@ pub(crate) fn on_thermal_tick(core: &mut Core, policy: &mut dyn ManagerPolicy) {
             flips.push(ti);
         }
     }
-    let next = th.comp.clock().next_edge(core.now);
+    let next = core.now + th.comp.period();
     core.thermal = Some(th);
     for ti in flips {
         // Only an *active* tile carries an allocation to retarget; an

@@ -110,8 +110,7 @@ pub(crate) fn run(core: &mut Core, policy: &mut dyn ManagerPolicy) {
     core.schedule_planned_faults();
 
     if let Some(th) = &core.thermal {
-        core.queue
-            .schedule(th.comp.clock().span(1), Ev::ThermalTick);
+        core.queue.schedule(th.comp.period(), Ev::ThermalTick);
     }
 
     let total_tasks = core.sim.wl.len();

@@ -6,9 +6,9 @@
 //! silence, a token trapped at a corpse), and that lives with the
 //! policies in `crate::managers`.
 
-use blitzcoin_sim::TileFaultKind;
+use blitzcoin_sim::{SimTime, TileFaultKind};
 
-use crate::engine::{Core, EngineClocks, Ev};
+use crate::engine::{Core, Ev};
 
 impl Core<'_> {
     /// Schedules every planned tile fault as an ordinary event (earliest
@@ -23,7 +23,7 @@ impl Core<'_> {
         }
         for (at_cycle, tile) in planned {
             self.queue
-                .schedule(self.clocks.noc.span(at_cycle), Ev::TileFault { tile });
+                .schedule(SimTime::from_noc_cycles(at_cycle), Ev::TileFault { tile });
         }
     }
 
@@ -62,8 +62,6 @@ impl Core<'_> {
             }
         }
         if kind == TileFaultKind::FailStop {
-            // the dead tile's clock collapses to its idle-floor divider
-            self.clocks.tile[ti] = EngineClocks::tile_domain(self.tiles[ti].model.as_ref(), 0.0);
             self.record_freq(ti);
         }
         self.record_power(ti);

@@ -12,7 +12,7 @@ use blitzcoin_core::exchange::{
 };
 use blitzcoin_core::{DynamicTiming, ExchangeMode, TileState};
 use blitzcoin_noc::{Packet, PacketKind, Plane, TileId};
-use blitzcoin_sim::TileFaultKind;
+use blitzcoin_sim::{SimTime, TileFaultKind};
 
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
@@ -59,9 +59,9 @@ impl ManagerPolicy for BlitzCoinPolicy {
             rt.interval = base;
             rt.fire_gen += 1;
             let gen = rt.fire_gen;
-            rt.next_pairing = core.clocks.noc.span(phase + pairing_iv);
+            rt.next_pairing = SimTime::from_noc_cycles(phase + pairing_iv);
             core.queue.schedule(
-                core.clocks.noc.span(phase),
+                SimTime::from_noc_cycles(phase),
                 Ev::Manager(ManagerEv::CoinFire { tile: ti, gen }),
             );
         }
@@ -74,7 +74,7 @@ impl ManagerPolicy for BlitzCoinPolicy {
         rt.zero_rot = 0;
         rt.fire_gen += 1;
         let gen = rt.fire_gen;
-        let at = core.now + core.clocks.noc.span(rt.interval);
+        let at = core.now + SimTime::from_noc_cycles(rt.interval);
         core.queue
             .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: ti, gen }));
         // an activity change may already satisfy the tolerance
@@ -108,7 +108,7 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
     }
     let dt = EXCHANGE_TIMING;
     // partner selection: time-based random pairing, else round-robin
-    let pairing_iv = core.clocks.noc.span(PAIRING_PERIOD * dt.base_cycles);
+    let pairing_iv = SimTime::from_noc_cycles(PAIRING_PERIOD * dt.base_cycles);
     let use_pairing = core.now >= core.tiles[ti].next_pairing && core.managed.len() > 2;
     let partner = if use_pairing {
         core.tiles[ti].next_pairing = core.now + pairing_iv;
@@ -128,7 +128,7 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
         let rt = &mut core.tiles[ti];
         rt.fire_gen += 1;
         let gen = rt.fire_gen;
-        let at = core.now + core.clocks.noc.span(dt.base_cycles);
+        let at = core.now + SimTime::from_noc_cycles(dt.base_cycles);
         core.queue
             .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: ti, gen }));
         return;
@@ -173,7 +173,7 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
         on_exchange_timeout(core, ti, pj);
         return;
     };
-    let latency = (t_update - core.now) + core.clocks.noc.span(1);
+    let latency = (t_update - core.now) + SimTime::from_noc_cycles(1);
     if let Some(idx) = core.tiles[ti].partners.iter().position(|&p| p == pj) {
         core.tiles[ti].suspect[idx] = 0; // partner demonstrably alive
     }
@@ -207,7 +207,7 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
         };
         rt.fire_gen += 1;
         let gen = rt.fire_gen;
-        let at = core.now + latency + core.clocks.noc.span(rt.interval);
+        let at = core.now + latency + SimTime::from_noc_cycles(rt.interval);
         core.queue
             .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: ti, gen }));
     }
@@ -218,7 +218,7 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
         rp.interval = dt.next_interval(rp.interval, out.moved);
         rp.fire_gen += 1;
         let gen = rp.fire_gen;
-        let at = core.now + latency + core.clocks.noc.span(rp.interval);
+        let at = core.now + latency + SimTime::from_noc_cycles(rp.interval);
         core.queue
             .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: pj, gen }));
     }
@@ -236,13 +236,13 @@ fn on_exchange_timeout(core: &mut Core, ti: usize, pj: usize) {
     // slack before the FSM declares the exchange lost
     let rtt = core.net.latency_bound(TileId(ti), TileId(pj))
         + core.net.latency_bound(TileId(pj), TileId(ti));
-    let timeout = rtt + core.clocks.noc.span(dt.base_cycles);
+    let timeout = rtt + SimTime::from_noc_cycles(dt.base_cycles);
     let rt = &mut core.tiles[ti];
     rt.zero_rot = 0;
     rt.interval = dt.next_interval(rt.interval, 0);
     rt.fire_gen += 1;
     let gen = rt.fire_gen;
-    let at = core.now + timeout + core.clocks.noc.span(rt.interval);
+    let at = core.now + timeout + SimTime::from_noc_cycles(rt.interval);
     core.queue
         .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: ti, gen }));
     check_bc_response(core);
@@ -365,7 +365,7 @@ fn four_way_fire(core: &mut Core, ti: usize) {
         rt.interval = dt.next_interval(rt.interval, 0);
         rt.fire_gen += 1;
         let gen = rt.fire_gen;
-        let at = core.now + core.clocks.noc.span(rt.interval);
+        let at = core.now + SimTime::from_noc_cycles(rt.interval);
         core.queue
             .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: ti, gen }));
         return;
@@ -375,7 +375,7 @@ fn four_way_fire(core: &mut Core, ti: usize) {
             core.tiles[ti].suspect[k] = 0;
         }
     }
-    let latency = (last_arrival - core.now) + core.clocks.noc.span(2);
+    let latency = (last_arrival - core.now) + SimTime::from_noc_cycles(2);
 
     // self + up to 4 live partners, on the stack
     let mut idx = [0usize; 5];
@@ -417,7 +417,7 @@ fn four_way_fire(core: &mut Core, ti: usize) {
     };
     rt.fire_gen += 1;
     let gen = rt.fire_gen;
-    let at = core.now + latency + core.clocks.noc.span(rt.interval);
+    let at = core.now + latency + SimTime::from_noc_cycles(rt.interval);
     core.queue
         .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: ti, gen }));
     if significant {
@@ -427,7 +427,7 @@ fn four_way_fire(core: &mut Core, ti: usize) {
             rp.interval = dt.next_interval(rp.interval, moved_total);
             rp.fire_gen += 1;
             let gen = rp.fire_gen;
-            let at = core.now + latency + core.clocks.noc.span(rp.interval);
+            let at = core.now + latency + SimTime::from_noc_cycles(rp.interval);
             core.queue
                 .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: pj, gen }));
         }

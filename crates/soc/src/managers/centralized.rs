@@ -117,7 +117,7 @@ impl<S: SweepScheme> Centralized<S> {
         self.scheme
             .compute_plan(core, self.rotation_step, &mut self.writes);
         self.writes.finish();
-        let at = core.now + core.clocks.noc.span(S::SERVICE_CYCLES);
+        let at = core.now + SimTime::from_noc_cycles(S::SERVICE_CYCLES);
         core.queue.schedule(
             at,
             Ev::Manager(ManagerEv::SweepWrite {
@@ -156,7 +156,7 @@ impl<S: SweepScheme> Centralized<S> {
             );
         }
         if !last {
-            let at = core.now + core.clocks.noc.span(S::SERVICE_CYCLES);
+            let at = core.now + SimTime::from_noc_cycles(S::SERVICE_CYCLES);
             core.queue.schedule(
                 at,
                 Ev::Manager(ManagerEv::SweepWrite {
@@ -202,7 +202,7 @@ impl<S: SweepScheme> Centralized<S> {
 
     fn on_rotate(&mut self, core: &mut Core) {
         self.rotation_step += 1;
-        let rotation = core.clocks.noc.span(ROTATION_CYCLES);
+        let rotation = SimTime::from_noc_cycles(ROTATION_CYCLES);
         // A pending change normally means a notify-sweep is in
         // flight or about to be. One that is a whole rotation
         // old *and* has seen no sweep start since it arrived
@@ -252,7 +252,7 @@ pub(crate) fn order_writes(
 /// A sweep's last write arrived: every pending activity change is
 /// answered once the actuation delay elapses.
 fn drain_sweep_responses(core: &mut Core) {
-    let done = core.now + core.clocks.noc.span(ACTUATION_CYCLES);
+    let done = core.now + SimTime::from_noc_cycles(ACTUATION_CYCLES);
     // take the list whole (the response push borrows `core` too), then
     // hand its cleared allocation back for the next batch of changes
     let mut drained = std::mem::take(&mut core.pending_changes);

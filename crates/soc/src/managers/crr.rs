@@ -3,6 +3,7 @@
 //! temporal rather than proportional.
 
 use blitzcoin_baselines::{CrrController, CrrLevel};
+use blitzcoin_sim::SimTime;
 
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
@@ -20,7 +21,7 @@ impl SweepScheme for Crr {
     const WRITES_COINS: bool = false;
 
     fn boot(&mut self, core: &mut Core) {
-        let at = core.clocks.noc.span(ROTATION_CYCLES);
+        let at = SimTime::from_noc_cycles(ROTATION_CYCLES);
         core.queue.schedule(at, Ev::Manager(ManagerEv::Rotate));
     }
 

@@ -292,7 +292,7 @@ impl PriceTheoryPolicy {
                 continue;
             }
             seq += 1;
-            let depart = core.now + core.clocks.noc.span(ROUND_CYCLES * seq);
+            let depart = core.now + SimTime::from_noc_cycles(ROUND_CYCLES * seq);
             self.send_quote(core, mi, slot, gen, price, depart);
             self.arm_bid_timeout(core, mi, slot, gen, depart);
         }
@@ -331,7 +331,7 @@ impl PriceTheoryPolicy {
                 .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::QuoteArrive));
         } else {
             self.bid_retries += 1;
-            let at = depart + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
+            let at = depart + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
             core.queue
                 .schedule(at, Self::ev(mi, slot, gen, PtMsg::QuoteResend));
         }
@@ -345,10 +345,7 @@ impl PriceTheoryPolicy {
         let sup = TileId(m.members[m.supervisor]);
         let mem = TileId(m.members[slot]);
         let rtt = core.net.latency_bound(sup, mem) + core.net.latency_bound(mem, sup);
-        let slack = core
-            .clocks
-            .noc
-            .span(2 * EXCHANGE_TIMING.base_cycles + 2 * ROUND_CYCLES);
+        let slack = SimTime::from_noc_cycles(2 * EXCHANGE_TIMING.base_cycles + 2 * ROUND_CYCLES);
         core.queue.schedule(
             depart + rtt + slack,
             Self::ev(mi, slot, gen, PtMsg::BidTimeout),
@@ -387,7 +384,7 @@ impl PriceTheoryPolicy {
                 .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::BidArrive));
         } else {
             self.bid_retries += 1;
-            let at = core.now + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
+            let at = core.now + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
             core.queue
                 .schedule(at, Self::ev(mi, slot, gen, PtMsg::BidResend));
         }
@@ -475,7 +472,7 @@ impl PriceTheoryPolicy {
             m.grant_needed[slot] = true;
             m.grants_out += 1;
             seq += 1;
-            let depart = core.now + core.clocks.noc.span(ROUND_CYCLES * seq);
+            let depart = core.now + SimTime::from_noc_cycles(ROUND_CYCLES * seq);
             self.send_grant(core, mi, slot, gen, depart);
         }
         if self.markets[mi].grants_out == 0 {
@@ -515,7 +512,7 @@ impl PriceTheoryPolicy {
             m.grant_needed[slot] = true;
             m.grants_out += 1;
             seq += 1;
-            let depart = core.now + core.clocks.noc.span(ROUND_CYCLES * seq);
+            let depart = core.now + SimTime::from_noc_cycles(ROUND_CYCLES * seq);
             self.send_grant(core, mi, slot, gen, depart);
         }
         if self.markets[mi].grants_out == 0 {
@@ -540,7 +537,7 @@ impl PriceTheoryPolicy {
                 .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::GrantArrive));
         } else {
             self.grant_retries += 1;
-            let at = depart + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
+            let at = depart + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
             core.queue
                 .schedule(at, Self::ev(mi, slot, gen, PtMsg::GrantResend));
         }
@@ -728,7 +725,7 @@ impl PriceTheoryPolicy {
                 }
             }
         }
-        let at = core.now + core.clocks.noc.span(WATCHDOG_CYCLES);
+        let at = core.now + SimTime::from_noc_cycles(WATCHDOG_CYCLES);
         core.queue
             .schedule(at, Self::ev(mi, slot, 0, PtMsg::Watchdog));
     }
@@ -867,7 +864,7 @@ impl ManagerPolicy for PriceTheoryPolicy {
         }
         for mi in 0..self.markets.len() {
             for slot in 1..self.markets[mi].members.len() {
-                let at = core.clocks.noc.span(WATCHDOG_CYCLES);
+                let at = SimTime::from_noc_cycles(WATCHDOG_CYCLES);
                 core.queue
                     .schedule(at, Self::ev(mi, slot, 0, PtMsg::Watchdog));
             }

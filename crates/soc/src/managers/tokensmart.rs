@@ -94,7 +94,7 @@ impl TokenSmartPolicy {
         let ring = &self.rings[ri];
         let n = ring.stops.len();
         let next = (stop + 1) % n;
-        let depart = core.now + core.clocks.noc.span(TsConfig::default().visit_cycles);
+        let depart = core.now + SimTime::from_noc_cycles(TsConfig::default().visit_cycles);
         if n == 1 {
             // a single-stop ring hands the token to itself; no NoC hop
             core.queue.schedule(
@@ -126,7 +126,7 @@ impl TokenSmartPolicy {
             // the handoff was dropped; the holder retransmits after a
             // base-interval timeout — the token is delayed, never lost
             self.hop_retries += 1;
-            let at = depart + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
+            let at = depart + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
             core.queue.schedule(
                 at,
                 Ev::Manager(ManagerEv::TokenResend {
@@ -163,7 +163,7 @@ impl TokenSmartPolicy {
                 .schedule(arrive, Ev::Manager(ManagerEv::TokenHop { ring: ri, stop }));
         } else {
             self.hop_retries += 1;
-            let at = core.now + core.clocks.noc.span(EXCHANGE_TIMING.base_cycles);
+            let at = core.now + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
             core.queue
                 .schedule(at, Ev::Manager(ManagerEv::TokenResend { ring: ri, stop }));
         }

@@ -67,7 +67,6 @@ fn headline_structures_track_tile_count_exactly() {
         let lens = lens_at(d);
         let n = d * d;
         assert_eq!(lens["tiles"], n);
-        assert_eq!(lens["tile_clocks"], n);
         assert_eq!(
             lens["coords"], n,
             "wormhole routing state must be one Coord per tile"

@@ -1,8 +1,7 @@
 //! The RC network as a clocked simulation component.
 //!
 //! [`ThermalComponent`] wraps a [`ThermalModel`] with the temperature
-//! state and a [`ClockDomain`] whose divider is the integration step,
-//! and advances one explicit-Euler step per edge of that slow clock.
+//! state and advances one explicit-Euler step per integration period.
 //! Driven in-loop (the SoC engine ticks it from its event queue,
 //! sampling *live* tile powers), temperature feeds back into the run
 //! while it happens — leakage inflates hot tiles' dissipation and a
@@ -13,19 +12,19 @@
 //! [`ThermalModel::simulate`] when fed the same power sequence: both are
 //! built on [`ThermalModel::step_once`].
 
-use blitzcoin_sim::ClockDomain;
+use blitzcoin_sim::SimTime;
 
 use crate::model::ThermalModel;
 
 /// The thermal RC network as a live, clocked component.
 ///
 /// Each [`ThermalComponent::step`] reads the per-tile instantaneous
-/// power table (mW); whoever drives the clock keeps it current.
+/// power table (mW); whoever ticks the component keeps it current.
 #[derive(Debug, Clone)]
 pub struct ThermalComponent {
     model: ThermalModel,
     leak_per_c: f64,
-    clock: ClockDomain,
+    period: SimTime,
     temp: Vec<f64>,
     next: Vec<f64>,
     peak: Vec<f64>,
@@ -36,8 +35,9 @@ impl ThermalComponent {
     /// Wraps `model` with the given leakage coefficient (see
     /// [`ThermalModel::simulate_coupled`]; 0 disables the feedback).
     ///
-    /// The component's clock divider is the integration step converted
-    /// to picoseconds, so its edges are exact on the 1 ps base clock.
+    /// The period is the integration step rounded to whole picoseconds,
+    /// so a driver that ticks every `period` lands on exact multiples of
+    /// it.
     ///
     /// # Panics
     /// Panics on a negative coefficient or a step below 1 ps.
@@ -48,13 +48,12 @@ impl ThermalComponent {
         );
         let period_ps = (model.config().step_us * 1e6).round() as u64;
         assert!(period_ps > 0, "integration step must be at least 1 ps");
-        let clock = ClockDomain::from_period_ps(period_ps);
         let n = model.tiles();
         let ambient = model.config().ambient_c;
         ThermalComponent {
             model,
             leak_per_c,
-            clock,
+            period: SimTime::from_ps(period_ps),
             temp: vec![ambient; n],
             next: vec![ambient; n],
             peak: vec![ambient; n],
@@ -62,9 +61,9 @@ impl ThermalComponent {
         }
     }
 
-    /// The slow clock this component ticks on.
-    pub fn clock(&self) -> ClockDomain {
-        self.clock
+    /// The time between two integration steps.
+    pub fn period(&self) -> SimTime {
+        self.period
     }
 
     /// The wrapped network.
@@ -115,7 +114,7 @@ mod tests {
     use super::*;
     use crate::model::ThermalConfig;
     use blitzcoin_noc::Topology;
-    use blitzcoin_sim::{SimTime, StepTrace};
+    use blitzcoin_sim::StepTrace;
 
     #[test]
     fn clocked_component_matches_offline_integrator_exactly() {
@@ -137,14 +136,14 @@ mod tests {
         let refs: Vec<&StepTrace> = traces.iter().collect();
         let offline = model.simulate_coupled(&refs, until, 0.01);
 
-        // in-loop: step the component on each edge of its clock, reading
-        // the live power table, the way the engine's thermal tick does
+        // in-loop: step the component once per period, reading the live
+        // power table, the way the engine's thermal tick does
         let mut comp = ThermalComponent::new(model, 0.01);
         let powers: Vec<f64> = (0..9).map(|i| if i == hot { p } else { 0.0 }).collect();
-        let mut edge = comp.clock().next_edge(SimTime::ZERO);
-        while edge <= until {
+        let mut tick = comp.period();
+        while tick <= until {
             comp.step(&powers);
-            edge = comp.clock().next_edge(edge);
+            tick += comp.period();
         }
 
         // same primitive, same step sequence: bit-identical temperatures
@@ -159,12 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn clock_divider_is_the_integration_step() {
+    fn period_is_the_integration_step() {
         let model = ThermalModel::new(Topology::mesh(2, 2), ThermalConfig::default());
         let comp = ThermalComponent::new(model, 0.0);
-        // 5 us step -> 5_000_000 ps divider
-        assert_eq!(comp.clock().period_ps(), 5_000_000);
-        assert_eq!(comp.clock().span(3), SimTime::from_us(15));
+        assert_eq!(comp.period(), SimTime::from_us(5));
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! - [`calibrate`]: translating a junction temperature limit into the
 //!   neighborhood coin cap the BlitzCoin FSM enforces
 //!   (`blitzcoin_core::HotspotCap`).
-//! - [`component::ThermalComponent`]: the same network as a live clocked
+//! - [`component::ThermalComponent`]: the same network as a live
 //!   component for in-loop electro-thermal co-simulation — the SoC
-//!   engine ticks it on its own slow clock so temperature feeds back
-//!   into the run (leakage, throttling) while it happens.
+//!   engine ticks it every `step_us` so temperature feeds back into the
+//!   run (leakage, throttling) while it happens.
 //!
 //! # Example
 //!

@@ -32,14 +32,6 @@ pub struct ThermalConfig {
     pub step_us: f64,
 }
 
-blitzcoin_sim::json_fields!(ThermalConfig {
-    ambient_c,
-    g_vertical,
-    g_lateral,
-    capacitance,
-    step_us
-});
-
 impl Default for ThermalConfig {
     fn default() -> Self {
         ThermalConfig {
@@ -124,8 +116,7 @@ impl ThermalModel {
     /// `1 + leak_per_c · (T − T_amb)`.
     ///
     /// This is the primitive both offline integrators below are built on,
-    /// and what an in-loop thermal component calls once per edge of its
-    /// slow clock.
+    /// and what an in-loop thermal component calls once per step.
     ///
     /// # Panics
     /// Debug-asserts that all three slices cover every tile.

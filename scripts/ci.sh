@@ -49,6 +49,18 @@ cargo test -q --release --offline -p blitzcoin-exp --features oracle
 # the `--features oracle` leg the one in tests/oracle_invariants.rs.
 cargo test -q --release --offline --workspace
 
+# Examples gate: every example under examples/ must run to completion.
+# The legs above only compile them, so an example that panics after an
+# API change would otherwise pass. Each takes well under a second in
+# release.
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    cargo run --release --offline -q -p blitzcoin-exp --example "$name" > /dev/null || {
+        echo "ci: example $name exited nonzero" >&2
+        exit 1
+    }
+done
+
 # Sweep-engine smoke gate: a quick full run must succeed offline at
 # jobs=2, and its CSVs must be byte-identical to a jobs=1 run — the
 # executor's determinism contract, end to end. manifest.json is

@@ -187,6 +187,41 @@ fn unknown_cache_mode_fails_alike_from_flag_and_env() {
 }
 
 #[test]
+fn bad_job_count_fails_alike_from_flag_and_env() {
+    let out = std::env::temp_dir().join(format!("blitzcoin_cli_jobs_{}", std::process::id()));
+    let run = |args: &[&str], env: Option<&str>| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"));
+        cmd.args(args)
+            .env_remove("BLITZCOIN_JOBS")
+            .env_remove("BLITZCOIN_CACHE");
+        if let Some(jobs) = env {
+            cmd.env("BLITZCOIN_JOBS", jobs);
+        }
+        cmd.output().expect("spawn blitzcoin-exp")
+    };
+    let out_arg = out.to_str().expect("utf-8 temp dir");
+    for bad in ["abc", "0", "-3"] {
+        let flag = run(&["fig1", "--quick", "--out", out_arg, "--jobs", bad], None);
+        let env = run(&["fig1", "--quick", "--out", out_arg], Some(bad));
+        for rejected in [&flag, &env] {
+            assert_eq!(rejected.status.code(), Some(1), "{bad:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&rejected.stderr).lines().count(),
+                1,
+                "{bad:?}: one stderr line"
+            );
+        }
+        assert_eq!(
+            String::from_utf8_lossy(&env.stderr),
+            format!("bad BLITZCOIN_JOBS '{bad}' (want a job count of at least 1)\n")
+        );
+        assert!(!out.exists(), "{bad:?}: a rejected run must not start");
+    }
+    // A valid count is accepted, surrounding whitespace included.
+    assert!(run(&["list"], Some(" 3 ")).status.success());
+}
+
+#[test]
 fn plots_honours_an_out_dir_given_after_it() {
     let scratch = std::env::temp_dir().join(format!("blitzcoin_cli_plots_{}", std::process::id()));
     let (data, cwd) = (scratch.join("data"), scratch.join("cwd"));
