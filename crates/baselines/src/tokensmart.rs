@@ -166,10 +166,8 @@ impl TokenSmart {
         self.fault = Some((tile, at_cycle));
     }
 
-    /// Applies a [`FaultPlan`]'s tile faults: the earliest planned fault
-    /// inside the ring breaks it. Both kinds kill circulation — a
-    /// fail-stopped stop forwards nothing, and a stuck one forwards
-    /// nothing either.
+    /// Applies a [`FaultPlan`]: the earliest planned fail-stop inside the
+    /// ring breaks it, since a dead stop forwards nothing.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let first = plan
             .tile_faults
@@ -498,12 +496,11 @@ mod tests {
 
     #[test]
     fn fault_plan_maps_onto_the_ring() {
-        use blitzcoin_sim::{TileFault, TileFaultKind};
+        use blitzcoin_sim::TileFault;
         let mut plan = FaultPlan::none();
         plan.tile_faults.push(TileFault {
             tile: 3,
             at_cycle: 0,
-            kind: TileFaultKind::Stuck,
         });
         let mut ts = TokenSmart::new(vec![32; 8], 256, TsConfig::default());
         ts.apply_fault_plan(&plan);

@@ -20,7 +20,7 @@ use std::cell::RefCell;
 
 use blitzcoin_noc::{Direction, TileId, Topology};
 use blitzcoin_sim::oracle::{self, Invariant, Oracle};
-use blitzcoin_sim::{FaultPlan, SimRng, TileFaultKind};
+use blitzcoin_sim::SimRng;
 
 use crate::exchange::{four_way_allocation, pairwise_exchange_stochastic};
 use crate::metrics::{global_error, worst_case_error, ConvergenceRatio};
@@ -404,13 +404,9 @@ pub struct Emulator {
     tiles: Vec<TileState>,
     config: EmulatorConfig,
     runtime: Vec<TileRuntime>,
-    fault: FaultPlan,
-    /// Per-tile fault state, populated as planned faults fire during a run.
-    faulted: Vec<Option<TileFaultKind>>,
-    /// Invariant auditor for the most recent run. Exchanges are zero-sum
-    /// and faults only freeze or drain holdings, so the total coin ledger
-    /// is checked after every exchange step (when the oracle is compiled
-    /// in — see `blitzcoin_sim::oracle`).
+    /// Invariant auditor for the most recent run. Exchanges are zero-sum,
+    /// so the total coin ledger is checked after every exchange step (when
+    /// the oracle is compiled in — see `blitzcoin_sim::oracle`).
     oracle: Oracle,
 }
 
@@ -427,14 +423,11 @@ impl Emulator {
             .tiles()
             .map(|t| TileRuntime::new(&topo, t, config.refresh_cycles))
             .collect();
-        let faulted = vec![None; tiles.len()];
         Emulator {
             topo,
             tiles,
             config,
             runtime,
-            fault: FaultPlan::none(),
-            faulted,
             oracle: Oracle::new("core::emulator::Emulator::run", 0),
         }
     }
@@ -442,23 +435,6 @@ impl Emulator {
     /// The grid topology.
     pub fn topology(&self) -> Topology {
         self.topo
-    }
-
-    /// Installs a fault plan for subsequent runs (the constructor starts
-    /// from [`FaultPlan::none`]).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = plan;
-    }
-
-    /// Builder-style [`Emulator::set_fault_plan`].
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(plan);
-        self
-    }
-
-    /// Per-tile fault state after a run (`None` = still healthy).
-    pub fn faulted(&self) -> &[Option<TileFaultKind>] {
-        &self.faulted
     }
 
     /// Current tile states.
@@ -525,36 +501,13 @@ impl Emulator {
     /// (possibly dynamically scaled) schedules.
     pub fn run(&mut self, rng: &mut SimRng) -> ConvergenceResult {
         // Arm the invariant oracle: snapshot the initial pool before the
-        // first exchange. Exchanges are zero-sum, stuck tiles quarantine
-        // their holdings, and fail-stopped tiles are drained by neighbors,
-        // so the total is invariant over the whole run.
+        // first exchange. Exchanges are zero-sum, so the total is invariant
+        // over the whole run.
         self.oracle = Oracle::new("core::emulator::Emulator::run", rng.root_seed());
         let expected_total: i128 = self.tiles.iter().map(|t| i128::from(t.has)).sum();
-        // Planned tile faults, earliest-per-tile, in firing order. Faults
-        // activate lazily as simulated time passes them.
-        self.faulted = vec![None; self.tiles.len()];
-        let mut planned: Vec<(u64, usize, TileFaultKind)> = self
-            .fault
-            .tile_faults
-            .iter()
-            .filter(|f| f.tile < self.tiles.len())
-            .map(|f| (f.at_cycle, f.tile, f.kind))
-            .collect();
-        planned.sort_unstable_by_key(|&(at, t, _)| (at, t));
-        let mut struck = vec![false; self.tiles.len()];
-        planned.retain(|&(_, t, _)| !std::mem::replace(&mut struck[t], true));
-        let mut next_fault = 0usize;
-        while next_fault < planned.len() && planned[next_fault].0 == 0 {
-            let (_, t, kind) = planned[next_fault];
-            next_fault += 1;
-            self.faulted[t] = Some(kind);
-            if kind == TileFaultKind::FailStop {
-                self.tiles[t].max = 0;
-            }
-        }
 
         let ratio = ConvergenceRatio::of(&self.tiles);
-        let mut targets: Vec<f64> = self.tiles.iter().map(|t| ratio.target(t)).collect();
+        let targets: Vec<f64> = self.tiles.iter().map(|t| ratio.target(t)).collect();
         let n = self.tiles.len() as f64;
         let mut err_sum: f64 = self
             .tiles
@@ -589,34 +542,11 @@ impl Emulator {
                 end_cycles = self.config.max_cycles;
                 break;
             }
-            // Activate every planned fault whose time has come. A
-            // fail-stopped tile's target drops to zero (its coins are
-            // drainable by neighbors), so the error ledger is rebuilt
-            // against the survivors' new fair share. Stuck tiles keep
-            // their max and their coins: the quarantined budget shows up
-            // as residual error, which is the point.
-            while next_fault < planned.len() && planned[next_fault].0 <= now {
-                let (_, t, kind) = planned[next_fault];
-                next_fault += 1;
-                self.faulted[t] = Some(kind);
-                if kind == TileFaultKind::FailStop {
-                    self.tiles[t].max = 0;
-                    let ratio = ConvergenceRatio::of(&self.tiles);
-                    err_sum = 0.0;
-                    for (k, tg) in targets.iter_mut().enumerate() {
-                        *tg = ratio.target(&self.tiles[k]);
-                        err_sum += (self.tiles[k].has as f64 - *tg).abs();
-                    }
-                }
-            }
             // Superseded entries still pop (rather than being unlinked on
-            // wake-up), so fault activation and the `max_cycles` stop
-            // above see every time the entry carried.
+            // wake-up), so the `max_cycles` stop above sees every time the
+            // entry carried.
             if gen != self.runtime[i].gen {
                 continue; // superseded by a wake-up reschedule
-            }
-            if self.faulted[i].is_some() {
-                continue; // a faulted tile initiates nothing, ever again
             }
             end_cycles = now;
             exchanges += 1;
@@ -693,17 +623,14 @@ impl Emulator {
             // would stall the coin wavefront).
             if significant {
                 if let (Some(dt), Some(p)) = (self.config.dynamic_timing, outcome.partner) {
-                    // (never wake a faulted partner: corpses stay silent)
-                    if self.faulted[p].is_none() {
-                        let rp = &mut self.runtime[p];
-                        rp.zero_rotation = 0;
-                        rp.interval = dt.next_interval(rp.interval, outcome.moved);
-                        let candidate = now + outcome.latency + rp.interval;
-                        if candidate < rp.next_fire {
-                            rp.gen += 1;
-                            rp.next_fire = candidate;
-                            wheel.schedule(candidate, p, rp.gen);
-                        }
+                    let rp = &mut self.runtime[p];
+                    rp.zero_rotation = 0;
+                    rp.interval = dt.next_interval(rp.interval, outcome.moved);
+                    let candidate = now + outcome.latency + rp.interval;
+                    if candidate < rp.next_fire {
+                        rp.gen += 1;
+                        rp.next_fire = candidate;
+                        wheel.schedule(candidate, p, rp.gen);
                     }
                 }
             }
@@ -727,8 +654,8 @@ impl Emulator {
 
     /// The longest delay a run can schedule ahead of its latest pop: the
     /// longest refresh interval the configuration allows, plus a status +
-    /// update round trip across the mesh diameter and the fault plan's
-    /// message jitter. The wheel is sized for it and grows past it.
+    /// update round trip across the mesh diameter. The wheel is sized for
+    /// it and grows past it.
     fn wheel_horizon(&self) -> u64 {
         let c = &self.config;
         let interval = c
@@ -737,9 +664,7 @@ impl Emulator {
             .max(c.refresh_cycles)
             .max(1);
         let round_trip = 2 * per_message_latency(self.topo.diameter() as u64) + 1;
-        interval
-            .saturating_add(round_trip)
-            .saturating_add(self.fault.msg_jitter_cycles)
+        interval.saturating_add(round_trip)
     }
 
     /// One 1-way exchange for tile `i`.
@@ -789,19 +714,6 @@ impl Emulator {
         };
 
         let j = partner.index();
-        if self.faulted[j] == Some(TileFaultKind::Stuck) {
-            // A wedged partner holds its coins and never answers: the
-            // status request times out and nothing moves. (A fail-stopped
-            // partner is different — its coin register lives in the
-            // always-on NoC domain, so the normal path below drains it
-            // via the max=0 rule.)
-            return StepOutcome {
-                moved: 0,
-                latency: 2 * per_message_latency(hops) + 1,
-                packets: 1,
-                partner: None,
-            };
-        }
         let out = pairwise_exchange_stochastic(self.tiles[i], self.tiles[j], rng);
         let mut moved = out.moved;
         // Local thermal cap: the receiving side may reject the transfer.
@@ -825,33 +737,25 @@ impl Emulator {
             *err_sum += new_err - old_err;
         }
         // The status + update round trip, plus one cycle of FSM compute.
-        // Message jitter comes from the fault plan (stateless in the
-        // packet identity, so it never perturbs the main RNG stream).
-        let jitter = self.fault.msg_jitter(i, j, now);
-        let latency = 2 * per_message_latency(hops) + 1 + jitter;
         StepOutcome {
             moved: moved.abs(),
-            latency,
+            latency: 2 * per_message_latency(hops) + 1,
             packets: 2,
             partner: Some(j),
         }
     }
 
-    /// One 4-way group exchange for tile `i`. Stuck neighbors are skipped
-    /// (they never answer the request); fail-stopped ones participate as
-    /// drainable max=0 registers, same as in the 1-way path.
+    /// One 4-way group exchange for tile `i`.
     fn four_way_step(&mut self, i: usize, targets: &[f64], err_sum: &mut f64) -> StepOutcome {
-        // The group: the center, then every neighbor that answers.
+        // The group: the center, then every neighbor.
         let mut idx = [i; 5];
         let mut group = [self.tiles[i]; 5];
         let mut len = 1;
         for nb in self.runtime[i].neighbors() {
             let k = nb.index();
-            if self.faulted[k] != Some(TileFaultKind::Stuck) {
-                idx[len] = k;
-                group[len] = self.tiles[k];
-                len += 1;
-            }
+            idx[len] = k;
+            group[len] = self.tiles[k];
+            len += 1;
         }
         let answered = len as u64 - 1;
         if answered == 0 {
@@ -1246,97 +1150,6 @@ mod tests {
             // the one-transfer slack inherent to reject-on-receive.
             assert!(total <= 60 + 16, "neighborhood of {t} holds {total} coins");
         }
-    }
-
-    #[test]
-    fn converges_under_heavy_latency_jitter() {
-        // failure injection: congestion-like random message delays must
-        // degrade timing only, never correctness
-        let cfg = EmulatorConfig {
-            max_cycles: 5_000_000,
-            ..EmulatorConfig::default()
-        };
-        let (clean, _) = run_one(8, EmulatorConfig::default(), 17);
-        let topo = Topology::torus(8, 8);
-        // up to 512 extra cycles per coin message
-        let mut emu = Emulator::new(topo, vec![32; 64], cfg).with_fault_plan(FaultPlan {
-            msg_jitter_cycles: 513,
-            ..FaultPlan::none()
-        });
-        let mut rng = SimRng::seed(17);
-        emu.init_uniform_random(&mut rng);
-        let jittered = emu.run(&mut rng);
-        assert!(jittered.converged, "{jittered:?}");
-        assert_eq!(
-            emu.total_coins(),
-            emu.tiles().iter().map(|t| t.has).sum::<i64>()
-        );
-        assert!(
-            jittered.cycles >= clean.cycles,
-            "jitter cannot speed things up"
-        );
-    }
-
-    #[test]
-    fn fail_stop_mid_run_is_drained_and_survivors_converge() {
-        use blitzcoin_sim::TileFault;
-        let topo = Topology::torus(6, 6);
-        // Strike mid-diffusion (cycle 500) and keep running past the
-        // convergence instant so the corpse is fully drained, not merely
-        // below the average-error threshold.
-        let cfg = EmulatorConfig {
-            stop_at_convergence: false,
-            max_cycles: 200_000,
-            quiescence_exchanges: 2_000,
-            ..EmulatorConfig::default()
-        };
-        let mut emu = Emulator::new(topo, vec![32; 36], cfg).with_fault_plan(FaultPlan {
-            tile_faults: vec![TileFault {
-                tile: 10,
-                at_cycle: 500,
-                kind: TileFaultKind::FailStop,
-            }],
-            ..FaultPlan::default()
-        });
-        let mut rng = SimRng::seed(31);
-        emu.init_uniform_random(&mut rng);
-        let total = emu.total_coins();
-        let r = emu.run(&mut rng);
-        assert!(r.converged, "{r:?}");
-        assert_eq!(emu.faulted()[10], Some(TileFaultKind::FailStop));
-        assert_eq!(emu.tiles()[10].has, 0, "corpse must be drained");
-        assert_eq!(emu.total_coins(), total, "reclamation conserves coins");
-    }
-
-    #[test]
-    fn stuck_tile_quarantines_its_coins() {
-        use blitzcoin_sim::TileFault;
-        let topo = Topology::torus(5, 5);
-        let cfg = EmulatorConfig {
-            stop_at_convergence: false,
-            max_cycles: 100_000,
-            quiescence_exchanges: 2_000,
-            ..EmulatorConfig::default()
-        };
-        let mut emu = Emulator::new(topo, vec![32; 25], cfg).with_fault_plan(FaultPlan {
-            tile_faults: vec![TileFault {
-                tile: 12,
-                at_cycle: 0,
-                kind: TileFaultKind::Stuck,
-            }],
-            ..FaultPlan::default()
-        });
-        let mut has = vec![16i64; 25];
-        has[12] = 40; // over-provisioned and wedged: coins are trapped
-        emu.init_coins(&has);
-        let total = emu.total_coins();
-        emu.run(&mut rng_for(5));
-        assert_eq!(emu.tiles()[12].has, 40, "stuck tile holds its coins");
-        assert_eq!(emu.total_coins(), total);
-    }
-
-    fn rng_for(seed: u64) -> SimRng {
-        SimRng::seed(seed)
     }
 
     #[test]

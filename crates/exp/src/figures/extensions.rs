@@ -353,7 +353,7 @@ pub fn noc_validation(ctx: &Ctx) -> FigResult {
         let t0 = SimTime::ZERO;
         let mean_analytic = pkts
             .iter()
-            .map(|p| net.send(t0, p).expect_delivered().as_noc_cycles() as f64)
+            .map(|p| net.send(t0, p).as_noc_cycles() as f64)
             .sum::<f64>()
             / k as f64;
         let mut wh = WormholeNetwork::new(topo, WormholeConfig::default());

@@ -37,9 +37,8 @@ const GRID_SCHEMES: [ManagerKind; 5] = [
 ];
 
 /// The scheme statistics the Fig 17/18 CSVs report, one column each.
-const GRID_STATS: [&str; 5] = [
+const GRID_STATS: [&str; 4] = [
     "ts_mode_switches",
-    "ts_hop_retries",
     "pt_iterations",
     "pt_cleared",
     "pt_sessions",

@@ -21,7 +21,7 @@
 use blitzcoin_core::emulator::ConvergenceResult;
 use blitzcoin_core::montecarlo::TrialStats;
 use blitzcoin_sim::csv::CsvTable;
-use blitzcoin_sim::{FaultPlan, SimRng, Sweep, TileFault, TileFaultKind};
+use blitzcoin_sim::{FaultPlan, SimRng, Sweep, TileFault};
 use blitzcoin_soc::{ManagerKind, SimReport};
 
 use crate::{Ctx, FigResult};
@@ -171,7 +171,6 @@ pub(crate) fn kill(tile: usize) -> FaultPlan {
     plan.tile_faults.push(TileFault {
         tile,
         at_cycle: FAULT_AT_CYCLE,
-        kind: TileFaultKind::FailStop,
     });
     plan
 }

@@ -17,7 +17,8 @@
 //!   integration — the new coin-management message class) and message kinds.
 //! - [`network`]: a deterministic link-reservation timing model — XY
 //!   dimension-ordered routing, one cycle per hop, per-link serialization
-//!   and contention — that returns delivery times for scheduled packets.
+//!   and contention — that returns the arrival time of every packet (the
+//!   NoC never loses one).
 //! - [`wormhole`]: a flit-level wormhole router reference model that
 //!   cross-validates the analytic timing model's latencies.
 //!
@@ -31,7 +32,7 @@
 //! let mut net = Network::new(topo);
 //! let pkt = Packet::new(topo.tile(0, 0), topo.tile(3, 3), Plane::MmioIrq,
 //!                       PacketKind::CoinRequest);
-//! let arrival = net.send(SimTime::ZERO, &pkt).expect_delivered();
+//! let arrival = net.send(SimTime::ZERO, &pkt);
 //! // 6 hops plus one cycle each to inject and eject
 //! assert_eq!(arrival, SimTime::from_noc_cycles(8));
 //! ```
@@ -44,6 +45,6 @@ pub mod packet;
 pub mod topology;
 pub mod wormhole;
 
-pub use network::{Delivery, Network, TrafficStats};
+pub use network::{Network, TrafficStats};
 pub use packet::{Packet, PacketKind, Plane};
 pub use topology::{Coord, Direction, TileId, Topology};

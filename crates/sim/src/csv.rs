@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn write_to_creates_dirs() {
-        let dir = std::env::temp_dir().join("blitzcoin_csv_test");
+        let dir = std::env::temp_dir().join(format!("blitzcoin_csv_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested/out.csv");
         let mut t = CsvTable::new(["v"]);

@@ -51,13 +51,6 @@ pub enum ConfigError {
         /// Number of tiles in the topology.
         n_tiles: usize,
     },
-    /// A probability was outside `[0, 1]`.
-    BadProbability {
-        /// The parameter name.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// Any other structural problem, with a human-readable detail.
     Invalid {
         /// What was being validated.
@@ -92,9 +85,6 @@ impl fmt::Display for ConfigError {
             ConfigError::TileOutOfRange { tile, n_tiles } => {
                 write!(f, "tile id {tile} out of range for {n_tiles}-tile topology")
             }
-            ConfigError::BadProbability { what, value } => {
-                write!(f, "{what} must lie in [0, 1], got {value}")
-            }
             ConfigError::Invalid { what, detail } => write!(f, "invalid {what}: {detail}"),
         }
     }
@@ -109,14 +99,6 @@ pub fn require_positive(what: &'static str, value: f64) -> Result<(), ConfigErro
     }
     if value <= 0.0 {
         return Err(ConfigError::NonPositive { what, value });
-    }
-    Ok(())
-}
-
-/// Checks that `value` is a probability in `[0, 1]`.
-pub fn require_probability(what: &'static str, value: f64) -> Result<(), ConfigError> {
-    if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-        return Err(ConfigError::BadProbability { what, value });
     }
     Ok(())
 }
@@ -141,15 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn positive_and_probability_guards() {
+    fn positive_guard() {
         assert!(require_positive("x", 1.0).is_ok());
         assert!(require_positive("x", 0.0).is_err());
         assert!(require_positive("x", f64::NAN).is_err());
         assert!(require_positive("x", f64::INFINITY).is_err());
-        assert!(require_probability("p", 0.0).is_ok());
-        assert!(require_probability("p", 1.0).is_ok());
-        assert!(require_probability("p", 1.01).is_err());
-        assert!(require_probability("p", f64::NAN).is_err());
     }
 
     #[test]

@@ -180,30 +180,6 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for ScheduledEvent<E> {}
-
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for ScheduledEvent<E> {
-    // Reversed so that a max-heap pops the earliest event.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A far-tier entry: `(time, seq)` packed into one integer key. `time` in
 /// the high 64 bits and `seq` in the low 64 gives exactly the
 /// lexicographic `(time, seq)` order when comparing keys as plain `u128`s.

@@ -30,9 +30,9 @@
 //! - [`csv`]: tiny CSV emission helpers for the experiment harness.
 //! - [`json`]: a dependency-free JSON value type, parser/printer, and
 //!   [`json::ToJson`]/[`json::FromJson`] traits for configs and manifests.
-//! - [`fault`]: the deterministic fault-injection plan ([`FaultPlan`]) and
-//!   coin-conservation auditor ([`CoinAudit`]) threaded through the NoC,
-//!   the emulator, the SoC engine and the centralized baselines.
+//! - [`fault`]: the fail-stop fault plan ([`FaultPlan`]) and the
+//!   coin-conservation auditor ([`CoinAudit`]) read by the SoC engine and
+//!   the behavioural TokenSmart ring.
 //! - [`check`]: a seeded property-testing harness for randomized
 //!   invariant tests.
 //! - [`interleave`]: the interleaving-fuzzing harness — one simulation
@@ -82,7 +82,7 @@ pub use cache::{Cache, CacheKey, CacheMode, CacheStats};
 pub use error::ConfigError;
 pub use event::{EventQueue, ScheduledEvent, TieBreak};
 pub use exec::{Executor, Sweep};
-pub use fault::{AuditReport, CoinAudit, FaultPlan, LinkOutage, TileFault, TileFaultKind};
+pub use fault::{AuditReport, CoinAudit, FaultPlan, TileFault};
 pub use oracle::{Invariant, Oracle, Violation};
 pub use rng::SimRng;
 pub use stats::{Histogram, Summary};

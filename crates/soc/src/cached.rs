@@ -43,7 +43,7 @@ use crate::report::SimReport;
 /// Version of the cached-report format and key layout. Bump whenever
 /// [`SimReport`]'s serialization or [`Simulation::unit_json`]'s field
 /// set changes meaning; every bump auto-invalidates all prior entries.
-pub const SIM_CACHE_SCHEMA: u32 = 3;
+pub const SIM_CACHE_SCHEMA: u32 = 4;
 
 impl Simulation {
     /// The canonical JSON identity of running `self` under `seed`:
@@ -107,7 +107,7 @@ mod tests {
     use crate::engine::SimConfig;
     use crate::manager::ManagerKind;
     use crate::{floorplan, workload};
-    use blitzcoin_sim::{FaultPlan, TieBreak, TileFault, TileFaultKind};
+    use blitzcoin_sim::{FaultPlan, TieBreak, TileFault};
 
     fn small_sim(manager: ManagerKind, budget: f64, tie: TieBreak) -> Simulation {
         let soc = floorplan::soc_3x3();
@@ -180,7 +180,6 @@ mod tests {
         plan.tile_faults.push(TileFault {
             tile: 4,
             at_cycle: 1000,
-            kind: TileFaultKind::FailStop,
         });
         assert_ne!(
             k0,
@@ -217,7 +216,7 @@ mod tests {
         let sim = small_sim(ManagerKind::BlitzCoin, 120.0, TieBreak::Fifo);
         assert_eq!(
             sim.cache_key(7).hex(),
-            "9012266c1626e3df048b39fc6fb2bf298e5551b96205ecd63c7c186605dac60a",
+            "3651c39b3aa618d174de0a8ab7852f84c9535b33d57a7ca8313c3412d230714a",
             "pinned cache key drifted; bump SIM_CACHE_SCHEMA if intentional"
         );
         // Identity is canonical: the key must not depend on the order in

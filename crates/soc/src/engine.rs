@@ -40,7 +40,6 @@ use blitzcoin_power::{AcceleratorClass, CoinLut, PowerModel};
 use blitzcoin_sim::oracle::Oracle;
 use blitzcoin_sim::{
     CoinAudit, ConfigError, EventQueue, FaultPlan, SimRng, SimTime, StepTrace, TieBreak,
-    TileFaultKind,
 };
 
 use crate::floorplan::SocConfig;
@@ -211,8 +210,8 @@ pub(crate) struct TileRt {
     pub(crate) partners: Vec<usize>,
     /// Consecutive failed exchanges per entry of `partners`.
     pub(crate) suspect: Vec<u32>,
-    /// Set once the tile's scheduled fault fires.
-    pub(crate) faulted: Option<TileFaultKind>,
+    /// Set once the tile's scheduled fail-stop fires.
+    pub(crate) faulted: bool,
 }
 
 /// The BlitzCoin exchange partners of tile `me`: its 4 nearest peers in
@@ -255,7 +254,7 @@ pub struct Simulation {
     /// cluster; each cluster owns a slice of the pool proportional to its
     /// accelerators' combined P_max.
     pub(crate) clusters: Option<Vec<Vec<usize>>>,
-    /// Faults injected into the run (empty by default).
+    /// Tiles that fail-stop during the run (none by default).
     pub(crate) fault: FaultPlan,
     /// Test-only sabotage: from this cycle on, the next exchange commit
     /// mints one coin and the one after burns it again. The end-of-run
@@ -329,11 +328,9 @@ impl Simulation {
         self
     }
 
-    /// Installs a fault plan, validated against this SoC's topology.
-    /// Packet drops, link outages, and delays apply to the NoC model;
-    /// tile faults fire as simulation events at their scheduled cycle.
+    /// Installs a fault plan, validated against this SoC's topology: each
+    /// listed tile fail-stops at its earliest scheduled cycle.
     pub fn try_with_fault_plan(mut self, plan: FaultPlan) -> Result<Self, ConfigError> {
-        plan.validate()?;
         let n_tiles = self.soc.topology.len();
         for f in &plan.tile_faults {
             if f.tile >= n_tiles {
@@ -343,13 +340,6 @@ impl Simulation {
                 });
             }
         }
-        for o in &plan.outages {
-            for &t in &[o.a, o.b] {
-                if t >= n_tiles {
-                    return Err(ConfigError::TileOutOfRange { tile: t, n_tiles });
-                }
-            }
-        }
         self.fault = plan;
         Ok(self)
     }
@@ -357,8 +347,7 @@ impl Simulation {
     /// [`Simulation::try_with_fault_plan`], panicking on an invalid plan.
     ///
     /// # Panics
-    /// Panics when the plan fails validation or references a tile outside
-    /// the topology.
+    /// Panics when the plan references a tile outside the topology.
     pub fn with_fault_plan(self, plan: FaultPlan) -> Self {
         self.try_with_fault_plan(plan).expect("invalid fault plan")
     }
@@ -561,7 +550,7 @@ impl<'a> Core<'a> {
                     pair_offset: 2,
                     partners: Vec::new(),
                     suspect: Vec::new(),
-                    faulted: None,
+                    faulted: false,
                 }
             })
             .collect();
@@ -641,8 +630,7 @@ impl<'a> Core<'a> {
             .collect();
         let oracle = Oracle::new("blitzcoin-soc Simulation::run", rng.root_seed())
             .with_tie_break(sim.cfg.tie_break);
-        let mut net = Network::new(soc.topology);
-        net.set_fault_plan(sim.fault.clone());
+        let net = Network::new(soc.topology);
         let n_tasks = sim.wl.len();
         let mut managed_slot = vec![usize::MAX; soc.topology.len()];
         for (slot, &ti) in managed.iter().enumerate() {

@@ -7,7 +7,7 @@
 //! VF-legality checks regardless of scheme.
 
 use blitzcoin_sim::oracle::{self, Invariant};
-use blitzcoin_sim::{StepTrace, TileFaultKind};
+use blitzcoin_sim::StepTrace;
 
 use crate::engine::Core;
 use crate::managers::ManagerPolicy;
@@ -116,19 +116,13 @@ pub(crate) fn finish(mut core: Core, policy: &mut dyn ManagerPolicy) -> SimRepor
     let held_live: i64 = core
         .managed
         .iter()
-        .filter(|&&t| core.tiles[t].faulted.is_none())
+        .filter(|&&t| !core.tiles[t].faulted)
         .map(|&t| core.tiles[t].has)
         .sum();
     let held_faulted: i64 = core
         .managed
         .iter()
-        .filter(|&&t| core.tiles[t].faulted.is_some())
-        .map(|&t| core.tiles[t].has)
-        .sum();
-    let coins_quarantined: i64 = core
-        .managed
-        .iter()
-        .filter(|&&t| core.tiles[t].faulted == Some(TileFaultKind::Stuck))
+        .filter(|&&t| core.tiles[t].faulted)
         .map(|&t| core.tiles[t].has)
         .sum();
     let audit = core
@@ -163,7 +157,7 @@ pub(crate) fn finish(mut core: Core, policy: &mut dyn ManagerPolicy) -> SimRepor
         events: core.events,
         coins_leaked,
         coins_reclaimed: audit.reclaimed,
-        coins_quarantined,
+        coins_quarantined: 0,
         tasks_abandoned: core.abandoned,
         recovery_us,
         oracle_violations: core.oracle.count(),

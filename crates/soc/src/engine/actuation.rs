@@ -6,7 +6,7 @@
 //! paper's figures are built from: per-tile power on every run, coin and
 //! frequency traces only for a unit that declared tile traces.
 
-use blitzcoin_sim::{SimTime, TileFaultKind};
+use blitzcoin_sim::SimTime;
 
 use crate::engine::{coupling, Core, Ev};
 
@@ -30,7 +30,7 @@ impl Core<'_> {
 
     pub(crate) fn tile_power(&self, ti: usize) -> f64 {
         let rt = &self.tiles[ti];
-        if rt.faulted == Some(TileFaultKind::FailStop) {
+        if rt.faulted {
             return 0.0;
         }
         match (&rt.model, &rt.running) {

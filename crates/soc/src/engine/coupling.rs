@@ -75,7 +75,7 @@ pub(crate) fn on_thermal_tick(core: &mut Core, policy: &mut dyn ManagerPolicy) {
     th.comp.step(&th.p_buf);
     let mut flips: Vec<usize> = Vec::new();
     for &ti in &core.managed {
-        if core.tiles[ti].faulted.is_some() {
+        if core.tiles[ti].faulted {
             continue;
         }
         let t = th.comp.temps()[ti];

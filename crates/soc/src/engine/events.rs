@@ -23,7 +23,7 @@ pub(crate) enum Ev {
     Manager(ManagerEv),
     /// Tile `tile`'s UVFR settles on its commanded frequency target.
     Actuate { tile: usize, gen: u64 },
-    /// Tile `tile`'s planned fault fires.
+    /// Tile `tile`'s planned fail-stop fires.
     TileFault { tile: usize },
     /// The in-loop thermal integrator's slow clock edges (only scheduled
     /// when [`SimConfig::thermal_limit_c`](crate::engine::SimConfig) is
@@ -55,9 +55,6 @@ pub(crate) enum ManagerEv {
     /// TokenSmart: the circulating pool token arrives at ring `ring`'s
     /// stop `stop`.
     TokenHop { ring: usize, stop: usize },
-    /// TokenSmart: retransmit the pool token toward stop `stop` after the
-    /// link dropped the hop packet.
-    TokenResend { ring: usize, stop: usize },
     /// Price Theory: a protocol step for `market`'s member at cluster
     /// slot `slot`. Stale unless `gen` matches the market's current
     /// session generation.
@@ -77,16 +74,10 @@ pub(crate) enum ManagerEv {
 pub(crate) enum PtMsg {
     /// A price quote packet lands at the member.
     QuoteArrive,
-    /// The link dropped the quote; the supervisor retransmits.
-    QuoteResend,
     /// The member's demand bid lands at the supervisor.
     BidArrive,
-    /// The link dropped the bid; the member retransmits.
-    BidResend,
     /// A grant register-write lands at the member.
     GrantArrive,
-    /// The link dropped the grant; the supervisor retransmits.
-    GrantResend,
     /// The supervisor waited a full round-trip bound without the bid.
     BidTimeout,
     /// A member's periodic supervisor-liveness watchdog fires.
@@ -150,7 +141,7 @@ pub(crate) fn run(core: &mut Core, policy: &mut dyn ManagerPolicy) {
 
 pub(crate) fn enqueue_task(core: &mut Core, policy: &mut dyn ManagerPolicy, task: TaskId) {
     let ti = core.sim.wl.tasks()[task.0].tile.index();
-    if core.tiles[ti].faulted.is_some() {
+    if core.tiles[ti].faulted {
         core.abandon_unreachable_tasks();
         return;
     }

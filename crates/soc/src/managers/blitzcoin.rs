@@ -3,16 +3,15 @@
 //! Each managed tile runs the paper's coin-exchange FSM (state in
 //! `TileRt`, mirroring the per-tile hardware): refresh timers fire
 //! `CoinFire` events, exchanges travel as real NoC packets with
-//! contention and drops, commits are transactional (a dropped update
-//! aborts the exchange on both sides), and the heartbeat machinery
-//! reclaims or quarantines a dead partner's coins.
+//! contention, an exchange with a dead partner times out, and the
+//! heartbeat machinery reclaims a dead partner's coins.
 
 use blitzcoin_core::exchange::{
     four_way_allocation, pairwise_exchange, pairwise_exchange_stochastic,
 };
 use blitzcoin_core::{DynamicTiming, ExchangeMode, TileState};
 use blitzcoin_noc::{Packet, PacketKind, Plane, TileId};
-use blitzcoin_sim::{SimTime, TileFaultKind};
+use blitzcoin_sim::SimTime;
 
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
@@ -37,10 +36,8 @@ const PAIRING_PERIOD: u64 = 16;
 const RESPONSE_TOLERANCE_COINS: f64 = 1.5;
 
 /// Consecutive failed exchanges with the same ring partner before a tile
-/// concludes the partner is gone and triggers recovery (reclaim the
-/// partner's coins if it fail-stopped, quarantine them if it is stuck).
-/// Random packet drops reset on any success, so only a persistently
-/// silent partner crosses this threshold.
+/// concludes the partner is gone and reclaims its coins. Only a dead
+/// partner fails an exchange, and it never answers again.
 const HEARTBEAT_TIMEOUTS: u32 = 3;
 
 /// The decentralized BlitzCoin scheme. All protocol state is per-tile
@@ -99,7 +96,7 @@ impl ManagerPolicy for BlitzCoinPolicy {
 }
 
 fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
-    if gen != core.tiles[ti].fire_gen || core.tiles[ti].faulted.is_some() {
+    if gen != core.tiles[ti].fire_gen || core.tiles[ti].faulted {
         return;
     }
     if core.cfg().exchange_mode == ExchangeMode::FourWay {
@@ -146,14 +143,12 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
             max: core.tiles[ti].max as u32,
         },
     );
-    let d_status = core.net.send(core.now, &status);
-    // A faulted partner never answers and a dropped status is never
-    // seen; either way the initiator times out and backs off.
-    let partner_gone = core.tiles[pj].faulted.is_some();
-    let Some(t_status) = d_status.time().filter(|_| !partner_gone) else {
+    let t_status = core.net.send(core.now, &status);
+    // A dead partner never answers: the initiator times out and backs off.
+    if core.tiles[pj].faulted {
         on_exchange_timeout(core, ti, pj);
         return;
-    };
+    }
     let a = TileState::new(core.tiles[ti].has, core.tiles[ti].max);
     let b = TileState::new(core.tiles[pj].has, core.tiles[pj].max);
     let out = pairwise_exchange_stochastic(a, b, &mut core.rng);
@@ -165,18 +160,8 @@ fn on_coin_fire(core: &mut Core, ti: usize, gen: u64) {
             delta: out.moved as i32,
         },
     );
-    // The exchange commits only once the update is delivered (the
-    // partner's ledger write is acknowledged at the link layer), so a
-    // dropped update aborts the whole exchange: no coins move on
-    // either side and conservation holds.
-    let Some(t_update) = core.net.send(t_status, &update).time() else {
-        on_exchange_timeout(core, ti, pj);
-        return;
-    };
+    let t_update = core.net.send(t_status, &update);
     let latency = (t_update - core.now) + SimTime::from_noc_cycles(1);
-    if let Some(idx) = core.tiles[ti].partners.iter().position(|&p| p == pj) {
-        core.tiles[ti].suspect[idx] = 0; // partner demonstrably alive
-    }
 
     if out.moved != 0 {
         core.tiles[ti].has = out.new_i;
@@ -260,41 +245,28 @@ fn note_partner_silent(core: &mut Core, ti: usize, pj: usize) {
 }
 
 /// A ring partner has been silent for [`HEARTBEAT_TIMEOUTS`]
-/// consecutive exchanges. If it fail-stopped, its coins are reclaimed
-/// through the same drain rule an idle tile uses (`pairwise_exchange`
-/// against `max == 0` relinquishes everything) and it leaves the
-/// rotation. A stuck partner also leaves the rotation but keeps its
-/// coins: they are quarantined — counted, never reallocated — so the
-/// enforced budget cannot overshoot. A live partner that merely lost
-/// packets gets its suspicion reset and stays.
+/// consecutive exchanges, so it is dead. Its coins are reclaimed through
+/// the same drain rule an idle tile uses (`pairwise_exchange` against
+/// `max == 0` relinquishes everything) and it leaves the rotation.
 fn give_up_on_partner(core: &mut Core, ti: usize, pj: usize, idx: usize) {
-    match core.tiles[pj].faulted {
-        Some(TileFaultKind::FailStop) => {
-            let a = TileState::new(core.tiles[ti].has, core.tiles[ti].max);
-            let b = TileState::new(core.tiles[pj].has, 0);
-            let out = pairwise_exchange(a, b);
-            if out.moved == 0 && core.tiles[pj].has > 0 {
-                // this tile is idle (max 0) and cannot absorb the
-                // coins; keep polling so an active phase can drain
-                return;
-            }
-            if out.moved != 0 {
-                core.audit.record_reclaim(out.moved);
-                core.tiles[ti].has = out.new_i;
-                core.tiles[pj].has = out.new_j;
-                core.record_coins(ti);
-                core.record_coins(pj);
-                core.apply_coins(ti);
-                core.audit_cluster_conservation(ti, 0, || {
-                    format!("reclaim of fail-stopped tile {pj} by tile {ti}")
-                });
-            }
-        }
-        Some(TileFaultKind::Stuck) => {}
-        None => {
-            core.tiles[ti].suspect[idx] = 0;
-            return;
-        }
+    let a = TileState::new(core.tiles[ti].has, core.tiles[ti].max);
+    let b = TileState::new(core.tiles[pj].has, 0);
+    let out = pairwise_exchange(a, b);
+    if out.moved == 0 && core.tiles[pj].has > 0 {
+        // this tile is idle (max 0) and cannot absorb the coins; keep
+        // polling so an active phase can drain
+        return;
+    }
+    if out.moved != 0 {
+        core.audit.record_reclaim(out.moved);
+        core.tiles[ti].has = out.new_i;
+        core.tiles[pj].has = out.new_j;
+        core.record_coins(ti);
+        core.record_coins(pj);
+        core.apply_coins(ti);
+        core.audit_cluster_conservation(ti, 0, || {
+            format!("reclaim of fail-stopped tile {pj} by tile {ti}")
+        });
     }
     core.tiles[ti].partners.remove(idx);
     core.tiles[ti].suspect.remove(idx);
@@ -319,23 +291,18 @@ fn four_way_fire(core: &mut Core, ti: usize) {
         return;
     }
     let me = TileId(ti);
-    // Request + status + update per partner over the NoC. A faulted
-    // partner is skipped (and suspected); any dropped message aborts
-    // the whole group exchange — the redistribution is atomic or it
-    // does not happen, so conservation survives arbitrary drops.
+    // Request + status + update per partner over the NoC. A dead partner
+    // is skipped (and suspected).
     let mut live = [0usize; 4];
     let mut n_live = 0;
     let mut last_arrival = core.now;
     for &pj in &partners[..n_partners] {
-        if core.tiles[pj].faulted.is_some() {
+        if core.tiles[pj].faulted {
             note_partner_silent(core, ti, pj);
             continue;
         }
         let req = Packet::coin(me, TileId(pj), PacketKind::CoinRequest);
-        let Some(t_req) = core.net.send(core.now, &req).time() else {
-            on_exchange_timeout(core, ti, pj);
-            return;
-        };
+        let t_req = core.net.send(core.now, &req);
         let status = Packet::coin(
             TileId(pj),
             me,
@@ -344,15 +311,9 @@ fn four_way_fire(core: &mut Core, ti: usize) {
                 max: core.tiles[pj].max as u32,
             },
         );
-        let Some(t_status) = core.net.send(t_req, &status).time() else {
-            on_exchange_timeout(core, ti, pj);
-            return;
-        };
+        let t_status = core.net.send(t_req, &status);
         let update = Packet::coin(me, TileId(pj), PacketKind::CoinUpdate { delta: 0 });
-        let Some(t_update) = core.net.send(t_status, &update).time() else {
-            on_exchange_timeout(core, ti, pj);
-            return;
-        };
+        let t_update = core.net.send(t_status, &update);
         last_arrival = last_arrival.max(t_update);
         live[n_live] = pj;
         n_live += 1;
@@ -369,11 +330,6 @@ fn four_way_fire(core: &mut Core, ti: usize) {
         core.queue
             .schedule(at, Ev::Manager(ManagerEv::CoinFire { tile: ti, gen }));
         return;
-    }
-    for &pj in live {
-        if let Some(k) = core.tiles[ti].partners.iter().position(|&p| p == pj) {
-            core.tiles[ti].suspect[k] = 0;
-        }
     }
     let latency = (last_arrival - core.now) + SimTime::from_noc_cycles(2);
 
@@ -478,9 +434,8 @@ fn check_bc_response(core: &mut Core) {
 /// Whether every *live* tile's coin count matches its cluster's
 /// proportional target within tolerance. Convergence is per PM
 /// cluster: each domain equalizes its own has/max ratio against its
-/// own pool slice. Faulted tiles are excluded — a stuck tile's
-/// quarantined coins shrink the live slice and the survivors
-/// equalize over what remains.
+/// own pool slice. Dead tiles are excluded: the survivors equalize over
+/// the coins they hold while a corpse's coins wait to be reclaimed.
 fn bc_converged(core: &Core) -> bool {
     let tolerance = RESPONSE_TOLERANCE_COINS * core.cfg().pool_scale as f64;
     // called on every coin fire — walk each cluster's members twice rather
@@ -489,7 +444,7 @@ fn bc_converged(core: &Core) -> bool {
         let mut total_max = 0u64;
         let mut total_has = 0i64;
         for &t in members {
-            if core.tiles[t].faulted.is_none() {
+            if !core.tiles[t].faulted {
                 total_max += core.tiles[t].max;
                 total_has += core.tiles[t].has;
             }
@@ -500,7 +455,7 @@ fn bc_converged(core: &Core) -> bool {
         let alpha = total_has as f64 / total_max as f64;
         members
             .iter()
-            .filter(|&&t| core.tiles[t].faulted.is_none())
+            .filter(|&&t| !core.tiles[t].faulted)
             .all(|&t| {
                 let target = alpha * core.tiles[t].max as f64;
                 (core.tiles[t].has as f64 - target).abs() <= tolerance
@@ -518,7 +473,7 @@ fn note_recovery(core: &mut Core) {
     let drained = core
         .managed
         .iter()
-        .all(|&t| core.tiles[t].faulted != Some(TileFaultKind::FailStop) || core.tiles[t].has == 0);
+        .all(|&t| !core.tiles[t].faulted || core.tiles[t].has == 0);
     if drained && bc_converged(core) {
         core.recovered_at = Some(core.now);
     }

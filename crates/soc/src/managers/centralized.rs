@@ -75,13 +75,10 @@ impl SweepWrites {
     }
 }
 
-/// Whether the centralized controller tile has faulted — after which no
-/// sweep can ever run again (the single point of failure). Only the
-/// centralized policies consult this, so no kind check is needed.
+/// Whether the centralized controller tile has died — after which no
+/// sweep can ever run again (the single point of failure).
 pub(crate) fn controller_down(core: &Core) -> bool {
-    core.tiles[core.sim.soc.controller_tile().index()]
-        .faulted
-        .is_some()
+    core.tiles[core.sim.soc.controller_tile().index()].faulted
 }
 
 /// A centralized manager: the sweep state machine around a
@@ -91,7 +88,6 @@ pub(crate) struct Centralized<S> {
     scheme: S,
     sweep_gen: u64,
     writes: SweepWrites,
-    last_sweep_start: SimTime,
     rotation_step: usize,
 }
 
@@ -101,7 +97,6 @@ impl<S: SweepScheme> Centralized<S> {
             scheme,
             sweep_gen: 0,
             writes: SweepWrites::default(),
-            last_sweep_start: SimTime::ZERO,
             rotation_step: 0,
         }
     }
@@ -110,7 +105,6 @@ impl<S: SweepScheme> Centralized<S> {
         if controller_down(core) {
             return; // the single point of failure has failed
         }
-        self.last_sweep_start = core.now;
         self.sweep_gen += 1;
         // Plan once per sweep (a per-step recompute could change mid-sweep).
         self.writes.clear();
@@ -141,20 +135,17 @@ impl<S: SweepScheme> Centralized<S> {
             },
         );
         let last = step + 1 == self.writes.order.len();
-        // a dropped register write silently loses this tile's command;
-        // the rest of the sweep proceeds (MMIO writes are posted)
-        if let Some(arrive) = core.net.send(core.now, &pkt).time() {
-            core.queue.schedule(
-                arrive,
-                Ev::Manager(ManagerEv::WriteArrive {
-                    tile: ti,
-                    freq_centi_mhz,
-                    coins,
-                    sweep,
-                    last,
-                }),
-            );
-        }
+        let arrive = core.net.send(core.now, &pkt);
+        core.queue.schedule(
+            arrive,
+            Ev::Manager(ManagerEv::WriteArrive {
+                tile: ti,
+                freq_centi_mhz,
+                coins,
+                sweep,
+                last,
+            }),
+        );
         if !last {
             let at = core.now + SimTime::from_noc_cycles(S::SERVICE_CYCLES);
             core.queue.schedule(
@@ -176,7 +167,7 @@ impl<S: SweepScheme> Centralized<S> {
         sweep: u64,
         last: bool,
     ) {
-        if core.tiles[ti].faulted.is_some() {
+        if core.tiles[ti].faulted {
             // a dead register file: the write lands on nothing, but the
             // sweep still completes for the surviving tiles
             if last && sweep == self.sweep_gen {
@@ -203,18 +194,10 @@ impl<S: SweepScheme> Centralized<S> {
     fn on_rotate(&mut self, core: &mut Core) {
         self.rotation_step += 1;
         let rotation = SimTime::from_noc_cycles(ROTATION_CYCLES);
-        // A pending change normally means a notify-sweep is in
-        // flight or about to be. One that is a whole rotation
-        // old *and* has seen no sweep start since it arrived
-        // had its IRQ dropped, so the periodic rotation doubles
-        // as the retry path. (Age alone is not enough: on large
-        // SoCs a sweep outlasts the rotation, and restarting it
-        // here would cancel the in-flight writes forever.)
-        let stale = core
-            .pending_changes
-            .first()
-            .is_some_and(|&t0| core.now - t0 >= rotation && self.last_sweep_start <= t0);
-        if core.pending_changes.is_empty() || stale {
+        // A pending change means its notify-sweep is in flight or about
+        // to be (every notify IRQ arrives), so the rotation sweeps only
+        // when none is pending.
+        if core.pending_changes.is_empty() {
             self.start_sweep(core);
         }
         if !controller_down(core) {
@@ -278,11 +261,8 @@ impl<S: SweepScheme> ManagerPolicy for Centralized<S> {
             blitzcoin_noc::Plane::MmioIrq,
             PacketKind::RegWrite { value: ti as u64 },
         );
-        // a dropped IRQ is a lost notification: no sweep starts
-        // until something else pokes the controller
-        if let Some(arrive) = core.net.send(core.now, &pkt).time() {
-            core.queue.schedule(arrive, Ev::Manager(ManagerEv::Notify));
-        }
+        let arrive = core.net.send(core.now, &pkt);
+        core.queue.schedule(arrive, Ev::Manager(ManagerEv::Notify));
     }
 
     fn on_event(&mut self, core: &mut Core, ev: ManagerEv) {

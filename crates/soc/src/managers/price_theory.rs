@@ -10,21 +10,19 @@
 //! quote to each bidder, a demand bid back, a price step, and finally a
 //! grant write per member. This policy supplies what the behavioural
 //! model abstracts away: per-hop quote/bid/grant latency under
-//! contention, dropped bids and their retransmission, and death of
-//! members or of the supervisor itself.
+//! contention, and death of members or of the supervisor itself.
 //!
 //! Fault handling mirrors BlitzCoin's heartbeat-reclaim contract:
 //!
 //! - A member that stays silent for [`BID_TIMEOUTS`] consecutive bid
-//!   timeouts is inspected. Fail-stopped members are drained into the
-//!   supervisor's ledger (`CoinAudit::record_reclaim`); stuck members
-//!   leave the market keeping their coins (quarantined, never
-//!   reallocated). A live member that merely lost packets is re-quoted.
+//!   timeouts is inspected. A dead member is drained into the
+//!   supervisor's ledger (`CoinAudit::record_reclaim`) and leaves the
+//!   market; a live one whose bid is merely late is re-quoted.
 //! - Every non-supervisor member runs a periodic watchdog over the
 //!   supervisor. After [`SUP_TIMEOUTS`] silent periods it inspects the
 //!   supervisor's fault state; if the supervisor is dead, the
-//!   lowest-slot live member takes over the market unit, reclaims a
-//!   fail-stopped predecessor's ledger, and restarts the session.
+//!   lowest-slot live member takes over the market unit, reclaims its
+//!   predecessor's ledger, and restarts the session.
 //!
 //! Conservation: grants commit at packet *arrival*, and the difference
 //! between a member's old and new holdings moves through the market's
@@ -34,7 +32,7 @@
 
 use blitzcoin_baselines::{PtMarket, PtStep};
 use blitzcoin_noc::{Packet, PacketKind, Plane, TileId};
-use blitzcoin_sim::{SimTime, TileFaultKind};
+use blitzcoin_sim::SimTime;
 
 use crate::engine::events::{ManagerEv, PtMsg};
 use crate::engine::{Core, Ev};
@@ -131,13 +129,9 @@ struct Market {
 }
 
 impl Market {
-    /// Every member is faulted: the market can never act again.
+    /// Every member is dead: the market can never act again.
     fn is_dead(&self, core: &Core) -> bool {
-        !self.members.is_empty()
-            && self
-                .members
-                .iter()
-                .all(|&ti| core.tiles[ti].faulted.is_some())
+        !self.members.is_empty() && self.members.iter().all(|&ti| core.tiles[ti].faulted)
     }
 
     /// Whether this market would block the response drain: it has live
@@ -156,10 +150,6 @@ pub(crate) struct PriceTheoryPolicy {
     /// Completed sessions, and how many of them cleared within tolerance.
     sessions: u64,
     cleared: u64,
-    /// Quote/bid packets dropped by the NoC and retransmitted.
-    bid_retries: u64,
-    /// Grant writes dropped by the NoC and retransmitted.
-    grant_retries: u64,
     /// Supervisor-death takeovers performed by member watchdogs.
     takeovers: u64,
     /// Fail-stopped members drained into a supervisor's ledger.
@@ -173,8 +163,6 @@ impl PriceTheoryPolicy {
             iterations: 0,
             sessions: 0,
             cleared: 0,
-            bid_retries: 0,
-            grant_retries: 0,
             takeovers: 0,
             reclaims: 0,
         }
@@ -199,7 +187,7 @@ impl PriceTheoryPolicy {
             return;
         }
         let sup_ti = m.members[m.supervisor];
-        if core.tiles[sup_ti].faulted.is_some() {
+        if core.tiles[sup_ti].faulted {
             // the market unit is dead; a member watchdog will take over
             return;
         }
@@ -306,10 +294,9 @@ impl PriceTheoryPolicy {
         }
     }
 
-    /// Sends one price quote toward a bidder; a dropped quote is
-    /// retransmitted after a base interval.
+    /// Sends one price quote toward a bidder.
     fn send_quote(
-        &mut self,
+        &self,
         core: &mut Core,
         mi: usize,
         slot: usize,
@@ -326,20 +313,14 @@ impl PriceTheoryPolicy {
                 value: price.to_bits(),
             },
         );
-        if let Some(arrive) = core.net.send(depart, &pkt).time() {
-            core.queue
-                .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::QuoteArrive));
-        } else {
-            self.bid_retries += 1;
-            let at = depart + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
-            core.queue
-                .schedule(at, Self::ev(mi, slot, gen, PtMsg::QuoteResend));
-        }
+        let arrive = core.net.send(depart, &pkt);
+        core.queue
+            .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::QuoteArrive));
     }
 
     /// Arms the supervisor's bid timeout for one quoted member: the
-    /// quote's departure plus the round-trip latency bound plus slack
-    /// for one retransmission and the member's service time.
+    /// quote's departure plus the round-trip latency bound plus slack of
+    /// two base refresh intervals and two service slots.
     fn arm_bid_timeout(&self, core: &mut Core, mi: usize, slot: usize, gen: u64, depart: SimTime) {
         let m = &self.markets[mi];
         let sup = TileId(m.members[m.supervisor]);
@@ -357,7 +338,7 @@ impl PriceTheoryPolicy {
         let m = &mut self.markets[mi];
         // supervisor traffic arrived, stale or not: feed the watchdog
         m.heard[slot] = true;
-        if gen != m.gen || core.tiles[m.members[slot]].faulted.is_some() {
+        if gen != m.gen || core.tiles[m.members[slot]].faulted {
             return;
         }
         self.send_bid(core, mi, slot, gen);
@@ -367,7 +348,7 @@ impl PriceTheoryPolicy {
     /// payload is the member's live state; the supervisor's market unit
     /// recomputes the demand value itself, so no floating-point rides in
     /// events.
-    fn send_bid(&mut self, core: &mut Core, mi: usize, slot: usize, gen: u64) {
+    fn send_bid(&self, core: &mut Core, mi: usize, slot: usize, gen: u64) {
         let m = &self.markets[mi];
         let ti = m.members[slot];
         let pkt = Packet::new(
@@ -379,24 +360,16 @@ impl PriceTheoryPolicy {
                 max: core.tiles[ti].max as u32,
             },
         );
-        if let Some(arrive) = core.net.send(core.now, &pkt).time() {
-            core.queue
-                .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::BidArrive));
-        } else {
-            self.bid_retries += 1;
-            let at = core.now + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
-            core.queue
-                .schedule(at, Self::ev(mi, slot, gen, PtMsg::BidResend));
-        }
+        let arrive = core.net.send(core.now, &pkt);
+        core.queue
+            .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::BidArrive));
     }
 
     /// A bid reached the supervisor: ingest it and step the price once
     /// the round is complete.
     fn on_bid_arrive(&mut self, core: &mut Core, mi: usize, slot: usize, gen: u64) {
         let m = &mut self.markets[mi];
-        if gen != m.gen
-            || m.phase != Phase::Quoting
-            || core.tiles[m.members[m.supervisor]].faulted.is_some()
+        if gen != m.gen || m.phase != Phase::Quoting || core.tiles[m.members[m.supervisor]].faulted
         {
             return;
         }
@@ -520,9 +493,8 @@ impl PriceTheoryPolicy {
         }
     }
 
-    /// Sends one grant write toward a member; dropped writes are
-    /// retransmitted until they land.
-    fn send_grant(&mut self, core: &mut Core, mi: usize, slot: usize, gen: u64, depart: SimTime) {
+    /// Sends one grant write toward a member.
+    fn send_grant(&self, core: &mut Core, mi: usize, slot: usize, gen: u64, depart: SimTime) {
         let m = &self.markets[mi];
         let pkt = Packet::new(
             TileId(m.members[m.supervisor]),
@@ -532,20 +504,14 @@ impl PriceTheoryPolicy {
                 value: m.grants[slot].max(0) as u64,
             },
         );
-        if let Some(arrive) = core.net.send(depart, &pkt).time() {
-            core.queue
-                .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::GrantArrive));
-        } else {
-            self.grant_retries += 1;
-            let at = depart + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
-            core.queue
-                .schedule(at, Self::ev(mi, slot, gen, PtMsg::GrantResend));
-        }
+        let arrive = core.net.send(depart, &pkt);
+        core.queue
+            .schedule(arrive, Self::ev(mi, slot, gen, PtMsg::GrantArrive));
     }
 
     /// A grant write landed. A live member commits it; a member that
-    /// died in flight is recovered on the spot (reclaim or quarantine),
-    /// leaving its share in escrow for the restart.
+    /// died in flight is reclaimed on the spot, leaving its share in
+    /// escrow for the restart.
     fn on_grant_arrive(&mut self, core: &mut Core, mi: usize, slot: usize, gen: u64) {
         self.markets[mi].heard[slot] = true;
         let m = &mut self.markets[mi];
@@ -554,22 +520,13 @@ impl PriceTheoryPolicy {
         }
         m.grant_needed[slot] = false;
         m.grants_out -= 1;
-        let ti = m.members[slot];
-        match core.tiles[ti].faulted {
-            None => self.commit_grant(core, mi, slot),
-            Some(TileFaultKind::FailStop) => {
-                self.reclaim_member(core, mi, slot);
-                let m = &mut self.markets[mi];
-                m.live[slot] = false;
-                m.dirty = true;
-            }
-            Some(TileFaultKind::Stuck) => {
-                // the member keeps its coins; they are quarantined by the
-                // end-of-run accounting, never reallocated
-                let m = &mut self.markets[mi];
-                m.live[slot] = false;
-                m.dirty = true;
-            }
+        if core.tiles[m.members[slot]].faulted {
+            self.reclaim_member(core, mi, slot);
+            let m = &mut self.markets[mi];
+            m.live[slot] = false;
+            m.dirty = true;
+        } else {
+            self.commit_grant(core, mi, slot);
         }
         if self.markets[mi].grants_out == 0 {
             if self.markets[mi].granting_up {
@@ -652,9 +609,7 @@ impl PriceTheoryPolicy {
     /// without it if it is dead.
     fn on_bid_timeout(&mut self, core: &mut Core, mi: usize, slot: usize, gen: u64) {
         let m = &mut self.markets[mi];
-        if gen != m.gen
-            || m.phase != Phase::Quoting
-            || core.tiles[m.members[m.supervisor]].faulted.is_some()
+        if gen != m.gen || m.phase != Phase::Quoting || core.tiles[m.members[m.supervisor]].faulted
         {
             return;
         }
@@ -671,24 +626,16 @@ impl PriceTheoryPolicy {
             self.arm_bid_timeout(core, mi, slot, gen, core.now);
             return;
         }
-        match core.tiles[m.members[slot]].faulted {
-            Some(TileFaultKind::FailStop) => {
-                self.reclaim_member(core, mi, slot);
-                let m = &mut self.markets[mi];
-                m.live[slot] = false;
-                self.start_session(core, mi);
-            }
-            Some(TileFaultKind::Stuck) => {
-                m.live[slot] = false;
-                self.start_session(core, mi);
-            }
-            None => {
-                // alive after all: the NoC ate the packets; keep polling
-                m.suspicion[slot] = 0;
-                let price = m.machine.as_ref().expect("session machine").price();
-                self.send_quote(core, mi, slot, gen, price, core.now);
-                self.arm_bid_timeout(core, mi, slot, gen, core.now);
-            }
+        if core.tiles[m.members[slot]].faulted {
+            self.reclaim_member(core, mi, slot);
+            self.markets[mi].live[slot] = false;
+            self.start_session(core, mi);
+        } else {
+            // alive after all, its bid merely late; keep polling
+            m.suspicion[slot] = 0;
+            let price = m.machine.as_ref().expect("session machine").price();
+            self.send_quote(core, mi, slot, gen, price, core.now);
+            self.arm_bid_timeout(core, mi, slot, gen, core.now);
         }
     }
 
@@ -699,7 +646,7 @@ impl PriceTheoryPolicy {
         let m = &mut self.markets[mi];
         if slot == m.supervisor
             || !m.live[slot]
-            || core.tiles[m.members[slot]].faulted.is_some()
+            || core.tiles[m.members[slot]].faulted
             || m.is_dead(core)
         {
             return; // this watchdog retires
@@ -712,9 +659,9 @@ impl PriceTheoryPolicy {
             if m.sup_suspicion[slot] >= SUP_TIMEOUTS {
                 m.sup_suspicion[slot] = 0;
                 let sup_ti = m.members[m.supervisor];
-                if core.tiles[sup_ti].faulted.is_some() {
+                if core.tiles[sup_ti].faulted {
                     let lowest_live = (0..m.members.len()).find(|&s| {
-                        s != m.supervisor && m.live[s] && core.tiles[m.members[s]].faulted.is_none()
+                        s != m.supervisor && m.live[s] && !core.tiles[m.members[s]].faulted
                     });
                     if lowest_live == Some(slot) {
                         self.take_over(core, mi, slot);
@@ -731,9 +678,8 @@ impl PriceTheoryPolicy {
     }
 
     /// Member `slot` assumes the supervisor role from a dead
-    /// predecessor: a fail-stopped one is drained into the new
-    /// supervisor's ledger, a stuck one keeps its (quarantined) coins;
-    /// the escrow carries over into the fresh session either way.
+    /// predecessor, whose ledger is drained into the new supervisor's;
+    /// the escrow carries over into the fresh session.
     fn take_over(&mut self, core: &mut Core, mi: usize, slot: usize) {
         self.takeovers += 1;
         let m = &mut self.markets[mi];
@@ -750,22 +696,20 @@ impl PriceTheoryPolicy {
         m.suspicion.fill(0);
         m.sup_suspicion.fill(0);
         m.heard.fill(false);
-        if core.tiles[old_ti].faulted == Some(TileFaultKind::FailStop) {
-            let new_ti = self.markets[mi].members[slot];
-            let moved = core.tiles[old_ti].has;
-            if moved != 0 {
-                self.reclaims += 1;
-                core.audit.record_reclaim(moved);
-                core.tiles[new_ti].has += moved;
-                core.tiles[old_ti].has = 0;
-                core.record_coins(old_ti);
-                core.record_coins(new_ti);
-                core.apply_coins(new_ti);
-                let escrow = self.markets[mi].escrow;
-                core.audit_cluster_conservation(new_ti, i128::from(escrow), || {
-                    format!("takeover reclaim of market {mi} supervisor by slot {slot}")
-                });
-            }
+        let new_ti = m.members[slot];
+        let moved = core.tiles[old_ti].has;
+        if moved != 0 {
+            self.reclaims += 1;
+            core.audit.record_reclaim(moved);
+            core.tiles[new_ti].has += moved;
+            core.tiles[old_ti].has = 0;
+            core.record_coins(old_ti);
+            core.record_coins(new_ti);
+            core.apply_coins(new_ti);
+            let escrow = self.markets[mi].escrow;
+            core.audit_cluster_conservation(new_ti, i128::from(escrow), || {
+                format!("takeover reclaim of market {mi} supervisor by slot {slot}")
+            });
         }
         self.start_session(core, mi);
     }
@@ -780,9 +724,10 @@ impl PriceTheoryPolicy {
             return;
         }
         if core.fault_at.is_some() && core.recovered_at.is_none() {
-            let drained = core.managed.iter().all(|&t| {
-                core.tiles[t].faulted != Some(TileFaultKind::FailStop) || core.tiles[t].has == 0
-            });
+            let drained = core
+                .managed
+                .iter()
+                .all(|&t| !core.tiles[t].faulted || core.tiles[t].has == 0);
             if drained {
                 core.recovered_at = Some(core.now);
             }
@@ -898,27 +843,8 @@ impl ManagerPolicy for PriceTheoryPolicy {
         };
         match msg {
             PtMsg::QuoteArrive => self.on_quote_arrive(core, mi, slot, gen),
-            PtMsg::QuoteResend => {
-                let m = &self.markets[mi];
-                if gen == m.gen && m.phase == Phase::Quoting {
-                    let price = m.machine.as_ref().expect("session machine").price();
-                    self.send_quote(core, mi, slot, gen, price, core.now);
-                }
-            }
             PtMsg::BidArrive => self.on_bid_arrive(core, mi, slot, gen),
-            PtMsg::BidResend => {
-                let m = &self.markets[mi];
-                if gen == m.gen && core.tiles[m.members[slot]].faulted.is_none() {
-                    self.send_bid(core, mi, slot, gen);
-                }
-            }
             PtMsg::GrantArrive => self.on_grant_arrive(core, mi, slot, gen),
-            PtMsg::GrantResend => {
-                let m = &self.markets[mi];
-                if gen == m.gen && m.phase == Phase::Granting && m.grant_needed[slot] {
-                    self.send_grant(core, mi, slot, gen, core.now);
-                }
-            }
             PtMsg::BidTimeout => self.on_bid_timeout(core, mi, slot, gen),
             PtMsg::Watchdog => self.on_watchdog(core, mi, slot),
         }
@@ -940,7 +866,7 @@ impl ManagerPolicy for PriceTheoryPolicy {
 
     fn finalize(&mut self, report: &mut SimReport) {
         // a dead market's escrow is trapped in its defunct market unit:
-        // counted quarantined, like a stuck tile's holdings
+        // counted quarantined
         report.coins_quarantined += self
             .markets
             .iter()
@@ -956,12 +882,6 @@ impl ManagerPolicy for PriceTheoryPolicy {
         report
             .scheme_stats
             .push(("pt_sessions".into(), self.sessions as f64));
-        report
-            .scheme_stats
-            .push(("pt_bid_retries".into(), self.bid_retries as f64));
-        report
-            .scheme_stats
-            .push(("pt_grant_retries".into(), self.grant_retries as f64));
         report
             .scheme_stats
             .push(("pt_takeovers".into(), self.takeovers as f64));

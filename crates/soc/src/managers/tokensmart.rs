@@ -5,9 +5,8 @@
 //! exchanges within, so the comparison is like for like). Each ring
 //! embeds the behavioural [`TokenSmart`] state machine as its ledger and
 //! allocation brain; this policy supplies what the behavioural model
-//! abstracts away — hop latency under contention, dropped handoffs and
-//! their retransmission, and faulted stops that trap the circulating
-//! pool and break the ring.
+//! abstracts away — hop latency under contention, and dead stops that
+//! trap the circulating pool and break the ring.
 
 use blitzcoin_baselines::{TokenSmart, TsConfig};
 use blitzcoin_noc::{Packet, PacketKind, Plane, TileId};
@@ -15,7 +14,6 @@ use blitzcoin_sim::SimTime;
 
 use crate::engine::events::ManagerEv;
 use crate::engine::{Core, Ev};
-use crate::managers::blitzcoin::EXCHANGE_TIMING;
 use crate::managers::ManagerPolicy;
 use crate::report::{ResponseSample, SimReport};
 
@@ -30,7 +28,7 @@ struct Ring {
     /// Consecutive zero-movement visits; a full quiescent revolution
     /// (`>= stops.len()`) means the ring has converged on its targets.
     zero_streak: usize,
-    /// The token reached a faulted stop: circulation has halted for good
+    /// The token reached a dead stop: circulation has halted for good
     /// and the pool is trapped in transit.
     broken: bool,
 }
@@ -38,16 +36,11 @@ struct Ring {
 /// The TokenSmart policy: per-cluster token rings driven by NoC events.
 pub(crate) struct TokenSmartPolicy {
     rings: Vec<Ring>,
-    /// Handoff packets dropped by the NoC and retransmitted.
-    hop_retries: u64,
 }
 
 impl TokenSmartPolicy {
     pub(crate) fn new() -> Self {
-        TokenSmartPolicy {
-            rings: Vec::new(),
-            hop_retries: 0,
-        }
+        TokenSmartPolicy { rings: Vec::new() }
     }
 
     /// The token arrived at `stop`: run the visit, mirror the ledger
@@ -57,7 +50,7 @@ impl TokenSmartPolicy {
             return;
         }
         let ti = self.rings[ri].stops[stop];
-        if core.tiles[ti].faulted.is_some() {
+        if core.tiles[ti].faulted {
             // the pool landed on a corpse: circulation halts, the pool
             // and the dead stop's holdings are trapped
             self.rings[ri].broken = true;
@@ -90,7 +83,7 @@ impl TokenSmartPolicy {
 
     /// Hands the pool from `stop` to the next ring stop as a NoC packet
     /// departing after the visit's FSM work.
-    fn send_token(&mut self, core: &mut Core, ri: usize, stop: usize) {
+    fn send_token(&self, core: &mut Core, ri: usize, stop: usize) {
         let ring = &self.rings[ri];
         let n = ring.stops.len();
         let next = (stop + 1) % n;
@@ -114,59 +107,14 @@ impl TokenSmartPolicy {
                 delta: ring.machine.pool() as i32,
             },
         );
-        if let Some(arrive) = core.net.send(depart, &pkt).time() {
-            core.queue.schedule(
-                arrive,
-                Ev::Manager(ManagerEv::TokenHop {
-                    ring: ri,
-                    stop: next,
-                }),
-            );
-        } else {
-            // the handoff was dropped; the holder retransmits after a
-            // base-interval timeout — the token is delayed, never lost
-            self.hop_retries += 1;
-            let at = depart + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
-            core.queue.schedule(
-                at,
-                Ev::Manager(ManagerEv::TokenResend {
-                    ring: ri,
-                    stop: next,
-                }),
-            );
-        }
-    }
-
-    /// Retransmits a dropped handoff toward `stop`.
-    fn on_token_resend(&mut self, core: &mut Core, ri: usize, stop: usize) {
-        if self.rings[ri].broken {
-            return;
-        }
-        let dest = self.rings[ri].stops[stop];
-        if core.tiles[dest].faulted.is_some() {
-            // the destination died while the handoff was retrying
-            self.rings[ri].broken = true;
-            return;
-        }
-        let n = self.rings[ri].stops.len();
-        let prev = (stop + n - 1) % n;
-        let pkt = Packet::new(
-            TileId(self.rings[ri].stops[prev]),
-            TileId(dest),
-            Plane::MmioIrq,
-            PacketKind::CoinUpdate {
-                delta: self.rings[ri].machine.pool() as i32,
-            },
+        let arrive = core.net.send(depart, &pkt);
+        core.queue.schedule(
+            arrive,
+            Ev::Manager(ManagerEv::TokenHop {
+                ring: ri,
+                stop: next,
+            }),
         );
-        if let Some(arrive) = core.net.send(core.now, &pkt).time() {
-            core.queue
-                .schedule(arrive, Ev::Manager(ManagerEv::TokenHop { ring: ri, stop }));
-        } else {
-            self.hop_retries += 1;
-            let at = core.now + SimTime::from_noc_cycles(EXCHANGE_TIMING.base_cycles);
-            core.queue
-                .schedule(at, Ev::Manager(ManagerEv::TokenResend { ring: ri, stop }));
-        }
     }
 
     /// TokenSmart's settle criterion: every healthy ring has completed a
@@ -232,8 +180,7 @@ impl ManagerPolicy for TokenSmartPolicy {
     fn on_event(&mut self, core: &mut Core, ev: ManagerEv) {
         match ev {
             ManagerEv::TokenHop { ring, stop } => self.on_token_hop(core, ring, stop),
-            ManagerEv::TokenResend { ring, stop } => self.on_token_resend(core, ring, stop),
-            _ => unreachable!("TokenSmart schedules only token events"),
+            _ => unreachable!("TokenSmart schedules only TokenHop events"),
         }
     }
 
@@ -256,7 +203,6 @@ impl ManagerPolicy for TokenSmartPolicy {
         let switches: u64 = self.rings.iter().map(|r| r.machine.mode_switches()).sum();
         let in_transit = self.coins_in_flight();
         // a broken ring's pool is trapped, not lost: count it quarantined
-        // alongside a stuck tile's holdings
         report.coins_quarantined += self
             .rings
             .iter()
@@ -272,8 +218,5 @@ impl ManagerPolicy for TokenSmartPolicy {
         report
             .scheme_stats
             .push(("ts_pool_in_transit".into(), in_transit as f64));
-        report
-            .scheme_stats
-            .push(("ts_hop_retries".into(), self.hop_retries as f64));
     }
 }

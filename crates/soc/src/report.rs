@@ -123,7 +123,10 @@ pub struct SimReport {
     pub coins_leaked: i64,
     /// Coins recovered from fail-stopped tiles by their neighbors.
     pub coins_reclaimed: i64,
-    /// Coins quarantined on stuck tiles (held, counted, never reallocated).
+    /// Coins trapped where no survivor can reach them: the pool of a
+    /// broken TokenSmart ring, or the escrow of a Price Theory market
+    /// whose members all died. Counted, never reallocated; 0 under the
+    /// other managers.
     pub coins_quarantined: i64,
     /// Tasks that could not complete because their tile (or a dependency's
     /// tile) faulted.

@@ -1,11 +1,11 @@
 //! Behavioral contract of the simulation engine across every manager
-//! scheme: fault resilience, packet-loss tolerance, determinism, budget
-//! enforcement, response-time ordering, and coin conservation.
+//! scheme: fault resilience, determinism, budget enforcement,
+//! response-time ordering, and coin conservation.
 //!
 //! These tests predate the engine/policy split and pin its observable
 //! behavior; they intentionally exercise only the public API.
 
-use blitzcoin_sim::{FaultPlan, SimTime, TileFault, TileFaultKind};
+use blitzcoin_sim::{FaultPlan, SimTime, TileFault};
 use blitzcoin_soc::floorplan::{soc_3x3, soc_4x4};
 use blitzcoin_soc::workload::{av_dependent, av_parallel, WorkloadBuilder};
 use blitzcoin_soc::{ManagerKind, SimConfig, SimReport, Simulation};
@@ -25,12 +25,11 @@ fn fault_run(manager: ManagerKind, plan: FaultPlan, seed: u64) -> SimReport {
 }
 
 /// Kill one tile at 30 us (mid-run for the 2-frame AV workload).
-fn kill_plan(tile: usize, kind: TileFaultKind) -> FaultPlan {
+fn kill_plan(tile: usize) -> FaultPlan {
     let mut plan = FaultPlan::none();
     plan.tile_faults.push(TileFault {
         tile,
         at_cycle: 24_000,
-        kind,
     });
     plan
 }
@@ -39,11 +38,7 @@ fn kill_plan(tile: usize, kind: TileFaultKind) -> FaultPlan {
 fn blitzcoin_survives_tile_death() {
     // fail-stop the NVDLA (tile 4): its tasks are lost, but the
     // survivors reclaim its coins, re-converge, and finish theirs
-    let r = fault_run(
-        ManagerKind::BlitzCoin,
-        kill_plan(4, TileFaultKind::FailStop),
-        7,
-    );
+    let r = fault_run(ManagerKind::BlitzCoin, kill_plan(4), 7);
     assert!(!r.finished, "the dead tile's tasks cannot complete");
     assert_eq!(r.tasks_abandoned, 2, "both NVDLA frames abandoned");
     assert_eq!(r.coins_leaked, 0, "conservation must survive the fault");
@@ -52,22 +47,6 @@ fn blitzcoin_survives_tile_death() {
         r.recovery_us.is_some(),
         "survivors should re-converge after the death"
     );
-}
-
-#[test]
-fn stuck_tile_coins_are_quarantined_not_leaked() {
-    let r = fault_run(
-        ManagerKind::BlitzCoin,
-        kill_plan(4, TileFaultKind::Stuck),
-        7,
-    );
-    assert_eq!(r.coins_leaked, 0);
-    assert_eq!(r.coins_reclaimed, 0, "stuck coins are never taken");
-    assert!(
-        r.coins_quarantined > 0,
-        "a wedged NVDLA holds its allocation"
-    );
-    assert_eq!(r.tasks_abandoned, 2);
 }
 
 #[test]
@@ -80,7 +59,7 @@ fn controller_death_collapses_centralized_managers() {
         ManagerKind::CentralizedRoundRobin,
     ] {
         let healthy = run(m, 120.0, 2);
-        let hurt = fault_run(m, kill_plan(3, TileFaultKind::FailStop), 7);
+        let hurt = fault_run(m, kill_plan(3), 7);
         assert!(
             hurt.responses.len() < healthy.responses.len(),
             "{m}: a dead controller must stop answering ({} vs {})",
@@ -88,11 +67,7 @@ fn controller_death_collapses_centralized_managers() {
             healthy.responses.len()
         );
     }
-    let bc = fault_run(
-        ManagerKind::BlitzCoin,
-        kill_plan(3, TileFaultKind::FailStop),
-        7,
-    );
+    let bc = fault_run(ManagerKind::BlitzCoin, kill_plan(3), 7);
     assert!(
         bc.finished,
         "the CPU tile is not part of BlitzCoin's economy"
@@ -108,30 +83,15 @@ fn centralized_sweeps_write_past_a_dead_accelerator() {
         ManagerKind::BcCentralized,
         ManagerKind::CentralizedRoundRobin,
     ] {
-        let r = fault_run(m, kill_plan(4, TileFaultKind::FailStop), 7);
+        let r = fault_run(m, kill_plan(4), 7);
         assert_eq!(r.tasks_abandoned, 2, "{m}");
         assert_eq!(r.coins_leaked, 0, "{m}");
     }
 }
 
 #[test]
-fn packet_loss_never_deadlocks_or_leaks() {
-    // 20% loss on every plane: exchanges abort transactionally and
-    // retry with back-off, so the run still finishes and conserves
-    let mut plan = FaultPlan::none();
-    plan.seed = 99;
-    plan.drop_prob = vec![0.2];
-    let r = fault_run(ManagerKind::BlitzCoin, plan, 7);
-    assert!(r.finished, "drops must delay, not deadlock");
-    assert_eq!(r.coins_leaked, 0);
-    assert!(r.noc.total_dropped() > 0, "the plan should actually bite");
-}
-
-#[test]
 fn faulted_runs_are_deterministic() {
-    let mut plan = kill_plan(4, TileFaultKind::FailStop);
-    plan.drop_prob = vec![0.1];
-    plan.seed = 5;
+    let plan = kill_plan(4);
     let a = fault_run(ManagerKind::BlitzCoin, plan.clone(), 9);
     let b = fault_run(ManagerKind::BlitzCoin, plan, 9);
     assert_eq!(a.exec_time, b.exec_time);
@@ -150,7 +110,6 @@ fn dead_partner_exchange_times_out_and_backs_off() {
     plan.tile_faults.push(TileFault {
         tile: 4,
         at_cycle: 0,
-        kind: TileFaultKind::FailStop,
     });
     let r = fault_run(ManagerKind::BlitzCoin, plan, 3);
     assert_eq!(r.coins_leaked, 0);
@@ -473,11 +432,7 @@ fn tokensmart_ring_break_traps_the_pool_without_leaking() {
     // fail-stop a ring stop mid-run: the token eventually lands on the
     // corpse, circulation halts, and the trapped pool is quarantined —
     // never minted away
-    let r = fault_run(
-        ManagerKind::TokenSmart,
-        kill_plan(4, TileFaultKind::FailStop),
-        7,
-    );
+    let r = fault_run(ManagerKind::TokenSmart, kill_plan(4), 7);
     assert!(!r.finished, "the dead tile's tasks cannot complete");
     assert_eq!(r.coins_leaked, 0, "a broken ring must not leak");
     assert_eq!(

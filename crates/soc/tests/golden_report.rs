@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use blitzcoin_sim::{FaultPlan, TileFault, TileFaultKind};
+use blitzcoin_sim::{FaultPlan, TileFault};
 use blitzcoin_soc::prelude::*;
 
 const MANAGERS: [ManagerKind; 4] = [
@@ -75,9 +75,7 @@ fn all_summaries() -> String {
             tile_faults: vec![TileFault {
                 tile: 4,
                 at_cycle: 24_000,
-                kind: TileFaultKind::FailStop,
             }],
-            ..FaultPlan::default()
         };
         let r = Simulation::new(soc, wl, SimConfig::new(m, 120.0))
             .with_fault_plan(plan)
@@ -108,9 +106,7 @@ fn pt_summaries() -> String {
                     tile_faults: vec![TileFault {
                         tile,
                         at_cycle: 24_000,
-                        kind: TileFaultKind::FailStop,
                     }],
-                    ..FaultPlan::default()
                 });
             }
             let r = sim.run(seed);

@@ -8,7 +8,20 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-cargo test -q --offline
+
+# Debug test leg, in a temp directory of its own: a test that writes
+# scratch files under the system temp dir must remove them, also when it
+# fails, so the directory must be empty afterwards.
+test_tmp=$(mktemp -d)
+TMPDIR="$test_tmp" cargo test -q --offline
+if [ -n "$(ls -A "$test_tmp")" ]; then
+    echo "ci: the tests left files in their temp dir:" >&2
+    ls -A "$test_tmp" >&2
+    rm -rf "$test_tmp"
+    exit 1
+fi
+rmdir "$test_tmp"
+
 cargo fmt --all -- --check
 cargo clippy --all-targets --offline -- -D warnings
 

@@ -2,21 +2,42 @@
 //! harness, the full-SoC simulator, the behavioural emulator and the
 //! analytical model working together.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use blitzcoin_exp::{run_experiment, Ctx, ALL_EXPERIMENTS};
 use blitzcoin_soc::prelude::*;
 
-fn ctx() -> Ctx {
-    let dir = std::env::temp_dir().join(format!("blitzcoin_it_{}", std::process::id()));
-    Ctx::quick_into(dir)
+/// A scratch path under the system temp directory, named for one test
+/// and this test process, and removed (directory or file) on drop — also
+/// when a failing assertion unwinds the test.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        TempDir(std::env::temp_dir().join(format!("blitzcoin_{tag}_{}", std::process::id())))
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+
+    fn arg(&self) -> &str {
+        self.0.to_str().expect("utf-8 temp dir")
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0).or_else(|_| std::fs::remove_file(&self.0));
+    }
 }
 
 #[test]
 fn every_experiment_runs_in_quick_mode() {
     // The cheap experiments run here; the heavy SoC ones have their own
     // dedicated tests below so failures localize.
-    let ctx = ctx();
+    let tmp = TempDir::new("it_quick");
+    let ctx = Ctx::quick_into(tmp.path());
     for id in ["fig1", "fig2", "fig5", "fig13"] {
         let r = run_experiment(id, &ctx);
         assert!(!r.claims.is_empty(), "{id} produced no claims");
@@ -30,14 +51,16 @@ fn experiment_catalogue_dispatches() {
     // (run only the cheapest to keep CI fast; the full set runs in the
     // harness binary).
     assert_eq!(ALL_EXPERIMENTS.len(), 29);
-    let ctx = ctx();
+    let tmp = TempDir::new("it_catalogue");
+    let ctx = Ctx::quick_into(tmp.path());
     let r = run_experiment("fig2", &ctx);
     assert_eq!(r.id, "fig2");
 }
 
 #[test]
 fn emulator_claims_hold_in_quick_mode() {
-    let ctx = ctx();
+    let tmp = TempDir::new("it_emulator");
+    let ctx = Ctx::quick_into(tmp.path());
     for id in ["fig3", "fig6"] {
         let r = run_experiment(id, &ctx);
         assert!(r.all_hold(), "{id} claims failed:\n{}", r.render());
@@ -46,7 +69,8 @@ fn emulator_claims_hold_in_quick_mode() {
 
 #[test]
 fn soc_figure_17_claims_hold_in_quick_mode() {
-    let ctx = ctx();
+    let tmp = TempDir::new("it_fig17");
+    let ctx = Ctx::quick_into(tmp.path());
     let r = run_experiment("fig17", &ctx);
     assert!(r.all_hold(), "fig17 claims failed:\n{}", r.render());
 }
@@ -146,12 +170,11 @@ fn thermal_envelope_of_paper_workloads() {
 
 #[test]
 fn deterministic_experiment_outputs() {
-    let dir_a = std::env::temp_dir().join(format!("blitzcoin_det_a_{}", std::process::id()));
-    let dir_b = std::env::temp_dir().join(format!("blitzcoin_det_b_{}", std::process::id()));
-    let a = run_experiment("fig2", &Ctx::quick_into(&dir_a));
-    let b = run_experiment("fig2", &Ctx::quick_into(&dir_b));
-    let read = |dir: &std::path::Path| {
-        std::fs::read_to_string(dir.join("fig02_exchange_step.csv")).expect("csv written")
+    let (dir_a, dir_b) = (TempDir::new("det_a"), TempDir::new("det_b"));
+    let a = run_experiment("fig2", &Ctx::quick_into(dir_a.path()));
+    let b = run_experiment("fig2", &Ctx::quick_into(dir_b.path()));
+    let read = |dir: &TempDir| {
+        std::fs::read_to_string(dir.path().join("fig02_exchange_step.csv")).expect("csv written")
     };
     assert_eq!(read(&dir_a), read(&dir_b));
     assert_eq!(a.claims.len(), b.claims.len());
@@ -159,7 +182,7 @@ fn deterministic_experiment_outputs() {
 
 #[test]
 fn unknown_cache_mode_fails_alike_from_flag_and_env() {
-    let out = std::env::temp_dir().join(format!("blitzcoin_cli_cache_{}", std::process::id()));
+    let out = TempDir::new("cli_cache");
     let run = |args: &[&str], env: Option<&str>| {
         let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"));
         cmd.args(args).env_remove("BLITZCOIN_CACHE");
@@ -168,7 +191,7 @@ fn unknown_cache_mode_fails_alike_from_flag_and_env() {
         }
         cmd.output().expect("spawn blitzcoin-exp")
     };
-    let out_arg = out.to_str().expect("utf-8 temp dir");
+    let out_arg = out.arg();
     let flag = run(
         &["fig2", "--quick", "--out", out_arg, "--cache", "refresh"],
         None,
@@ -181,14 +204,14 @@ fn unknown_cache_mode_fails_alike_from_flag_and_env() {
             "bad cache mode 'refresh' (want on|off)"
         );
     }
-    assert!(!out.exists(), "a rejected run must not start");
+    assert!(!out.path().exists(), "a rejected run must not start");
     // A valid value is accepted in any case.
     assert!(run(&["list"], Some("OFF")).status.success());
 }
 
 #[test]
 fn bad_job_count_fails_alike_from_flag_and_env() {
-    let out = std::env::temp_dir().join(format!("blitzcoin_cli_jobs_{}", std::process::id()));
+    let out = TempDir::new("cli_jobs");
     let run = |args: &[&str], env: Option<&str>| {
         let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"));
         cmd.args(args)
@@ -199,7 +222,7 @@ fn bad_job_count_fails_alike_from_flag_and_env() {
         }
         cmd.output().expect("spawn blitzcoin-exp")
     };
-    let out_arg = out.to_str().expect("utf-8 temp dir");
+    let out_arg = out.arg();
     for bad in ["abc", "0", "-3"] {
         let flag = run(&["fig1", "--quick", "--out", out_arg, "--jobs", bad], None);
         let env = run(&["fig1", "--quick", "--out", out_arg], Some(bad));
@@ -215,7 +238,10 @@ fn bad_job_count_fails_alike_from_flag_and_env() {
             String::from_utf8_lossy(&env.stderr),
             format!("bad BLITZCOIN_JOBS '{bad}' (want a job count of at least 1)\n")
         );
-        assert!(!out.exists(), "{bad:?}: a rejected run must not start");
+        assert!(
+            !out.path().exists(),
+            "{bad:?}: a rejected run must not start"
+        );
     }
     // A valid count is accepted, surrounding whitespace included.
     assert!(run(&["list"], Some(" 3 ")).status.success());
@@ -223,8 +249,8 @@ fn bad_job_count_fails_alike_from_flag_and_env() {
 
 #[test]
 fn plots_honours_an_out_dir_given_after_it() {
-    let scratch = std::env::temp_dir().join(format!("blitzcoin_cli_plots_{}", std::process::id()));
-    let (data, cwd) = (scratch.join("data"), scratch.join("cwd"));
+    let scratch = TempDir::new("cli_plots");
+    let (data, cwd) = (scratch.path().join("data"), scratch.path().join("cwd"));
     for dir in [&data, &cwd] {
         std::fs::create_dir_all(dir).expect("create scratch dirs");
     }
@@ -241,47 +267,34 @@ fn plots_honours_an_out_dir_given_after_it() {
         !cwd.join("results").exists(),
         "plots must not fall back to ./results"
     );
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
 fn unwritable_out_dir_exits_1_without_a_panic() {
-    let file = std::env::temp_dir().join(format!("blitzcoin_cli_file_{}", std::process::id()));
-    std::fs::write(&file, "not a directory").expect("create a regular file");
+    let file = TempDir::new("cli_file");
+    std::fs::write(file.path(), "not a directory").expect("create a regular file");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
-        .args([
-            "fig2",
-            "--quick",
-            "--out",
-            file.to_str().expect("utf-8 temp dir"),
-        ])
+        .args(["fig2", "--quick", "--out", file.arg()])
         .output()
         .expect("spawn blitzcoin-exp");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("create output directory"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-    let _ = std::fs::remove_file(&file);
 }
 
 #[test]
 fn repeated_experiment_ids_run_once() {
-    let out = std::env::temp_dir().join(format!("blitzcoin_cli_dup_{}", std::process::id()));
+    let out = TempDir::new("cli_dup");
     let run = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
-        .args([
-            "fig2",
-            "fig13",
-            "fig2",
-            "--quick",
-            "--out",
-            out.to_str().expect("utf-8 temp dir"),
-        ])
+        .args(["fig2", "fig13", "fig2", "--quick", "--out", out.arg()])
         .output()
         .expect("spawn blitzcoin-exp");
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(run.status.success(), "{stderr}");
     assert_eq!(stderr.matches("running fig2 ").count(), 1, "{stderr}");
-    let manifest = std::fs::read_to_string(out.join("manifest.json")).expect("manifest written");
+    let manifest =
+        std::fs::read_to_string(out.path().join("manifest.json")).expect("manifest written");
     let manifest = blitzcoin_sim::json::Json::parse(&manifest).expect("manifest parses");
     let ids: Vec<&str> = manifest
         .as_arr()
@@ -290,14 +303,13 @@ fn repeated_experiment_ids_run_once() {
         .map(|r| r.get("id").and_then(|id| id.as_str()).expect("entry id"))
         .collect();
     assert_eq!(ids, ["fig2", "fig13"]);
-    let _ = std::fs::remove_dir_all(&out);
 }
 
 #[test]
 fn plots_without_result_csvs_exits_1_and_writes_nothing() {
-    let dir = std::env::temp_dir().join(format!("blitzcoin_cli_noplots_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create an empty dir");
-    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let dir = TempDir::new("cli_noplots");
+    std::fs::create_dir_all(dir.path()).expect("create an empty dir");
+    let dir_arg = dir.arg();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
         .args(["plots", "--out", dir_arg])
         .output()
@@ -305,21 +317,22 @@ fn plots_without_result_csvs_exits_1_and_writes_nothing() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains(dir_arg), "{stderr}");
-    assert!(!dir.join("plots").exists(), "no plots dir without plots");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        !dir.path().join("plots").exists(),
+        "no plots dir without plots"
+    );
 }
 
 /// Runs `plots --out DIR` on a DIR holding one `fig01_scaling.csv` with
 /// the given text; returns the exit code and stderr.
 fn plots_on_fig01(tag: &str, csv: &str) -> (Option<i32>, String) {
-    let dir = std::env::temp_dir().join(format!("blitzcoin_cli_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create a scratch dir");
-    std::fs::write(dir.join("fig01_scaling.csv"), csv).expect("write the CSV");
+    let dir = TempDir::new(&format!("cli_{tag}"));
+    std::fs::create_dir_all(dir.path()).expect("create a scratch dir");
+    std::fs::write(dir.path().join("fig01_scaling.csv"), csv).expect("write the CSV");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
-        .args(["plots", "--out", dir.to_str().expect("utf-8 temp dir")])
+        .args(["plots", "--out", dir.arg()])
         .output()
         .expect("spawn blitzcoin-exp");
-    let _ = std::fs::remove_dir_all(&dir);
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -349,7 +362,7 @@ fn plots_on_a_csv_missing_a_column_exits_1_naming_the_file() {
 
 #[test]
 fn thermal_limit_at_or_above_the_free_reference_is_rejected() {
-    let out = std::env::temp_dir().join(format!("blitzcoin_cli_tlimit_{}", std::process::id()));
+    let out = TempDir::new("cli_tlimit");
     for limit in ["105", "120"] {
         let run = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
             .args([
@@ -358,7 +371,7 @@ fn thermal_limit_at_or_above_the_free_reference_is_rejected() {
                 "--thermal-limit",
                 limit,
                 "--out",
-                out.to_str().expect("utf-8 temp dir"),
+                out.arg(),
             ])
             .output()
             .expect("spawn blitzcoin-exp");
@@ -366,7 +379,7 @@ fn thermal_limit_at_or_above_the_free_reference_is_rejected() {
         assert_eq!(run.status.code(), Some(1), "{limit}: {stderr}");
         assert!(stderr.contains("--thermal-limit must be"), "{stderr}");
         assert!(stderr.contains("105"), "{stderr}");
-        assert!(!out.exists(), "a rejected run must not start");
+        assert!(!out.path().exists(), "a rejected run must not start");
     }
 }
 
@@ -374,7 +387,7 @@ fn thermal_limit_at_or_above_the_free_reference_is_rejected() {
 fn bad_flag_values_exit_1_with_their_message() {
     // A missing, unparsable or out-of-range value stops the CLI with one
     // stderr line and exit code 1 before any experiment runs.
-    let out = std::env::temp_dir().join(format!("blitzcoin_cli_flags_{}", std::process::id()));
+    let out = TempDir::new("cli_flags");
     let cases: [(&[&str], &str); 6] = [
         (&["--jobs", "0"], "--jobs must be at least 1\n"),
         (
@@ -394,13 +407,16 @@ fn bad_flag_values_exit_1_with_their_message() {
     ];
     for (flags, want) in cases {
         let run = std::process::Command::new(env!("CARGO_BIN_EXE_blitzcoin-exp"))
-            .args(["fig1", "--out", out.to_str().expect("utf-8 temp dir")])
+            .args(["fig1", "--out", out.arg()])
             .args(flags)
             .env_remove("BLITZCOIN_CACHE")
             .output()
             .expect("spawn blitzcoin-exp");
         assert_eq!(run.status.code(), Some(1), "{flags:?}");
         assert_eq!(String::from_utf8_lossy(&run.stderr), want, "{flags:?}");
-        assert!(!out.exists(), "{flags:?}: a rejected run must not start");
+        assert!(
+            !out.path().exists(),
+            "{flags:?}: a rejected run must not start"
+        );
     }
 }
