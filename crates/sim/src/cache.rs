@@ -695,6 +695,35 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_with_an_out_of_range_number_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("bc-cache-inf-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = key_of(&Json::Str("inf".into()), 1);
+        Cache::new(Some(dir.clone()), CacheMode::On).get_or_compute(key, || Json::Num(42.0));
+
+        // A well-formed envelope whose value holds a float past the f64
+        // range: read as a hit, it would hand an infinity to the figure.
+        let path = Cache::entry_path(&dir, &key);
+        let planted = format!(
+            "{{\"key\": \"{}\", \"compute_ms\": 1, \"value\": {{\"mean_us\": 1e999}}}}",
+            key.hex()
+        );
+        std::fs::write(&path, planted).unwrap();
+
+        let cold = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = cold.get_or_compute(key, || Json::Num(43.0));
+        assert!(!hit, "an out-of-range number must be a miss");
+        assert_eq!(*v, Json::Num(43.0));
+        assert_eq!(cold.stats().hits, 0);
+        let fresh = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = fresh.get_or_compute(key, || panic!("the recomputed entry must hit"));
+        assert!(hit);
+        assert_eq!(*v, Json::Num(43.0));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_deeply_nested_entry_is_a_miss() {
         let dir = std::env::temp_dir().join(format!("bc-cache-deep-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -140,18 +140,21 @@ impl Executor {
         // Work-stealing over a shared cursor: each worker claims the next
         // unclaimed index, tags its result with it, and the tagged piles
         // are merged and sorted afterwards — output order is index order,
-        // never completion order.
-        let cursor = AtomicUsize::new(0);
+        // never completion order. Claims run from the last index down:
+        // sweeps list their points in ascending size, so the costliest
+        // units start first and the cheap ones fill in behind them.
+        let claimed = AtomicUsize::new(0);
         let piles: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs)
                 .map(|_| {
                     scope.spawn(|| {
                         let mut pile = Vec::new();
                         loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
+                            let k = claimed.fetch_add(1, Ordering::Relaxed);
+                            if k >= n {
                                 break;
                             }
+                            let i = n - 1 - k;
                             pile.push((i, f(i)));
                         }
                         pile
@@ -285,6 +288,20 @@ mod tests {
         for jobs in [1, 2, 3, 8, 33] {
             assert_eq!(Executor::new(jobs).run(100, square), expect);
         }
+    }
+
+    #[test]
+    fn workers_claim_the_last_index_first() {
+        // sweeps list their points in ascending cost, so the last index is
+        // the one to start first
+        let started = std::sync::Mutex::new(Vec::new());
+        let out = Executor::new(2).run(50, |i| {
+            started.lock().unwrap().push(i);
+            i
+        });
+        assert_eq!(out, (0..50).collect::<Vec<_>>());
+        let started = started.into_inner().unwrap();
+        assert!(started[0] >= 48, "first claim {}", started[0]);
     }
 
     #[test]

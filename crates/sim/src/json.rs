@@ -512,9 +512,13 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| JsonError::new("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError::new(format!("invalid number `{text}`")))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            // `write_num` never writes a value past the f64 range, so a
+            // token that overflows to an infinity is corruption
+            Ok(_) => Err(JsonError::new(format!("number `{text}` out of range"))),
+            Err(_) => Err(JsonError::new(format!("invalid number `{text}`"))),
+        }
     }
 }
 
@@ -905,6 +909,27 @@ mod tests {
     }
 
     #[test]
+    fn numbers_past_the_f64_range_are_errors() {
+        for text in [
+            "1e999",
+            "-1e999",
+            "[0, 2e308]",
+            "{\"x\": -17976931348623159e292}",
+        ] {
+            assert!(Json::parse(text).is_err(), "`{text}` parsed");
+        }
+        // the largest finite values still parse
+        assert_eq!(
+            Json::parse("1.7976931348623157e308"),
+            Ok(Json::Num(f64::MAX))
+        );
+        assert_eq!(
+            Json::parse("-1.7976931348623157e308"),
+            Ok(Json::Num(f64::MIN))
+        );
+    }
+
+    #[test]
     fn numbers_parse_exactly_like_str_parse() {
         let digits = |rng: &mut crate::SimRng, n: usize| -> String {
             (0..n)
@@ -953,6 +978,9 @@ mod tests {
             };
             let same = match (Json::parse(&token), token.parse::<f64>()) {
                 (Ok(Json::Num(a)), Ok(b)) => a.to_bits() == b.to_bits(),
+                // past the f64 range `parse` gives an infinity and `Json`
+                // an error
+                (Err(_), Ok(b)) => !b.is_finite(),
                 (Err(_), Err(_)) => true,
                 _ => false,
             };

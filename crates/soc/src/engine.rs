@@ -32,10 +32,12 @@
 //!   assembly;
 //! - `faults`: injected tile faults and task abandonment.
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 
 use blitzcoin_core::{AllocationPolicy, ExchangeMode};
-use blitzcoin_noc::{Network, TileId, Topology};
+use blitzcoin_noc::{Network, TileId};
 use blitzcoin_power::{AcceleratorClass, CoinLut, PowerModel};
 use blitzcoin_sim::oracle::Oracle;
 use blitzcoin_sim::{
@@ -61,8 +63,31 @@ thread_local! {
     /// worker thread and the heap buffer is worth keeping warm. A reset
     /// queue is observationally identical to a new one (same seq numbers,
     /// same pop order), so reuse cannot perturb determinism.
-    static QUEUE_POOL: std::cell::RefCell<Option<EventQueue<Ev>>> =
-        const { std::cell::RefCell::new(None) };
+    static QUEUE_POOL: RefCell<Option<EventQueue<Ev>>> = const { RefCell::new(None) };
+
+    /// Coin LUTs already built on this thread, keyed on the tile class and
+    /// the coin value's bits: a LUT depends on nothing else, and a sweep
+    /// builds thousands of simulations from a few dozen such pairs.
+    static LUT_MEMO: RefCell<HashMap<(AcceleratorClass, u64), Rc<CoinLut>>> =
+        RefCell::new(HashMap::new());
+}
+
+/// The coin LUT of a `class` tile at `coin_value_mw` per coin, built the
+/// first time this thread asks for it.
+fn coin_lut(class: AcceleratorClass, coin_value_mw: f64) -> Rc<CoinLut> {
+    // a few dozen keys cover every figure; the bound only keeps a caller
+    // that sweeps the budget finely from growing the map without end
+    const MEMO_CAP: usize = 256;
+    LUT_MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        if memo.len() >= MEMO_CAP {
+            memo.clear();
+        }
+        let lut = memo
+            .entry((class, coin_value_mw.to_bits()))
+            .or_insert_with(|| Rc::new(CoinLut::build(&PowerModel::of(class), coin_value_mw, 64)));
+        Rc::clone(lut)
+    })
 }
 
 /// Takes the thread's recycled queue (reset to pristine state) with the
@@ -183,7 +208,7 @@ pub(crate) struct Running {
 #[derive(Debug, Clone)]
 pub(crate) struct TileRt {
     pub(crate) model: Option<PowerModel>,
-    pub(crate) lut: Option<CoinLut>,
+    pub(crate) lut: Option<Rc<CoinLut>>,
     pub(crate) managed: bool,
     // coin state (managed tiles)
     pub(crate) has: i64,
@@ -207,37 +232,15 @@ pub(crate) struct TileRt {
     pub(crate) fire_gen: u64,
     pub(crate) next_pairing: SimTime,
     pub(crate) pair_offset: usize,
+    /// Where the time-based pairing walk stands in the tile's cluster:
+    /// how many cluster peers, in walk order from the tile's own slot,
+    /// lie before `pair_offset` (modulo the peer count).
+    pub(crate) pair_cursor: usize,
     pub(crate) partners: Vec<usize>,
     /// Consecutive failed exchanges per entry of `partners`.
     pub(crate) suspect: Vec<u32>,
     /// Set once the tile's scheduled fail-stop fires.
     pub(crate) faulted: bool,
-}
-
-/// The BlitzCoin exchange partners of tile `me`: its 4 nearest peers in
-/// `members` (its PM cluster) by `(hop distance, tile id)`, nearest
-/// first. Only those 4 are sorted, not the whole cluster; `peers` is
-/// scratch space reused across tiles.
-fn nearest_partners(
-    topology: &Topology,
-    me: usize,
-    members: &[usize],
-    peers: &mut Vec<(usize, usize)>,
-) -> Vec<usize> {
-    const PARTNERS: usize = 4;
-    peers.clear();
-    peers.extend(
-        members
-            .iter()
-            .filter(|&&t| t != me)
-            .map(|&t| (topology.hop_distance(TileId(me), TileId(t)), t)),
-    );
-    if peers.len() > PARTNERS {
-        peers.select_nth_unstable(PARTNERS - 1);
-        peers.truncate(PARTNERS);
-    }
-    peers.sort_unstable();
-    peers.iter().map(|&(_, t)| t).collect()
 }
 
 /// A configured full-SoC simulation, ready to run.
@@ -402,7 +405,9 @@ impl Simulation {
     /// and 16x16 — the same audit that flushed out the wormhole router's
     /// dense `n * n` route table.
     pub fn structure_lens(&self) -> Vec<(&'static str, usize)> {
-        let core = Core::new(self, SimRng::seed(0));
+        let mut core = Core::new(self, SimRng::seed(0));
+        // boot the policy too: BlitzCoin picks its exchange partners there
+        crate::managers::policy_for(self.cfg.manager).init(&mut core);
         let mut lens = vec![
             ("tiles", core.tiles.len()),
             ("managed", core.managed.len()),
@@ -487,6 +492,16 @@ pub(crate) struct Core<'a> {
     /// Expected coin total per PM cluster (BlitzCoin conserves these at
     /// every exchange commit; exchanges never cross cluster boundaries).
     pub(crate) cluster_expected: Vec<i128>,
+    /// Σ`has` over each PM cluster's live members, kept exact by
+    /// [`Core::set_has`] and the fail-stop path, so BlitzCoin reads a
+    /// cluster's has/max ratio without walking it. A zero-sum exchange
+    /// between live tiles of one cluster may write `has` directly.
+    pub(crate) live_has: Vec<i64>,
+    /// Σ`max` over each PM cluster's live members, kept exact by
+    /// [`Core::set_max`] and the fail-stop path.
+    pub(crate) live_max: Vec<u64>,
+    /// Fail-stopped managed tiles still holding coins.
+    pub(crate) undrained: usize,
     /// Test-only conservation-bug FSM: 0 armed, 1 minted, 2 burned.
     pub(crate) bug_state: u8,
     // response measurement
@@ -508,9 +523,6 @@ impl<'a> Core<'a> {
     fn new(sim: &'a Simulation, rng: SimRng) -> Self {
         let soc = &sim.soc;
         let managed: Vec<usize> = soc.managed_tiles().iter().map(|t| t.index()).collect();
-        // a coin LUT depends only on the tile's class (its power model)
-        // and the coin value, so each class's table is built once
-        let mut luts: Vec<(AcceleratorClass, CoinLut)> = Vec::new();
         let mut tiles: Vec<TileRt> = soc
             .topology
             .tiles()
@@ -519,16 +531,8 @@ impl<'a> Core<'a> {
                 let model = kind.accel_class().map(PowerModel::of);
                 let lut = kind
                     .accel_class()
-                    .zip(model.as_ref())
                     .filter(|_| kind.is_managed())
-                    .map(|(c, m)| {
-                        if let Some((_, lut)) = luts.iter().find(|(lc, _)| *lc == c) {
-                            return lut.clone();
-                        }
-                        let lut = CoinLut::build(m, sim.coin_value_mw, 64);
-                        luts.push((c, lut.clone()));
-                        lut
-                    });
+                    .map(|c| coin_lut(c, sim.coin_value_mw));
                 TileRt {
                     model,
                     lut,
@@ -548,6 +552,7 @@ impl<'a> Core<'a> {
                     fire_gen: 0,
                     next_pairing: SimTime::ZERO,
                     pair_offset: 2,
+                    pair_cursor: 0,
                     partners: Vec::new(),
                     suspect: Vec::new(),
                     faulted: false,
@@ -564,15 +569,6 @@ impl<'a> Core<'a> {
             for &t in members {
                 cluster_of[t] = ci;
             }
-        }
-        // BlitzCoin exchange partners: the 4 nearest managed peers within
-        // the same cluster
-        let mut peers = Vec::new();
-        for &ti in &managed {
-            let partners =
-                nearest_partners(&soc.topology, ti, &cluster_list[cluster_of[ti]], &mut peers);
-            tiles[ti].suspect = vec![0; partners.len()];
-            tiles[ti].partners = partners;
         }
         // initial coins: each cluster owns a pool slice proportional to
         // its accelerators' combined P_max, split equally inside
@@ -624,10 +620,11 @@ impl<'a> Core<'a> {
             }
         }
         let initial_coins: i64 = tiles.iter().map(|t| t.has).sum();
-        let cluster_expected: Vec<i128> = cluster_list
+        let live_has: Vec<i64> = cluster_list
             .iter()
-            .map(|members| members.iter().map(|&t| i128::from(tiles[t].has)).sum())
+            .map(|members| members.iter().map(|&t| tiles[t].has).sum())
             .collect();
+        let cluster_expected = live_has.iter().map(|&h| i128::from(h)).collect();
         let oracle = Oracle::new("blitzcoin-soc Simulation::run", rng.root_seed())
             .with_tie_break(sim.cfg.tie_break);
         let net = Network::new(soc.topology);
@@ -663,6 +660,9 @@ impl<'a> Core<'a> {
             recovered_at: None,
             oracle,
             cluster_expected,
+            live_max: vec![0; live_has.len()],
+            live_has,
+            undrained: 0,
             bug_state: 0,
             pending_changes: Vec::new(),
             responses: Vec::new(),
@@ -683,11 +683,36 @@ impl<'a> Core<'a> {
     pub(crate) fn plan(&self) -> &FaultPlan {
         &self.sim.fault
     }
+
+    /// Writes `ti`'s coin count, keeping its cluster's live Σ`has` (or,
+    /// for a fail-stopped tile, the undrained count) in step.
+    pub(crate) fn set_has(&mut self, ti: usize, has: i64) {
+        let old = std::mem::replace(&mut self.tiles[ti].has, has);
+        let ci = self.cluster_of[ti];
+        if ci == usize::MAX {
+            return;
+        }
+        if self.tiles[ti].faulted {
+            self.undrained = self.undrained + usize::from(has != 0) - usize::from(old != 0);
+        } else {
+            self.live_has[ci] += has - old;
+        }
+    }
+
+    /// Writes `ti`'s allocation target, keeping its cluster's live Σ`max`
+    /// in step.
+    pub(crate) fn set_max(&mut self, ti: usize, max: u64) {
+        let old = std::mem::replace(&mut self.tiles[ti].max, max);
+        let ci = self.cluster_of[ti];
+        if ci != usize::MAX && !self.tiles[ti].faulted {
+            self.live_max[ci] = self.live_max[ci] - old + max;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::nearest_partners;
+    use crate::managers::blitzcoin::nearest_partners;
     use blitzcoin_noc::{TileId, Topology};
     use blitzcoin_sim::check::forall_seeded;
     use blitzcoin_sim::ensure;
@@ -695,22 +720,21 @@ mod tests {
     #[test]
     fn partners_match_the_full_sort_reference() {
         forall_seeded("nearest_partners_reference", 0x9A27, 0..200, |rng| {
-            let topo = Topology::mesh(rng.range_usize(1..9), rng.range_usize(1..9));
+            let (w, h) = (rng.range_usize(1..9), rng.range_usize(1..9));
+            let topo = if rng.chance(0.5) {
+                Topology::mesh(w, h)
+            } else {
+                Topology::torus(w, h)
+            };
             let managed: Vec<usize> = (0..topo.len()).filter(|_| rng.chance(0.6)).collect();
             let n_clusters = rng.range_usize(1..4);
             let mut cluster_of = vec![usize::MAX; topo.len()];
-            let mut clusters = vec![Vec::new(); n_clusters];
             for &t in &managed {
                 cluster_of[t] = rng.range_usize(0..n_clusters);
-                clusters[cluster_of[t]].push(t);
-            }
-            // a caller's cluster lists need not be in tile order
-            for members in &mut clusters {
-                rng.shuffle(members);
             }
             let mut scratch = Vec::new();
             for (mi, &ti) in managed.iter().enumerate() {
-                let fast = nearest_partners(&topo, ti, &clusters[cluster_of[ti]], &mut scratch);
+                let fast = nearest_partners(&topo, ti, &cluster_of, &mut scratch);
                 // the pre-change choice: sort every same-cluster peer
                 let mut peers: Vec<(usize, usize)> = managed
                     .iter()

@@ -100,7 +100,8 @@ impl Core<'_> {
         if self.now.as_noc_cycles() < at || self.bug_state >= 2 {
             return;
         }
-        self.tiles[ti].has += if self.bug_state == 0 { 1 } else { -1 };
+        let has = self.tiles[ti].has + if self.bug_state == 0 { 1 } else { -1 };
+        self.set_has(ti, has);
         self.bug_state += 1;
     }
 }
@@ -112,6 +113,25 @@ impl Core<'_> {
 pub(crate) fn finish(mut core: Core, policy: &mut dyn ManagerPolicy) -> SimReport {
     // hand the drained queue's allocation back for the thread's next trial
     crate::engine::recycle_queue(std::mem::take(&mut core.queue));
+    debug_assert!(
+        core.cluster_members
+            .iter()
+            .enumerate()
+            .all(|(ci, members)| {
+                let live = members.iter().filter(|&&t| !core.tiles[t].faulted);
+                let (has, max) = live.fold((0, 0), |(h, m), &t| {
+                    (h + core.tiles[t].has, m + core.tiles[t].max)
+                });
+                (has, max) == (core.live_has[ci], core.live_max[ci])
+            })
+            && core.undrained
+                == core
+                    .managed
+                    .iter()
+                    .filter(|&&t| core.tiles[t].faulted && core.tiles[t].has != 0)
+                    .count(),
+        "a cluster's live sums or the undrained count drifted from the tiles"
+    );
     let finished = core.completed == core.sim.wl.len();
     let held_live: i64 = core
         .managed

@@ -98,7 +98,7 @@ pub(crate) fn on_thermal_tick(core: &mut Core, policy: &mut dyn ManagerPolicy) {
         // idle tile's latch takes effect at its next activation through
         // `policy_max`.
         if core.tiles[ti].max > 0 {
-            core.tiles[ti].max = core.policy_max(ti);
+            core.set_max(ti, core.policy_max(ti));
             core.apply_coins(ti);
             events::activity_changed(core, policy, ti);
         }

@@ -156,7 +156,7 @@ fn pump(core: &mut Core, policy: &mut dyn ManagerPolicy, ti: usize) {
     let Some(task) = core.tiles[ti].queue.pop_front() else {
         // stream ended: deactivate
         if core.tiles[ti].managed && core.tiles[ti].max != 0 {
-            core.tiles[ti].max = 0;
+            core.set_max(ti, 0);
             core.apply_coins(ti);
             activity_changed(core, policy, ti);
         }
@@ -172,7 +172,7 @@ fn pump(core: &mut Core, policy: &mut dyn ManagerPolicy, ti: usize) {
     if core.tiles[ti].managed {
         if core.tiles[ti].max == 0 {
             // activation: execution begins on this tile
-            core.tiles[ti].max = core.policy_max(ti);
+            core.set_max(ti, core.policy_max(ti));
             core.apply_coins(ti);
             activity_changed(core, policy, ti);
         }

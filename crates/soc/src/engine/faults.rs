@@ -35,6 +35,14 @@ impl Core<'_> {
         if self.fault_at.is_none() {
             self.fault_at = Some(self.now);
         }
+        // the tile leaves its cluster's live sums; coins it still holds
+        // wait to be drained
+        let ci = self.cluster_of[ti];
+        if ci != usize::MAX {
+            self.live_has[ci] -= self.tiles[ti].has;
+            self.live_max[ci] -= self.tiles[ti].max;
+            self.undrained += usize::from(self.tiles[ti].has != 0);
+        }
         {
             let rt = &mut self.tiles[ti];
             rt.faulted = true;

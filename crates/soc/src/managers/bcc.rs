@@ -108,7 +108,7 @@ impl SweepScheme for Bcc {
     const WRITES_COINS: bool = true;
 
     fn boot(&mut self, core: &mut Core) {
-        let luts = core.managed.iter().map(|&t| core.tiles[t].lut.as_ref());
+        let luts = core.managed.iter().map(|&t| core.tiles[t].lut.as_deref());
         self.luts = CentiLuts::build(luts.map(|lut| lut.expect("managed")));
     }
 

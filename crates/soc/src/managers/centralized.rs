@@ -176,7 +176,7 @@ impl<S: SweepScheme> Centralized<S> {
             return;
         }
         if S::WRITES_COINS {
-            core.tiles[ti].has = coins;
+            core.set_has(ti, coins);
             core.record_coins(ti);
         }
         let f = freq_centi_mhz as f64 / 100.0;

@@ -84,7 +84,7 @@ pub(crate) trait ManagerPolicy {
 /// The policy object for a [`ManagerKind`].
 pub(crate) fn policy_for(kind: ManagerKind) -> Box<dyn ManagerPolicy> {
     match kind {
-        ManagerKind::BlitzCoin => Box::new(blitzcoin::BlitzCoinPolicy),
+        ManagerKind::BlitzCoin => Box::new(blitzcoin::BlitzCoinPolicy::default()),
         ManagerKind::BcCentralized => Box::new(centralized::Centralized::new(bcc::Bcc::default())),
         ManagerKind::CentralizedRoundRobin => Box::new(centralized::Centralized::new(crr::Crr)),
         ManagerKind::TokenSmart => Box::new(tokensmart::TokenSmartPolicy::new()),

@@ -214,7 +214,7 @@ impl PriceTheoryPolicy {
             if m.escrow != 0 {
                 if let Some(slot) = (0..m.members.len()).find(|&s| m.live[s]) {
                     let ti = m.members[slot];
-                    core.tiles[ti].has += m.escrow;
+                    core.set_has(ti, core.tiles[ti].has + m.escrow);
                     m.escrow = 0;
                     core.record_coins(ti);
                     core.apply_coins(ti);
@@ -549,7 +549,7 @@ impl PriceTheoryPolicy {
             return;
         }
         m.escrow += old - new;
-        core.tiles[ti].has = new;
+        core.set_has(ti, new);
         core.record_coins(ti);
         core.apply_coins(ti);
         let escrow = m.escrow;
@@ -570,8 +570,8 @@ impl PriceTheoryPolicy {
             return;
         }
         core.audit.record_reclaim(moved);
-        core.tiles[sup_ti].has += moved;
-        core.tiles[ti].has = 0;
+        core.set_has(sup_ti, core.tiles[sup_ti].has + moved);
+        core.set_has(ti, 0);
         core.record_coins(ti);
         core.record_coins(sup_ti);
         core.apply_coins(sup_ti);
@@ -701,8 +701,8 @@ impl PriceTheoryPolicy {
         if moved != 0 {
             self.reclaims += 1;
             core.audit.record_reclaim(moved);
-            core.tiles[new_ti].has += moved;
-            core.tiles[old_ti].has = 0;
+            core.set_has(new_ti, core.tiles[new_ti].has + moved);
+            core.set_has(old_ti, 0);
             core.record_coins(old_ti);
             core.record_coins(new_ti);
             core.apply_coins(new_ti);

@@ -32,7 +32,7 @@ impl ManagerPolicy for StaticPolicy {
                 (share, f)
             };
             // a static tile runs at its share whenever it has work
-            core.tiles[ti].has = (share / core.sim.coin_value_mw) as i64;
+            core.set_has(ti, (share / core.sim.coin_value_mw) as i64);
             if core.tiles[ti].running.is_some() {
                 core.set_target(ti, f);
             }

@@ -66,7 +66,7 @@ impl TokenSmartPolicy {
             ring.machine.visit_once()
         };
         if moved != 0 {
-            core.tiles[ti].has = self.rings[ri].machine.tiles()[stop].has;
+            core.set_has(ti, self.rings[ri].machine.tiles()[stop].has);
             core.record_coins(ti);
             core.apply_coins(ti);
             let pool = self.rings[ri].machine.pool();

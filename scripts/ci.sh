@@ -127,6 +127,13 @@ cargo run --release --offline -q -p blitzcoin-exp --features oracle -- \
 cargo run --release --offline -q -p blitzcoin-exp --features oracle -- \
     mega-mesh --quick --jobs 2 --out "$smoke_dir/megamesh" > /dev/null
 
+# Full-size mega-mesh oracle gate: the 32x32 (1,024-tile) point, whose
+# sixteen PM clusters the quick 16x16 point above (four clusters) never
+# reaches, with BlitzCoin, BC-C and TokenSmart each audited at every
+# commit and actuation. About 1.3 s on a 2-vCPU VM.
+cargo run --release --offline -q -p blitzcoin-exp --features oracle -- \
+    mega-mesh --jobs 2 --cache off --out "$smoke_dir/megamesh-full" > /dev/null
+
 # Mega-mesh tie-break gate: the same 256-tile point under the two
 # non-FIFO orderings. Its same-cycle bursts of hundreds of events reach
 # the event queue's head-insert (lifo) and mid-chain (permuted) paths,
